@@ -36,13 +36,6 @@ class CliParseError(Exception):
     """Bad input file or parameter; maps to exit code 2."""
 
 
-def _width_for(bound: int, radix: int) -> int:
-    w = 1
-    while radix ** w < bound:
-        w += 1
-    return w
-
-
 # -- file I/O ----------------------------------------------------------
 
 
@@ -169,13 +162,13 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     k, bound, pts, notes = load_points(args.points)
     windows = load_windows(args.queries, k, bound)
-    width = args.width or _width_for(bound, args.radix)
-    idx = KdPointIndex.from_points(k, bound, pts, radix=args.radix, width=width)
+    idx = KdPointIndex.from_points(k, bound, pts, radix=args.radix,
+                                   width=args.width or None)
 
     out: TextIO = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
         out.write(f"# verify points={args.points} queries={args.queries} "
-                  f"k={k} bound={bound} radix={args.radix} width={width}\n")
+                  f"k={k} bound={bound} radix={args.radix} width={idx.width}\n")
         for note in notes:
             out.write(f"# {note}\n")
         out.write("query_id,index_count,brute_count,match\n")
@@ -217,6 +210,17 @@ def _row(out, engine, phase, n, args, label="", result="", touches="",
                         label, result, touches, *c, wall]) + "\n")
 
 
+def _summary_rows(out, phase, n, args, touches: list[int]) -> None:
+    """Mean, p50 and p99 of per-operation touches; nothing when empty."""
+    if not touches:
+        return
+    for label, val in (("mean", statistics.fmean(touches)),
+                       ("p50", statistics.median(touches)),
+                       ("p99", sorted(touches)[int(0.99 * (len(touches) - 1))])):
+        _row(out, "threaded", phase, n, args, label=label,
+             touches=round(val, 2))
+
+
 def cmd_bench(args) -> int:
     try:
         sizes = [int(x) for x in args.n.split(",") if x]
@@ -255,11 +259,7 @@ def cmd_bench(args) -> int:
             _row(out, "naive", "build", n, args,
                  wall=(time.perf_counter_ns() - t0) // 1000)
 
-            for label, val in (("mean", statistics.fmean(touch)),
-                               ("p50", statistics.median(touch)),
-                               ("p99", sorted(touch)[int(0.99 * (len(touch) - 1))])):
-                _row(out, "threaded", "insert", n, args, label=label,
-                     touches=round(val, 2))
+            _summary_rows(out, "insert", n, args, touch)
 
             for i, w in enumerate(windows):
                 st = VisitStats()
@@ -290,12 +290,7 @@ def cmd_bench(args) -> int:
                 s = VisitStats()
                 idx.delete(p, stats=s)
                 dtouch.append(s.total_touches())
-            if dtouch:
-                for label, val in (("mean", statistics.fmean(dtouch)),
-                                   ("p50", statistics.median(dtouch)),
-                                   ("p99", sorted(dtouch)[int(0.99 * (len(dtouch) - 1))])):
-                    _row(out, "threaded", "delete", n, args, label=label,
-                         touches=round(val, 2))
+            _summary_rows(out, "delete", n, args, dtouch)
             if mismatches:
                 out.write(f"# engine mismatches: {mismatches}\n")
     finally:

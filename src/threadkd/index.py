@@ -20,6 +20,7 @@ tries when a group minimum goes away.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .stats import VisitStats
@@ -27,12 +28,26 @@ from .tree import DUMMY, ThreadedAvlTree
 from .trie import ThreadedTrie
 
 
+def as_coordinate(c) -> int:
+    """``c`` as a plain int; ValueError for bools and non-integers.
+
+    Int-like values such as ``numpy.int64`` pass through ``__index__``.
+    """
+    if isinstance(c, bool):
+        raise ValueError(f"coordinate {c!r} is a bool, not an integer")
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise ValueError(f"coordinate {c!r} is not an integer") from None
+
+
 class KdPointIndex:
     """Dynamic set of distinct k-tuples with windowed retrieval support.
 
-    Coordinates are ints in [0, bound); bound must fit the trie shape,
-    bound <= radix ** width.  Single writer, concurrent readers only
-    while no mutation runs.
+    Coordinates are ints in [0, bound), or int-like values such as
+    ``numpy.int64`` (stored as plain ints); bools are rejected.  bound
+    must fit the trie shape, bound <= radix ** width.  Single writer,
+    concurrent readers only while no mutation runs.
     """
 
     def __init__(self, k: int, bound: int, radix: int = 16,
@@ -75,42 +90,70 @@ class KdPointIndex:
         if len(p) != self.k:
             raise ValueError(f"point has {len(p)} coordinates, expected {self.k}")
         for c in p:
-            if not isinstance(c, int):
-                raise ValueError(f"coordinate {c!r} is not an integer")
+            if type(c) is not int:
+                # bools, non-integers and int-likes such as numpy.int64
+                return self._check_point(map(as_coordinate, p))
             if not 0 <= c < self.bound:
                 raise ValueError(f"coordinate {c} outside [0, {self.bound})")
         return p
 
-    # -- lookups ---------------------------------------------------------
+    # -- group navigation ------------------------------------------------
+    #
+    # path[j] is the handle of p[:j+1] on level j, so path[i-1] names the
+    # level-i group that p[:i+1] belongs to.  Level 0 is one group whose
+    # first node is the tree's first node.
 
-    def _level_trie(self, i: int, path: list[int]) -> Optional[ThreadedTrie]:
-        """Trie governing the group that p[:i+1] belongs to, given the
-        handles of the shallower prefixes."""
+    def _group_first(self, i: int, path: list[int],
+                     stats: Optional[VisitStats]) -> int:
+        """First node of the level-i group under path[:i]."""
+        if i == 0:
+            return self.trees[0].first(stats)
+        return self.trees[i - 1].node(path[i - 1]).cross_link
+
+    def _group_last(self, i: int, path: list[int],
+                    stats: Optional[VisitStats]) -> int:
+        """Last level-i node before the group after path[:i]'s, or DUMMY
+        when level i is empty."""
         tree = self.trees[i]
         if i == 0:
-            if tree.size == 0:
-                return None
-            return tree.node(tree.first()).trie
-        g = self.trees[i - 1].node(path[i - 1]).cross_link
-        return tree.node(g).trie
+            return tree.last(stats) if tree.size else DUMMY
+        above = self.trees[i - 1]
+        s = above.in_succ(path[i - 1], stats)
+        if s == DUMMY:
+            return tree.last(stats)
+        return tree.in_pred(above.node(s).cross_link, stats)
 
-    def _find_path(self, p: tuple,
-                   stats: Optional[VisitStats] = None) -> Optional[list[int]]:
-        """Handles of every prefix of p, or None where the walk first misses."""
-        if self.size == 0:
-            return None
+    def _set_group_first(self, i: int, path: list[int], trie: ThreadedTrie,
+                         old: int, new: int) -> None:
+        """Make ``new`` its group's first node: it takes the group trie
+        from ``old`` (DUMMY for a new group) and the cross link above."""
+        nodes = self.trees[i].nodes
+        nodes[old].trie = None
+        nodes[new].trie = trie
+        if i > 0:
+            self.trees[i - 1].node(path[i - 1]).cross_link = new
+
+    def _prefix_path(self, p: tuple,
+                     stats: Optional[VisitStats] = None) -> list[int]:
+        """Handles of p's stored prefixes, shortest first, up to the
+        first level that misses; all k of them when p is stored."""
         path: list[int] = []
+        if self.size == 0:
+            return path
         for i in range(self.k):
-            trie = self._level_trie(i, path)
-            e = trie.find(p[i], stats)
+            # a lookup counts trie work only, not the step to a group
+            g = self._group_first(i, path, None)
+            e = self.trees[i].node(g).trie.find(p[i], stats)
             if e is None:
-                return None
+                break
             path.append(e.value)
         return path
 
+    # -- lookups ---------------------------------------------------------
+
     def contains(self, point: Sequence[int]) -> bool:
         p = self._check_point(point)
-        return self._find_path(p) is not None
+        return len(self._prefix_path(p)) == self.k
 
     def __contains__(self, point) -> bool:
         return self.contains(point)
@@ -121,75 +164,31 @@ class KdPointIndex:
                stats: Optional[VisitStats] = None) -> bool:
         """Add a point; returns False (and changes nothing) if present."""
         p = self._check_point(point)
-        k = self.k
-
-        # depth of the longest prefix already present
-        path: list[int] = []
-        jstar = 0
-        if self.size > 0:
-            for i in range(k):
-                e = self._level_trie(i, path).find(p[i], stats)
-                if e is None:
-                    break
-                path.append(e.value)
-                jstar = i + 1
-        if jstar == k:
+        path = self._prefix_path(p, stats)
+        jstar = len(path)
+        if jstar == self.k:
             return False
-
-        for i in range(jstar, k):
-            key = p[:i + 1]
+        for i in range(jstar, self.k):
             tree = self.trees[i]
-            if i > jstar:
-                # brand-new group: it slots in right before the group of
-                # the fresh level-(i-1) node's inorder successor
-                above = self.trees[i - 1]
-                s = above.in_succ(path[i - 1], stats)
-                if s == DUMMY:
-                    pos = tree.last(stats)
-                else:
-                    pos = tree.in_pred(above.node(s).cross_link, stats)
-                h = tree.insert_after(pos, key, stats)
-                trie = ThreadedTrie(self.radix, self.width)
-                tree.node(h).trie = trie
-                trie.insert(p[i], h, stats)
-            elif i == 0 and tree.size == 0:
-                h = tree.insert_after(DUMMY, key, stats)
-                trie = ThreadedTrie(self.radix, self.width)
-                tree.node(h).trie = trie
-                trie.insert(p[i], h, stats)
-            else:
-                # joins an existing group
-                if i == 0:
-                    g = tree.first(stats)
-                else:
-                    g = self.trees[i - 1].node(path[i - 1]).cross_link
+            if i == jstar and self.size:
+                # joins an existing group, before its trie successor or,
+                # past the group maximum, at the group's end
+                g = self._group_first(i, path, stats)
                 trie = tree.node(g).trie
                 e = trie.succ_geq(p[i], stats)
                 if e is not None:
                     pos = tree.in_pred(e.value, stats)
                 else:
-                    # past the group maximum: squeeze in before the next
-                    # group over, or at the very end
-                    if i == 0:
-                        pos = tree.last(stats)
-                    else:
-                        above = self.trees[i - 1]
-                        s = above.in_succ(path[i - 1], stats)
-                        if s == DUMMY:
-                            pos = tree.last(stats)
-                        else:
-                            pos = tree.in_pred(above.node(s).cross_link, stats)
-                h = tree.insert_after(pos, key, stats)
-                if p[i] < tree.node(g).key[i]:
-                    # new group minimum: the trie moves here, and the
-                    # parent's cross link must follow
-                    tree.node(h).trie = trie
-                    tree.node(g).trie = None
-                    if i > 0:
-                        self.trees[i - 1].node(path[i - 1]).cross_link = h
-                trie.insert(p[i], h, stats)
-            if i > jstar:
-                self.trees[i - 1].node(path[i - 1]).cross_link = h
+                    pos = self._group_last(i, path, stats)
+            else:
+                # opens a group under the node just made one level up
+                g = DUMMY
+                trie = ThreadedTrie(self.radix, self.width)
+                pos = self._group_last(i, path, stats)
+            h = tree.insert_after(pos, p[:i + 1], stats)
+            if g == DUMMY or p[i] < tree.node(g).key[i]:
+                self._set_group_first(i, path, trie, g, h)
+            trie.insert(p[i], h, stats)
             path.append(h)
         self.size += 1
         return True
@@ -200,28 +199,20 @@ class KdPointIndex:
                stats: Optional[VisitStats] = None) -> bool:
         """Remove a point; returns False if it was not stored."""
         p = self._check_point(point)
-        path = self._find_path(p, stats)
-        if path is None:
+        path = self._prefix_path(p, stats)
+        if len(path) < self.k:
             return False
-        k = self.k
-        for i in range(k - 1, -1, -1):
+        for i in range(self.k - 1, -1, -1):
             tree = self.trees[i]
             h = path[i]
-            if i == 0:
-                g = tree.first(stats)
-            else:
-                g = self.trees[i - 1].node(path[i - 1]).cross_link
+            g = self._group_first(i, path, stats)
             trie = tree.node(g).trie
             if trie.size > 1:
                 trie.delete(p[i], stats)
                 if g == h:
-                    # group minimum leaves: trie and cross link move to
-                    # the next member up
-                    nf = tree.in_succ(h, stats)
-                    tree.node(nf).trie = trie
-                    tree.node(h).trie = None
-                    if i > 0:
-                        self.trees[i - 1].node(path[i - 1]).cross_link = nf
+                    # the group minimum leaves: the next member takes over
+                    self._set_group_first(i, path, trie, h,
+                                          tree.in_succ(h, stats))
                 tree.delete_node(h, stats)
                 break
             # sole member: the whole group goes, so the prefix one level

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .index import KdPointIndex
+from .index import KdPointIndex, as_coordinate
 from .stats import VisitStats
 from .tree import DUMMY
 
@@ -33,6 +33,10 @@ def check_window(index: KdPointIndex,
     w = [(lo, hi) for lo, hi in window]
     if len(w) != index.k:
         raise WindowError(f"window has {len(w)} ranges, expected {index.k}")
+    try:
+        w = [(as_coordinate(lo), as_coordinate(hi)) for lo, hi in w]
+    except ValueError as e:
+        raise WindowError(f"window bound: {e}") from None
     for j, (lo, hi) in enumerate(w):
         if lo > hi:
             raise WindowError(f"range {j}: lo {lo} > hi {hi}")
@@ -80,6 +84,23 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     return out
 
 
+def _walk(index: KdPointIndex, w: list[tuple[int, int]], level: int,
+          group_first: int, st: VisitStats, results: list[tuple]) -> None:
+    """Append to ``results`` every point inside ``w`` below the level group
+    that starts at ``group_first``."""
+    lo, hi = w[level]
+    cands = level_candidates(index, level, group_first, lo, hi, st)
+    st.per_level_candidates[level] += len(cands)
+    tree = index.trees[level]
+    if level == index.k - 1:
+        for h in cands:
+            results.append(tree.node(h).key)
+    else:
+        for h in cands:
+            st.cross_links_followed += 1
+            _walk(index, w, level + 1, tree.node(h).cross_link, st, results)
+
+
 def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
                  stats: Optional[VisitStats] = None
                  ) -> tuple[list[tuple], VisitStats]:
@@ -88,22 +109,6 @@ def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
     st = stats if stats is not None else VisitStats()
     st.per_level_candidates = [0] * index.k
     results: list[tuple] = []
-    if index.size == 0:
-        return results, st
-    k = index.k
-
-    def walk(level: int, group_first: int) -> None:
-        lo, hi = w[level]
-        cands = level_candidates(index, level, group_first, lo, hi, st)
-        st.per_level_candidates[level] += len(cands)
-        tree = index.trees[level]
-        if level == k - 1:
-            for h in cands:
-                results.append(tree.node(h).key)
-        else:
-            for h in cands:
-                st.cross_links_followed += 1
-                walk(level + 1, tree.node(h).cross_link)
-
-    walk(0, index.trees[0].first())
+    if index.size:
+        _walk(index, w, 0, index.trees[0].first(), st, results)
     return results, st

@@ -72,7 +72,6 @@ class ThreadedAvlTree:
         self.free: list[int] = []
         self.size = 0
         self.rotations = 0
-        self.rebalance_events = 0
 
     # -- handle helpers -------------------------------------------------
 
@@ -233,7 +232,6 @@ class ThreadedAvlTree:
             if not xn.rthread and xn.right == child:
                 if xn.balance > 0:
                     self._fix_right_heavy(x, stats)
-                    self.rebalance_events += 1
                     return
                 if xn.balance < 0:
                     xn.balance = 0
@@ -242,7 +240,6 @@ class ThreadedAvlTree:
             else:
                 if xn.balance < 0:
                     self._fix_left_heavy(x, stats)
-                    self.rebalance_events += 1
                     return
                 if xn.balance > 0:
                     xn.balance = 0
@@ -379,7 +376,6 @@ class ThreadedAvlTree:
                     sub = x
                 else:
                     sub, done = self._fix_right_heavy(x, stats)
-                    self.rebalance_events += 1
                     if done:
                         return
             else:
@@ -391,7 +387,6 @@ class ThreadedAvlTree:
                     sub = x
                 else:
                     sub, done = self._fix_left_heavy(x, stats)
-                    self.rebalance_events += 1
                     if done:
                         return
             p = nodes[sub].parent

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,30 @@ def test_domain_errors():
         KdPointIndex(2, 300, radix=16, width=1)
     with pytest.raises(ValueError):
         KdPointIndex(0, 16)
+
+
+def test_bool_coordinates_rejected():
+    idx = KdPointIndex(2, 16)
+    for p in [(True, 1), (1, False)]:
+        with pytest.raises(ValueError):
+            idx.insert(p)
+        with pytest.raises(ValueError):
+            idx.contains(p)
+        with pytest.raises(ValueError):
+            idx.delete(p)
+    assert list(idx.points()) == []
+    assert idx.validate() == []
+
+
+def test_numpy_coordinates_stored_as_ints():
+    arr = np.array(FIVE, dtype=np.int64)
+    idx = KdPointIndex.from_points(2, 16, arr)
+    pts = list(idx.points())
+    assert pts == sorted(FIVE)
+    assert all(type(c) is int for p in pts for c in p)
+    assert idx.contains(arr[0]) and idx.delete(arr[0])
+    assert not idx.contains(FIVE[0])
+    assert idx.validate() == []
 
 
 def test_validate_catches_bad_cross_link():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,16 @@ def test_malformed_windows():
     with pytest.raises(WindowError):
         window_query(idx, [(-1, 8), (5, 7)])
     assert check_window(idx, [(0, 15), (3, 3)]) == [(0, 15), (3, 3)]
+
+
+def test_non_integer_window_bounds():
+    idx = five_index()
+    for w in ([(2.5, 3.5), (0, 15)], [(0, 15), (0, "7")],
+              [(True, 8), (5, 7)], [(1, 8), (5, None)]):
+        with pytest.raises(WindowError):
+            window_query(idx, w)
+    w = [tuple(np.array([1, 8])), (np.int64(5), np.int64(7))]
+    assert window_query(idx, w)[0] == [(2, 6), (6, 6)]
 
 
 def test_no_first_level_candidates_prunes_everything():
