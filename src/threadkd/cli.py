@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
     return status
 
 
+INSERT_WINDOW = 1000    # bench: points inserted singly after the bulk load
+
 _COLUMNS = ("engine,phase,n,k,dist,seed,label,result_count,touches,"
             "tree_nodes,trie_nodes,threads_followed,cross_links,"
             "trie_lookups,candidates_total,wall_us")
@@ -243,15 +245,18 @@ def cmd_bench(args) -> int:
             else:
                 windows = mixed_bench_windows(60, args.k, bound, args.seed + 999)
 
-            touch: list[int] = []
-            idx = KdPointIndex(args.k, bound, radix=args.radix, width=args.width)
+            # the last w points are inserted singly for the insert summary
+            w = min(INSERT_WINDOW, n)
             t0 = time.perf_counter_ns()
-            for p in pts:
+            idx = KdPointIndex.from_points(args.k, bound, pts[:n - w],
+                                           radix=args.radix, width=args.width)
+            _row(out, "threaded", "build", n, args,
+                 wall=(time.perf_counter_ns() - t0) // 1000)
+            touch: list[int] = []
+            for p in pts[n - w:]:
                 s = VisitStats()
                 idx.insert(p, stats=s)
                 touch.append(s.total_touches())
-            _row(out, "threaded", "build", n, args,
-                 wall=(time.perf_counter_ns() - t0) // 1000)
             naive = NaiveKdTree(args.k)
             t0 = time.perf_counter_ns()
             for p in pts:

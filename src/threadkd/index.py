@@ -73,9 +73,53 @@ class KdPointIndex:
     @classmethod
     def from_points(cls, k: int, bound: int, points: Iterable[Sequence[int]],
                     radix: int = 16, width: Optional[int] = None) -> "KdPointIndex":
+        """Index holding ``points``; duplicates are dropped.
+
+        Bulk load: the checked points are sorted once, one pass derives
+        every level's distinct prefixes and group starts, and each level's
+        tree and group tries are then built directly from sorted runs.
+        The trees come out perfectly balanced, so the shape-dependent
+        counters (``threads_followed``; for later updates also
+        ``rotations`` and ``tree_nodes_visited``) can differ from an index
+        built by ``insert``; points, tries, cross links, query results and
+        the other query counters are the same.
+        """
         idx = cls(k, bound, radix, width)
-        for p in points:
-            idx.insert(p)
+        pts = sorted({idx._check_point(p) for p in points})
+        if not pts:
+            return idx
+        # keys[i]: level i's distinct prefixes in order; starts[i]: the key
+        # index of each level-i group's first member, one group per level
+        # i-1 key.  p opens a group on every level below the first
+        # coordinate where it differs from the previous point.
+        keys: list[list[tuple]] = [[] for _ in range(k)]
+        starts: list[list[int]] = [[0]] + [[] for _ in range(k - 1)]
+        prev = (-1,) * k
+        for p in pts:
+            j = 0
+            while p[j] == prev[j]:
+                j += 1
+            keys[j].append(p[:j + 1])
+            for i in range(j + 1, k):
+                starts[i].append(len(keys[i]))
+                keys[i].append(p[:i + 1])
+            prev = p
+        handles = list(range(len(pts) + 2))
+        idx.trees = [ThreadedAvlTree.from_sorted(level, handles)
+                     for level in keys]
+        for i, tree in enumerate(idx.trees):
+            nodes = tree.nodes
+            above = idx.trees[i - 1].nodes if i else None
+            coords = [key[i] for key in keys[i]]
+            ends = starts[i][1:] + [len(coords)]
+            for g, (s, e) in enumerate(zip(starts[i], ends), 1):
+                first = handles[s + 1]
+                nodes[first].trie = ThreadedTrie.from_sorted(
+                    idx.radix, idx.width,
+                    list(zip(coords[s:e], handles[s + 1:e + 1])))
+                if above is not None:
+                    above[g].cross_link = first
+        idx.size = len(pts)
         return idx
 
     def __len__(self) -> int:

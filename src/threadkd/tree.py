@@ -10,12 +10,13 @@ Insertion takes a position hint (the would-be predecessor) instead of
 searching by key; callers locate positions through external structures.
 Deletion relocates the inorder successor into the removed node's place
 instead of copying keys, so surviving handles stay valid for any outside
-references held to them.
+references held to them.  ``from_sorted`` builds a perfectly balanced
+tree from sorted keys in one pass.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from .stats import VisitStats
 
@@ -55,6 +56,29 @@ class TreeNode:
         self.trie: Optional[Any] = None
 
 
+def _link_balanced(nodes: list, handles: Sequence[int], lo: int, hi: int,
+                   parent: int) -> tuple[int, int]:
+    """Link the nodes of keys[lo:hi] (handles lo+1 .. hi) as a perfectly
+    balanced subtree under ``parent``; returns its root and height."""
+    mid = (lo + hi) >> 1
+    h = handles[mid + 1]
+    n = nodes[h]
+    n.parent = parent
+    hl = hr = 0
+    if lo < mid:
+        n.left, hl = _link_balanced(nodes, handles, lo, mid, h)
+        n.lthread = False
+    else:
+        n.left = handles[mid]
+    if mid + 1 < hi:
+        n.right, hr = _link_balanced(nodes, handles, mid + 1, hi, h)
+        n.rthread = False
+    else:
+        n.right = handles[mid + 2]
+    n.balance = hr - hl
+    return h, max(hl, hr) + 1
+
+
 class ThreadedAvlTree:
     """AVL tree over tuple keys with threads replacing empty child slots.
 
@@ -72,6 +96,35 @@ class ThreadedAvlTree:
         self.free: list[int] = []
         self.size = 0
         self.rotations = 0
+
+    @classmethod
+    def from_sorted(cls, keys: Sequence[tuple],
+                    handles: Optional[Sequence[int]] = None) -> "ThreadedAvlTree":
+        """Perfectly balanced tree over strictly increasing ``keys``, in O(n).
+
+        ``keys[j]`` gets handle ``j + 1``.  Midpoint recursion links the
+        children; an empty left slot threads to handle ``j``, an empty
+        right slot to ``j + 2`` (DUMMY after the last key).  Key order is
+        not checked here; ``validate()`` reports a violation.
+
+        Every link is taken from ``handles``, where ``handles[j] == j`` for
+        each j up to ``len(keys) + 1``, so each handle is one int object;
+        callers that build several trees pass one list to all of them.
+        """
+        tree = cls()
+        n = len(keys)
+        if n == 0:
+            return tree
+        if handles is None:
+            handles = list(range(n + 2))
+        nodes = tree.nodes
+        nodes.extend(map(TreeNode, keys))
+        d = nodes[DUMMY]
+        d.left, _ = _link_balanced(nodes, handles, 0, n, DUMMY)
+        d.lthread = False
+        nodes[n].right = DUMMY
+        tree.size = n
+        return tree
 
     # -- handle helpers -------------------------------------------------
 

@@ -18,11 +18,13 @@ two root-to-bottom paths of nodes.
 Inserts and deletes repair threads locally: the affected node, the new
 or removed branch, and the chain of largest-valid slots under the key's
 in-node predecessor.  Cost is bounded by radix * width slot writes.
+``from_sorted`` builds the same trie from sorted items, each node once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+import functools
+from typing import Any, Iterator, Optional, Sequence
 
 from .stats import VisitStats
 
@@ -43,10 +45,18 @@ class Entry:
 class TrieNode:
     __slots__ = ("slots", "valid", "up")
 
-    def __init__(self, radix: int):
-        self.slots: list = [None] * radix
+    def __init__(self, radix: int, up: Optional[object] = None):
+        # an empty node threads every slot to what follows its subtree
+        self.slots: list = [up] * radix
         self.valid = bytearray(radix)
-        self.up: Optional[object] = None
+        self.up = up
+
+
+@functools.cache
+def _powers(radix: int, width: int) -> tuple[int, ...]:
+    """Place values of a key's digits, most significant first; one tuple
+    per trie shape, shared by every trie of that shape."""
+    return tuple(radix ** (width - 1 - i) for i in range(width))
 
 
 class ThreadedTrie:
@@ -60,7 +70,53 @@ class ThreadedTrie:
         self.capacity = radix ** width
         self.root = TrieNode(radix)
         self.size = 0
-        self._pow = [radix ** (width - 1 - i) for i in range(width)]
+        self._pow = _powers(radix, width)
+
+    @classmethod
+    def from_sorted(cls, radix: int, width: int,
+                    items: Sequence[tuple[int, Any]]) -> "ThreadedTrie":
+        """Trie holding ``items``, (key, value) pairs in strictly increasing
+        key order; slot for slot what inserting them one by one builds.
+
+        Each node is created once and its slots are filled run by run:
+        the items sharing a digit at a node form one run, and runs are
+        taken right to left, so every thread and ``up`` target already
+        exists when it is written.  Key order is not checked here;
+        ``validate()`` reports a violation.
+        """
+        trie = cls(radix, width)
+        if items:
+            trie._check_key(items[0][0])
+            trie._check_key(items[-1][0])
+            trie._fill(trie.root, items, 0, len(items), 0)
+            trie.size = len(items)
+        return trie
+
+    def _fill(self, node: TrieNode, items: Sequence[tuple[int, Any]],
+              lo: int, hi: int, depth: int) -> None:
+        # node's subtree holds items[lo:hi] and node.up is set; each run of
+        # one digit becomes a valid slot, the empty slots before a run
+        # thread to its subtree and those after the last run to node.up
+        r = self.radix
+        p = self._pow[depth]
+        bottom = depth == self.width - 1
+        slots, valid = node.slots, node.valid
+        nxt, end, b = node.up, r, hi
+        while b > lo:
+            d = items[b - 1][0] // p % r
+            a = b - 1
+            while a > lo and items[a - 1][0] // p % r == d:
+                a -= 1
+            if bottom:
+                ref = Entry(*items[a])
+            else:
+                ref = TrieNode(r, nxt)
+                self._fill(ref, items, a, b, depth + 1)
+            slots[d + 1:end] = [nxt] * (end - d - 1)
+            slots[d] = ref
+            valid[d] = 1
+            nxt, end, b = ref, d, a
+        slots[:end] = [nxt] * end
 
     def __len__(self) -> int:
         return self.size
@@ -178,17 +234,12 @@ class ThreadedTrie:
         entry = Entry(key, value)
         ref: object = entry
         for i in range(last, depth, -1):
-            m = TrieNode(self.radix)
+            m = TrieNode(self.radix, nxt)
             if stats is not None:
                 stats.trie_nodes_visited += 1
             d = digits[i]
             m.valid[d] = 1
-            for j in range(d):
-                m.slots[j] = ref
-            m.slots[d] = ref
-            for j in range(d + 1, self.radix):
-                m.slots[j] = nxt
-            m.up = nxt
+            m.slots[:d + 1] = [ref] * (d + 1)
             ref = m
 
         if stats is not None:

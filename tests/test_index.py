@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadkd.index import KdPointIndex
+from threadkd.query import window_query
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
@@ -233,4 +234,61 @@ def test_fuzz_against_set_oracle(k, bound):
 def test_built_index_always_valid(pts):
     idx = KdPointIndex.from_points(3, 32, pts, radix=2, width=5)
     assert list(idx.points()) == sorted(set(pts))
+    assert idx.validate() == []
+
+
+# -- bulk load ---------------------------------------------------------
+
+# counters that do not depend on tree shape; threads_followed does
+SHAPE_FREE = ("tree_nodes_visited", "trie_nodes_visited",
+              "cross_links_followed", "trie_lookups", "per_level_candidates")
+
+
+@given(st.integers(1, 3), st.sampled_from([2, 3, 4]), st.integers(1, 3),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_bulk_load_matches_inserts(k, radix, width, data):
+    bound = radix ** width
+    coord = st.integers(0, bound - 1)
+    pts = data.draw(st.lists(st.tuples(*[coord] * k), max_size=60))
+    pts = data.draw(st.permutations(pts + pts[::2]))     # with duplicates
+    bulk = KdPointIndex.from_points(k, bound, pts, radix=radix, width=width)
+    built = KdPointIndex(k, bound, radix=radix, width=width)
+    for p in pts:
+        built.insert(p)
+    assert list(bulk.points()) == list(built.points())
+    assert snapshot(bulk) == snapshot(built)
+    assert bulk.validate() == []
+    for _ in range(8):
+        w = [tuple(sorted(r)) for r in
+             data.draw(st.lists(st.tuples(coord, coord),
+                                min_size=k, max_size=k))]
+        got, s_bulk = window_query(bulk, w)
+        want, s_built = window_query(built, w)
+        assert got == want
+        for f in SHAPE_FREE:
+            assert getattr(s_bulk, f) == getattr(s_built, f), f
+
+
+GRID = [(x, y) for x in range(16) for y in range(16)]
+
+
+@pytest.mark.parametrize("bad", [(True, 1), (1, 2.0), (16, 0), (3, -1),
+                                 (1, 2, 3), (7,)])
+def test_from_points_rejects_a_late_bad_point(bad):
+    with pytest.raises(ValueError):
+        KdPointIndex.from_points(2, 16, GRID[::-1] + [bad] + GRID[:9])
+
+
+def test_from_points_accepts_a_generator():
+    idx = KdPointIndex.from_points(2, 16, (p for p in reversed(GRID)))
+    assert list(idx.points()) == GRID
+    assert idx.validate() == []
+
+
+def test_from_points_drops_duplicates():
+    pts = FIVE[::-1] + FIVE + [list(p) for p in FIVE]
+    idx = KdPointIndex.from_points(2, 16, pts)
+    assert len(idx) == 5
+    assert list(idx.points()) == sorted(FIVE)
     assert idx.validate() == []

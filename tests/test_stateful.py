@@ -4,7 +4,8 @@ The universe is tiny (coordinates in [0, 6), k up to 3), so random
 operation sequences keep opening groups, giving them new minimums and
 deleting their minimums on every level.  After each operation the index
 must agree with the oracle and pass validate(); a failure shrinks to a
-minimal operation sequence.
+minimal operation sequence.  Each run starts from a bulk-loaded point
+set, so every update also runs on a tree that ``from_points`` built.
 """
 
 from hypothesis import settings
@@ -21,13 +22,15 @@ triple = st.tuples(coord, coord, coord)
 
 
 class IndexMachine(RuleBasedStateMachine):
-    """Random insert/delete/contains/window sequences; k is drawn once."""
+    """Random insert/delete/contains/window sequences after a bulk load;
+    k and the initial points are drawn once."""
 
-    @initialize(k=st.sampled_from([1, 2, 3]))
-    def start(self, k):
+    @initialize(k=st.sampled_from([1, 2, 3]), pts=st.lists(triple, max_size=40))
+    def start(self, k, pts):
         self.k = k
-        self.idx = KdPointIndex(k, BOUND, radix=2)
-        self.oracle: set[tuple] = set()
+        pts = [p[:k] for p in pts]
+        self.idx = KdPointIndex.from_points(k, BOUND, pts, radix=2)
+        self.oracle: set[tuple] = set(pts)
 
     @rule(p=triple)
     def insert(self, p):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -254,3 +255,24 @@ def test_arena_reuses_freed_cells():
         t.insert_after(t.last(), (v,))
     assert len(t.nodes) == cells_before
     assert t.validate() == []
+
+
+@pytest.mark.parametrize("n", range(65))
+def test_from_sorted_is_balanced(n):
+    keys = [(3 * v,) for v in range(n)]
+    t = ThreadedAvlTree.from_sorted(keys)
+    assert t.validate() == []
+    assert list(t.keys()) == keys
+    assert list(t.inorder()) == list(range(1, n + 1))
+    assert height(t) <= math.ceil(math.log2(n + 1))
+
+
+def test_from_sorted_tree_takes_updates():
+    t = ThreadedAvlTree.from_sorted([(v,) for v in range(0, 40, 2)])
+    for v in range(1, 40, 4):
+        # key (v - 1,) is keys[v // 2], at handle v // 2 + 1
+        t.insert_after(v // 2 + 1, (v,))
+    t.delete_node(t.root)
+    t.delete_node(t.first())
+    assert t.validate() == []
+    assert t.size == 28

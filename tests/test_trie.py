@@ -221,3 +221,58 @@ def test_insert_delete_round_trip(keys, data):
         t.delete(k)
         assert t.validate() == []
     assert len(t) == 0
+
+
+def same_slots(a, b):
+    """Slot-for-slot equality of two tries: valid flags, threads, ups,
+    entries (key and payload), with thread targets matched by position."""
+    pairs: dict[int, object] = {}
+
+    def eq(x, y):
+        if isinstance(x, TrieNode):
+            if not isinstance(y, TrieNode):
+                return False
+            if id(x) in pairs:
+                return pairs[id(x)] is y
+            pairs[id(x)] = y
+            return (x.valid == y.valid and eq(x.up, y.up)
+                    and all(eq(p, q) for p, q in zip(x.slots, y.slots)))
+        if isinstance(x, Entry):
+            return (isinstance(y, Entry) and x.key == y.key
+                    and x.value == y.value)
+        return x is None and y is None
+
+    return a.size == b.size and eq(a.root, b.root)
+
+
+@pytest.mark.parametrize("radix,width", [(2, 6), (4, 3), (16, 2)])
+def test_from_sorted_matches_inserts(radix, width):
+    rng = random.Random(31 * radix + width)
+    cap = radix ** width
+    for n in [0, 1, 2, 3, 5, 17, cap // 2, cap]:
+        keys = sorted(rng.sample(range(cap), n))
+        items = [(key, -key) for key in keys]
+        bulk = ThreadedTrie.from_sorted(radix, width, items)
+        built = ThreadedTrie(radix, width)
+        for key, v in rng.sample(items, n):
+            built.insert(key, v)
+        assert bulk.validate() == []
+        assert list(bulk.items()) == list(built.items()) == items
+        assert same_slots(bulk, built)
+
+
+def test_from_sorted_trie_takes_updates():
+    t = ThreadedTrie.from_sorted(4, 3, [(key, None) for key in range(0, 64, 3)])
+    for key in range(1, 64, 6):
+        t.insert(key, None)
+    for key in range(0, 64, 6):
+        t.delete(key)
+    assert t.validate() == []
+    assert list(t.keys()) == sorted([*range(3, 64, 6), *range(1, 64, 6)])
+
+
+def test_from_sorted_rejects_out_of_range_keys():
+    with pytest.raises(ValueError):
+        ThreadedTrie.from_sorted(4, 2, [(3, None), (16, None)])
+    with pytest.raises(ValueError):
+        ThreadedTrie.from_sorted(4, 2, [(-1, None), (3, None)])
