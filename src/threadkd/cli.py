@@ -230,6 +230,8 @@ def cmd_bench(args) -> int:
         raise CliParseError("--n must be a comma-separated integer list") from None
     if not sizes:
         raise CliParseError("--n lists no sizes")
+    if min(sizes) < 0:
+        raise CliParseError("--n sizes must be >= 0")
     bound = args.radix ** args.width
     out: TextIO = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     mismatches = 0

@@ -56,6 +56,10 @@ class KdPointIndex:
             raise ValueError("k must be >= 1")
         if bound < 1:
             raise ValueError("bound must be >= 1")
+        if radix < 2:
+            raise ValueError("radix must be >= 2")
+        if width is not None and width < 1:
+            raise ValueError("width must be >= 1")
         if width is None:
             width = 1
             while radix ** width < bound:
@@ -108,17 +112,16 @@ class KdPointIndex:
         idx.trees = [ThreadedAvlTree.from_sorted(level, handles)
                      for level in keys]
         for i, tree in enumerate(idx.trees):
-            nodes = tree.nodes
-            above = idx.trees[i - 1].nodes if i else None
+            above = idx.trees[i - 1].cross if i else None
             coords = [key[i] for key in keys[i]]
             ends = starts[i][1:] + [len(coords)]
             for g, (s, e) in enumerate(zip(starts[i], ends), 1):
                 first = handles[s + 1]
-                nodes[first].trie = ThreadedTrie.from_sorted(
+                tree.trie[first] = ThreadedTrie.from_sorted(
                     idx.radix, idx.width,
                     list(zip(coords[s:e], handles[s + 1:e + 1])))
                 if above is not None:
-                    above[g].cross_link = first
+                    above[g] = first
         idx.size = len(pts)
         return idx
 
@@ -130,7 +133,11 @@ class KdPointIndex:
         return self.trees[self.k - 1].keys()
 
     def _check_point(self, point: Sequence[int]) -> tuple:
-        p = tuple(point)
+        try:
+            p = tuple(point)
+        except TypeError:
+            raise ValueError(f"point {point!r} is not a sequence of "
+                             f"coordinates") from None
         if len(p) != self.k:
             raise ValueError(f"point has {len(p)} coordinates, expected {self.k}")
         for c in p:
@@ -152,7 +159,7 @@ class KdPointIndex:
         """First node of the level-i group under path[:i]."""
         if i == 0:
             return self.trees[0].first(stats)
-        return self.trees[i - 1].node(path[i - 1]).cross_link
+        return self.trees[i - 1].cross[path[i - 1]]
 
     def _group_last(self, i: int, path: list[int],
                     stats: Optional[VisitStats]) -> int:
@@ -165,17 +172,17 @@ class KdPointIndex:
         s = above.in_succ(path[i - 1], stats)
         if s == DUMMY:
             return tree.last(stats)
-        return tree.in_pred(above.node(s).cross_link, stats)
+        return tree.in_pred(above.cross[s], stats)
 
     def _set_group_first(self, i: int, path: list[int], trie: ThreadedTrie,
                          old: int, new: int) -> None:
         """Make ``new`` its group's first node: it takes the group trie
         from ``old`` (DUMMY for a new group) and the cross link above."""
-        nodes = self.trees[i].nodes
-        nodes[old].trie = None
-        nodes[new].trie = trie
+        tries = self.trees[i].trie
+        tries[old] = None
+        tries[new] = trie
         if i > 0:
-            self.trees[i - 1].node(path[i - 1]).cross_link = new
+            self.trees[i - 1].cross[path[i - 1]] = new
 
     def _prefix_path(self, p: tuple,
                      stats: Optional[VisitStats] = None) -> list[int]:
@@ -187,7 +194,7 @@ class KdPointIndex:
         for i in range(self.k):
             # a lookup counts trie work only, not the step to a group
             g = self._group_first(i, path, None)
-            e = self.trees[i].node(g).trie.find(p[i], stats)
+            e = self.trees[i].trie[g].find(p[i], stats)
             if e is None:
                 break
             path.append(e.value)
@@ -218,7 +225,7 @@ class KdPointIndex:
                 # joins an existing group, before its trie successor or,
                 # past the group maximum, at the group's end
                 g = self._group_first(i, path, stats)
-                trie = tree.node(g).trie
+                trie = tree.trie[g]
                 e = trie.succ_geq(p[i], stats)
                 if e is not None:
                     pos = tree.in_pred(e.value, stats)
@@ -230,7 +237,7 @@ class KdPointIndex:
                 trie = ThreadedTrie(self.radix, self.width)
                 pos = self._group_last(i, path, stats)
             h = tree.insert_after(pos, p[:i + 1], stats)
-            if g == DUMMY or p[i] < tree.node(g).key[i]:
+            if g == DUMMY or p[i] < tree.key[g][i]:
                 self._set_group_first(i, path, trie, g, h)
             trie.insert(p[i], h, stats)
             path.append(h)
@@ -250,7 +257,7 @@ class KdPointIndex:
             tree = self.trees[i]
             h = path[i]
             g = self._group_first(i, path, stats)
-            trie = tree.node(g).trie
+            trie = tree.trie[g]
             if trie.size > 1:
                 trie.delete(p[i], stats)
                 if g == h:
@@ -298,48 +305,44 @@ class KdPointIndex:
             return out
 
         # per level: group layout, tries, cross links
-        handle_of = []
-        for i in range(k):
-            handle_of.append({self.trees[i].node(h).key: h
-                              for h in self.trees[i].inorder()})
         for i in range(k):
             tree = self.trees[i]
+            keys = tree.key
             groups: dict[tuple, list[int]] = {}
             for h in tree.inorder():
-                groups.setdefault(tree.node(h).key[:i], []).append(h)
+                groups.setdefault(keys[h][:i], []).append(h)
             firsts = {members[0] for members in groups.values()}
             for prefix, members in groups.items():
-                gf = members[0]
-                trie = tree.node(gf).trie
+                trie = tree.trie[members[0]]
                 if trie is None:
                     out.append(f"level {i}: group {prefix} first node lacks a trie")
                     continue
                 for v in trie.validate():
                     out.append(f"level {i}: group {prefix} trie: {v}")
-                want = [(tree.node(h).key[i], h) for h in members]
+                want = [(keys[h][i], h) for h in members]
                 got = list(trie.items())
                 if got != want:
                     out.append(f"level {i}: group {prefix} trie maps "
                                f"{got} instead of {want}")
             for h in tree.inorder():
-                n = tree.node(h)
-                if h not in firsts and n.trie is not None:
-                    out.append(f"level {i}: non-first node {n.key} carries a trie")
+                key = keys[h]
+                if h not in firsts and tree.trie[h] is not None:
+                    out.append(f"level {i}: non-first node {key} carries a trie")
+                cl = tree.cross[h]
                 if i < k - 1:
-                    cl = n.cross_link
                     below = self.trees[i + 1]
                     if cl is None:
-                        out.append(f"level {i}: node {n.key} lacks a cross link")
+                        out.append(f"level {i}: node {key} lacks a cross link")
                         continue
-                    target_key = below.node(cl).key
-                    if target_key[:i + 1] != n.key:
-                        out.append(f"level {i}: cross link of {n.key} targets "
+                    target_key = below.key[cl]
+                    if target_key[:i + 1] != key:
+                        out.append(f"level {i}: cross link of {key} targets "
                                    f"{target_key}")
                         continue
                     pred = below.in_pred(cl)
-                    if pred != DUMMY and below.node(pred).key[:i + 1] == n.key:
-                        out.append(f"level {i}: cross link of {n.key} misses the "
+                    if pred != DUMMY and below.key[pred][:i + 1] == key:
+                        out.append(f"level {i}: cross link of {key} misses the "
                                    f"group minimum {target_key}")
-                elif n.cross_link is not None:
-                    out.append(f"last level: node {n.key} has a cross link")
+                elif cl is not None:
+                    out.append(f"last level: node {key} has a cross link")
         return out

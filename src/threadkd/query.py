@@ -30,7 +30,11 @@ class WindowError(ValueError):
 
 def check_window(index: KdPointIndex,
                  window: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    w = [(lo, hi) for lo, hi in window]
+    try:
+        w = [(lo, hi) for lo, hi in window]
+    except (TypeError, ValueError):
+        raise WindowError(f"window {window!r} is not a sequence of (lo, hi) "
+                          f"pairs") from None
     if len(w) != index.k:
         raise WindowError(f"window has {len(w)} ranges, expected {index.k}")
     try:
@@ -52,15 +56,16 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     """Handles in group_first's group whose level coordinate is in [lo, hi].
 
     Walks inorder threads from the chosen start node; ends on the first
-    node past hi or outside the group, which costs one probe visit.  A
-    group whose minimum exceeds hi is rejected on that probe alone,
-    without opening the trie.
+    node past hi or on the next group's first node (the first one after
+    the start that carries a trie), which costs one probe visit, or at
+    the end of the level.  A group whose minimum exceeds hi is rejected
+    on that probe alone, without opening the trie.
     """
     tree = index.trees[level]
-    first = tree.node(group_first)
-    prefix = first.key[:level]
+    key = tree.key
+    tries = tree.trie
     out: list[int] = []
-    m = first.key[level]
+    m = key[group_first][level]
     if m > hi:
         if stats is not None:
             stats.tree_nodes_visited += 1
@@ -68,16 +73,15 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     if m >= lo:
         start = group_first
     else:
-        e = first.trie.succ_geq(lo, stats)
+        e = tries[group_first].succ_geq(lo, stats)
         if e is None:
             return out
         start = e.value
     h = start
     while h != DUMMY:
-        n = tree.node(h)
         if stats is not None:
             stats.tree_nodes_visited += 1
-        if n.key[level] > hi or n.key[:level] != prefix:
+        if key[h][level] > hi or (tries[h] is not None and h != start):
             break
         out.append(h)
         h = tree.in_succ(h, stats)
@@ -93,12 +97,14 @@ def _walk(index: KdPointIndex, w: list[tuple[int, int]], level: int,
     st.per_level_candidates[level] += len(cands)
     tree = index.trees[level]
     if level == index.k - 1:
+        key = tree.key
         for h in cands:
-            results.append(tree.node(h).key)
+            results.append(key[h])
     else:
+        cross = tree.cross
         for h in cands:
             st.cross_links_followed += 1
-            _walk(index, w, level + 1, tree.node(h).cross_link, st, results)
+            _walk(index, w, level + 1, cross[h], st, results)
 
 
 def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],

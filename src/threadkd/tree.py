@@ -6,6 +6,17 @@ Empty child slots hold threads: the left slot of a node threads to its
 inorder predecessor, the right slot to its successor, so succ/pred steps
 need no parent search and the first/last nodes thread to the dummy.
 
+Storage is flat: one list (or bytearray) per field, indexed by handle,
+and no object per node.  ``link[d]`` and ``thread[d]`` are the child
+slot and its thread flag on side ``d`` (0 = left, 1 = right), so every
+structural routine is written once for a side ``d`` and its mirror
+``1 - d``; ``balance`` is height(right) - height(left), so a subtree
+growing on side ``d`` moves it by ``2*d - 1``.  A node's child ``c`` is
+on side 0 exactly when ``link[0]`` holds ``c``: a thread never targets
+the node's own child, only an ancestor or the dummy.  ``cross`` and
+``trie`` are payload columns owned by the multi-level index; the tree
+itself never reads them.  ``node(h)`` is a read/write view of one cell.
+
 Insertion takes a position hint (the would-be predecessor) instead of
 searching by key; callers locate positions through external structures.
 Deletion relocates the inorder successor into the removed node's place
@@ -16,7 +27,8 @@ tree from sorted keys in one pass.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+import math
+from typing import Iterator, Optional, Sequence
 
 from .stats import VisitStats
 
@@ -31,51 +43,69 @@ class InvalidTargetError(ValueError):
     """Operation aimed at the dummy node or a dead handle."""
 
 
+def _cell(column: str, side: Optional[int] = None, cast=None) -> property:
+    """View property over ``tree.<column>[h]``, or ``[side][h]`` for the
+    per-side columns."""
+
+    def col(view):
+        c = getattr(view.tree, column)
+        return c if side is None else c[side]
+
+    def get(view):
+        v = col(view)[view.h]
+        return v if cast is None else cast(v)
+
+    def put(view, value) -> None:
+        col(view)[view.h] = value
+
+    return property(get, put)
+
+
 class TreeNode:
-    """One arena cell: key, two tagged links, balance, and index payload.
+    """Read/write view of the arena cell at handle ``h`` of ``tree``.
 
     ``left``/``right`` hold a handle; the matching ``lthread``/``rthread``
     flag says whether it is a thread (True) or a child link (False).
-    ``balance`` is height(right) - height(left).  ``cross_link`` and
-    ``trie`` are payload slots owned by the multi-level index; the tree
-    itself never reads them.
+    Writing an attribute writes the tree's column.
     """
 
-    __slots__ = ("key", "left", "right", "lthread", "rthread", "parent",
-                 "balance", "cross_link", "trie")
+    __slots__ = ("tree", "h")
 
-    def __init__(self, key: Optional[tuple]):
-        self.key = key
-        self.left = DUMMY
-        self.right = DUMMY
-        self.lthread = True
-        self.rthread = True
-        self.parent = DUMMY
-        self.balance = 0
-        self.cross_link: Optional[int] = None
-        self.trie: Optional[Any] = None
+    def __init__(self, tree: "ThreadedAvlTree", h: int):
+        self.tree = tree
+        self.h = h
+
+    key = _cell("key")
+    left = _cell("link", 0)
+    right = _cell("link", 1)
+    lthread = _cell("thread", 0, bool)
+    rthread = _cell("thread", 1, bool)
+    parent = _cell("parent")
+    balance = _cell("balance")
+    cross_link = _cell("cross")
+    trie = _cell("trie")
 
 
-def _link_balanced(nodes: list, handles: Sequence[int], lo: int, hi: int,
-                   parent: int) -> tuple[int, int]:
-    """Link the nodes of keys[lo:hi] (handles lo+1 .. hi) as a perfectly
-    balanced subtree under ``parent``; returns its root and height."""
+def _link_balanced(t: "ThreadedAvlTree", handles: Sequence[int], lo: int,
+                   hi: int, up: int) -> tuple[int, int]:
+    """Link the cells of keys[lo:hi] (handles lo+1 .. hi) as a perfectly
+    balanced subtree under ``up``; returns its root and height."""
     mid = (lo + hi) >> 1
     h = handles[mid + 1]
-    n = nodes[h]
-    n.parent = parent
+    t.parent[h] = up
+    left, right = t.link
     hl = hr = 0
     if lo < mid:
-        n.left, hl = _link_balanced(nodes, handles, lo, mid, h)
-        n.lthread = False
+        left[h], hl = _link_balanced(t, handles, lo, mid, h)
+        t.thread[0][h] = 0
     else:
-        n.left = handles[mid]
+        left[h] = handles[mid]
     if mid + 1 < hi:
-        n.right, hr = _link_balanced(nodes, handles, mid + 1, hi, h)
-        n.rthread = False
+        right[h], hr = _link_balanced(t, handles, mid + 1, hi, h)
+        t.thread[1][h] = 0
     else:
-        n.right = handles[mid + 2]
-    n.balance = hr - hl
+        right[h] = handles[mid + 2]
+    t.balance[h] = hr - hl
     return h, max(hl, hr) + 1
 
 
@@ -87,15 +117,21 @@ class ThreadedAvlTree:
     """
 
     def __init__(self):
-        dummy = TreeNode(None)
-        # Dummy arrangement: left slot is the root link (thread to self when
-        # empty), right slot is a child link to itself so that succ/pred of
-        # the dummy resolve to the first/last real node.
-        dummy.rthread = False
-        self.nodes: list[TreeNode] = [dummy]
+        self.key: list[Optional[tuple]] = []
+        self.link: tuple[list[int], list[int]] = ([], [])
+        self.thread = (bytearray(), bytearray())
+        self.parent: list[int] = []
+        self.balance: list[int] = []
+        self.cross: list[Optional[int]] = []
+        self.trie: list = []
         self.free: list[int] = []
         self.size = 0
         self.rotations = 0
+        # Dummy arrangement: left slot is the root link (thread to self when
+        # empty), right slot is a child link to itself so that succ/pred of
+        # the dummy resolve to the first/last real node.
+        self._grow([None])
+        self.thread[1][DUMMY] = 0
 
     @classmethod
     def from_sorted(cls, keys: Sequence[tuple],
@@ -117,81 +153,99 @@ class ThreadedAvlTree:
             return tree
         if handles is None:
             handles = list(range(n + 2))
-        nodes = tree.nodes
-        nodes.extend(map(TreeNode, keys))
-        d = nodes[DUMMY]
-        d.left, _ = _link_balanced(nodes, handles, 0, n, DUMMY)
-        d.lthread = False
-        nodes[n].right = DUMMY
+        tree._grow(keys)
+        tree.link[0][DUMMY], _ = _link_balanced(tree, handles, 0, n, DUMMY)
+        tree.thread[0][DUMMY] = 0
+        tree.link[1][n] = DUMMY
         tree.size = n
         return tree
 
     # -- handle helpers -------------------------------------------------
 
+    @property
+    def nodes(self) -> list[TreeNode]:
+        """Views of every arena cell: the dummy, live and freed cells."""
+        return [TreeNode(self, h) for h in range(len(self.key))]
+
     def node(self, h: int) -> TreeNode:
-        return self.nodes[h]
+        return TreeNode(self, h)
 
     def _alive(self, h: int) -> bool:
-        if not 0 <= h < len(self.nodes):
+        if not 0 <= h < len(self.key):
             return False
-        return h == DUMMY or self.nodes[h].key is not None
+        return h == DUMMY or self.key[h] is not None
+
+    def _grow(self, keys: Sequence[Optional[tuple]]) -> None:
+        """Append one fresh cell per key: both slots threads to DUMMY,
+        balance 0, no payload."""
+        m = len(keys)
+        self.key.extend(keys)
+        for col in (*self.link, self.parent):
+            col.extend([DUMMY] * m)
+        for flags in self.thread:
+            flags.extend(b"\x01" * m)
+        self.balance.extend([0] * m)
+        self.cross.extend([None] * m)
+        self.trie.extend([None] * m)
 
     def _alloc(self, key: tuple) -> int:
+        """A cell holding ``key`` with both slots threads, balance 0 and
+        no payload; the caller sets its links and parent."""
         if self.free:
             h = self.free.pop()
-            n = self.nodes[h]
-            n.key = key
-            n.left = n.right = DUMMY
-            n.lthread = n.rthread = True
-            n.parent = DUMMY
-            n.balance = 0
-            n.cross_link = None
-            n.trie = None
+            self.key[h] = key
+            self.thread[0][h] = self.thread[1][h] = 1
+            self.balance[h] = 0
             return h
-        self.nodes.append(TreeNode(key))
-        return len(self.nodes) - 1
+        self._grow([key])
+        return len(self.key) - 1
 
     def _release(self, h: int) -> None:
-        n = self.nodes[h]
-        n.key = None
-        n.cross_link = None
-        n.trie = None
+        self.key[h] = None
+        self.cross[h] = None
+        self.trie[h] = None
         self.free.append(h)
+
+    def _replace_child(self, p: int, old: int, new: int) -> None:
+        left = self.link[0]
+        if left[p] == old:
+            left[p] = new
+        else:
+            self.link[1][p] = new
 
     @property
     def root(self) -> int:
         """Handle of the root node, or DUMMY when empty."""
-        d = self.nodes[DUMMY]
-        return DUMMY if d.lthread else d.left
+        return DUMMY if self.thread[0][DUMMY] else self.link[0][DUMMY]
 
     # -- ordered navigation ---------------------------------------------
 
     def in_succ(self, h: int, stats: Optional[VisitStats] = None) -> int:
         """Inorder successor handle; DUMMY after the last node."""
-        nodes = self.nodes
-        n = nodes[h]
-        q = n.right
+        q = self.link[1][h]
         if stats is not None:
             stats.threads_followed += 1
-        if n.rthread:
+        if self.thread[1][h]:
             return q
-        while not nodes[q].lthread:
-            q = nodes[q].left
+        left = self.link[0]
+        lthread = self.thread[0]
+        while not lthread[q]:
+            q = left[q]
             if stats is not None:
                 stats.threads_followed += 1
         return q
 
     def in_pred(self, h: int, stats: Optional[VisitStats] = None) -> int:
         """Inorder predecessor handle; DUMMY before the first node."""
-        nodes = self.nodes
-        n = nodes[h]
-        q = n.left
+        q = self.link[0][h]
         if stats is not None:
             stats.threads_followed += 1
-        if n.lthread:
+        if self.thread[0][h]:
             return q
-        while not nodes[q].rthread:
-            q = nodes[q].right
+        right = self.link[1]
+        rthread = self.thread[1]
+        while not rthread[q]:
+            q = right[q]
             if stats is not None:
                 stats.threads_followed += 1
         return q
@@ -211,8 +265,9 @@ class ThreadedAvlTree:
             h = self.in_succ(h)
 
     def keys(self) -> Iterator[tuple]:
+        key = self.key
         for h in self.inorder():
-            yield self.nodes[h].key
+            yield key[h]
 
     # -- insertion -------------------------------------------------------
 
@@ -226,80 +281,55 @@ class ThreadedAvlTree:
         """
         if not self._alive(pos):
             raise InvalidTargetError(f"position handle {pos} is not a live node")
-        nodes = self.nodes
+        keys = self.key
         succ = self.in_succ(pos, stats)
-        if pos != DUMMY and not nodes[pos].key < key:
+        if pos != DUMMY and not keys[pos] < key:
             raise OrderingError(f"key {key!r} not greater than position key "
-                                f"{nodes[pos].key!r}")
-        if succ != DUMMY and not key < nodes[succ].key:
+                                f"{keys[pos]!r}")
+        if succ != DUMMY and not key < keys[succ]:
             raise OrderingError(f"key {key!r} not less than successor key "
-                                f"{nodes[succ].key!r}")
+                                f"{keys[succ]!r}")
 
         h = self._alloc(key)
-        z = nodes[h]
         if stats is not None:
             stats.tree_nodes_visited += 2
-        if pos == DUMMY:
-            if self.size == 0:
-                d = nodes[DUMMY]
-                z.left = DUMMY
-                z.right = DUMMY
-                d.left = h
-                d.lthread = False
-            else:
-                # new first node: succ is the current leftmost, left slot free
-                f = nodes[succ]
-                z.left = DUMMY
-                z.right = succ
-                z.parent = succ
-                f.left = h
-                f.lthread = False
+        left, right = self.link
+        left[h] = pos
+        right[h] = succ
+        # the new node hangs in pos's free right slot or, when pos has a
+        # right subtree (or is the dummy), in succ's free left slot; succ
+        # is the dummy itself when the tree is empty
+        if self.thread[1][pos]:
+            self.parent[h] = pos
+            right[pos] = h
+            self.thread[1][pos] = 0
         else:
-            p = nodes[pos]
-            if p.rthread:
-                z.left = pos
-                z.right = p.right
-                z.parent = pos
-                p.right = h
-                p.rthread = False
-            else:
-                # successor is leftmost of pos's right subtree; its left slot is free
-                s = nodes[succ]
-                z.left = pos
-                z.right = succ
-                z.parent = succ
-                s.left = h
-                s.lthread = False
+            self.parent[h] = succ
+            left[succ] = h
+            self.thread[0][succ] = 0
         self.size += 1
         self._rebalance_insert(h, stats)
         return h
 
     def _rebalance_insert(self, h: int, stats: Optional[VisitStats]) -> None:
-        nodes = self.nodes
+        left, parent, balance = self.link[0], self.parent, self.balance
         child = h
-        x = nodes[child].parent
+        x = parent[child]
         while x != DUMMY:
-            xn = nodes[x]
             if stats is not None:
                 stats.tree_nodes_visited += 1
-            if not xn.rthread and xn.right == child:
-                if xn.balance > 0:
-                    self._fix_right_heavy(x, stats)
-                    return
-                if xn.balance < 0:
-                    xn.balance = 0
-                    return
-                xn.balance = 1
-            else:
-                if xn.balance < 0:
-                    self._fix_left_heavy(x, stats)
-                    return
-                if xn.balance > 0:
-                    xn.balance = 0
-                    return
-                xn.balance = -1
+            d = 0 if left[x] == child else 1
+            s = 2 * d - 1
+            b = balance[x]
+            if b == s:
+                self._fix_heavy(x, d, stats)
+                return
+            if b:
+                balance[x] = 0
+                return
+            balance[x] = s
             child = x
-            x = xn.parent
+            x = parent[x]
 
     # -- deletion --------------------------------------------------------
 
@@ -307,240 +337,137 @@ class ThreadedAvlTree:
         """Remove the node at handle ``h``, restoring threads and balance."""
         if h == DUMMY or not self._alive(h):
             raise InvalidTargetError(f"handle {h} is not a deletable node")
-        nodes = self.nodes
-        n = nodes[h]
         if stats is not None:
             stats.tree_nodes_visited += 1
-        if n.lthread or n.rthread:
+        link, thread, parent = self.link, self.thread, self.parent
+        if thread[0][h] or thread[1][h]:
             p, side = self._detach(h, stats)
-            self.size -= 1
-            self._release(h)
-            self._rebalance_delete(p, side, stats)
-            return
-
-        # two children: relocate the inorder successor into h's position
-        s = self.in_succ(h, stats)
-        sn = nodes[s]
-        if n.right == s:
-            # successor is the direct right child (no left child of its own)
-            p = n.parent
-            sn.left = n.left
-            sn.lthread = False
-            nodes[n.left].parent = s
-            sn.balance = n.balance
-            sn.parent = p
-            self._replace_child(p, h, s)
-            # predecessor's right thread pointed at h
-            q = n.left
-            while not nodes[q].rthread:
-                q = nodes[q].right
-            nodes[q].right = s
-            self.size -= 1
-            self._release(h)
-            self._rebalance_delete(s, "R", stats)
         else:
-            ps, side_s = self._detach(s, stats)
-            sn.left = n.left
-            sn.lthread = False
-            nodes[n.left].parent = s
-            sn.right = n.right
-            sn.rthread = False
-            nodes[n.right].parent = s
-            sn.balance = n.balance
-            p = n.parent
-            sn.parent = p
-            self._replace_child(p, h, s)
-            # threads that pointed at h now belong to s
-            q = sn.left
-            while not nodes[q].rthread:
-                q = nodes[q].right
-            nodes[q].right = s
-            q = sn.right
-            while not nodes[q].lthread:
-                q = nodes[q].left
-            nodes[q].left = s
-            self.size -= 1
-            self._release(h)
-            self._rebalance_delete(ps, side_s, stats)
+            # two children: the inorder successor s leaves its own place
+            # and takes h's, so every other handle stays where it is
+            s = self.in_succ(h, stats)
+            p, side = self._detach(s, stats)
+            if p == h:
+                # s was h's right child: the shrunk side is now s's own
+                p = s
+            for d in (0, 1):
+                near, flags = link[d], thread[d]
+                c = near[s] = near[h]
+                flags[s] = flags[h]
+                if not flags[h]:
+                    parent[c] = s
+                    # the subtree's extreme node on the far side threaded to h
+                    far, far_flags = link[1 - d], thread[1 - d]
+                    q = c
+                    while not far_flags[q]:
+                        q = far[q]
+                    far[q] = s
+            self.balance[s] = self.balance[h]
+            parent[s] = parent[h]
+            self._replace_child(parent[h], h, s)
+        self.size -= 1
+        self._release(h)
+        self._rebalance_delete(p, side, stats)
 
-    def _replace_child(self, p: int, old: int, new: int) -> None:
-        pn = self.nodes[p]
-        if not pn.lthread and pn.left == old:
-            pn.left = new
-        else:
-            pn.right = new
-
-    def _detach(self, h: int, stats: Optional[VisitStats]) -> tuple[int, str]:
+    def _detach(self, h: int, stats: Optional[VisitStats]) -> tuple[int, int]:
         """Unlink a node with at most one child; returns (parent, shrunk side)."""
-        nodes = self.nodes
-        n = nodes[h]
-        p = n.parent
-        pn = nodes[p]
-        side = "L" if (not pn.lthread and pn.left == h) else "R"
-        if n.lthread and n.rthread:
-            if side == "L":
-                pn.left = n.left          # thread to h's predecessor
-                pn.lthread = True
-            else:
-                pn.right = n.right        # thread to h's successor
-                pn.rthread = True
-        elif not n.lthread:
-            sub = n.left
-            if side == "L":
-                pn.left = sub
-            else:
-                pn.right = sub
-            nodes[sub].parent = p
-            # rightmost of the lifted subtree threaded to h; retarget to h's successor
-            q = sub
-            while not nodes[q].rthread:
-                q = nodes[q].right
-                if stats is not None:
-                    stats.threads_followed += 1
-            nodes[q].right = n.right
-        else:
-            sub = n.right
-            if side == "L":
-                pn.left = sub
-            else:
-                pn.right = sub
-            nodes[sub].parent = p
-            q = sub
-            while not nodes[q].lthread:
-                q = nodes[q].left
-                if stats is not None:
-                    stats.threads_followed += 1
-            nodes[q].left = n.left
+        link, thread = self.link, self.thread
+        p = self.parent[h]
+        side = 0 if link[0][p] == h else 1
+        if thread[0][h] and thread[1][h]:
+            # p's slot becomes the thread h held on that side
+            link[side][p] = link[side][h]
+            thread[side][p] = 1
+            return p, side
+        d = 1 if thread[0][h] else 0      # the side of h's only child
+        sub = link[d][h]
+        link[side][p] = sub
+        self.parent[sub] = p
+        # the lifted subtree's extreme node on the far side threaded to h;
+        # retarget it to h's neighbour on that side
+        e = 1 - d
+        q = sub
+        while not thread[e][q]:
+            q = link[e][q]
+            if stats is not None:
+                stats.threads_followed += 1
+        link[e][q] = link[e][h]
         return p, side
 
-    def _rebalance_delete(self, x: int, side: str,
+    def _rebalance_delete(self, x: int, side: int,
                           stats: Optional[VisitStats]) -> None:
-        nodes = self.nodes
+        """Walk up from ``x``, whose subtree on ``side`` lost one level."""
+        left, parent, balance = self.link[0], self.parent, self.balance
         while x != DUMMY:
-            xn = nodes[x]
             if stats is not None:
                 stats.tree_nodes_visited += 1
-            if side == "L":
-                if xn.balance == 0:
-                    xn.balance = 1
-                    return
-                if xn.balance < 0:
-                    xn.balance = 0
-                    sub = x
-                else:
-                    sub, done = self._fix_right_heavy(x, stats)
-                    if done:
-                        return
+            s = 2 * side - 1
+            b = balance[x]
+            if b == 0:
+                balance[x] = -s
+                return
+            if b == s:
+                balance[x] = 0
+                sub = x
             else:
-                if xn.balance == 0:
-                    xn.balance = -1
+                sub, done = self._fix_heavy(x, 1 - side, stats)
+                if done:
                     return
-                if xn.balance > 0:
-                    xn.balance = 0
-                    sub = x
-                else:
-                    sub, done = self._fix_left_heavy(x, stats)
-                    if done:
-                        return
-            p = nodes[sub].parent
+            p = parent[sub]
             if p == DUMMY:
                 return
-            pn = nodes[p]
-            side = "L" if (not pn.lthread and pn.left == sub) else "R"
+            side = 0 if left[p] == sub else 1
             x = p
 
     # -- rotations -------------------------------------------------------
 
-    def _fix_right_heavy(self, x: int, stats: Optional[VisitStats]):
-        """Resolve a +2 imbalance at x.  Returns (subtree root, height kept)."""
-        nodes = self.nodes
-        z = nodes[x].right
-        zb = nodes[z].balance
+    def _fix_heavy(self, x: int, d: int, stats: Optional[VisitStats]):
+        """Resolve a two-level imbalance of x toward side ``d``.  Returns
+        (subtree root, height kept)."""
+        balance = self.balance
+        s = 2 * d - 1
+        z = self.link[d][x]
+        zb = balance[z]
         if stats is not None:
             stats.rotations += 1
-        if zb >= 0:
-            self._rotate_left(x)
+        if zb != -s:
+            self._rotate(x, d)
             if zb == 0:
-                nodes[x].balance = 1
-                nodes[z].balance = -1
+                balance[x] = s
+                balance[z] = -s
                 return z, True
-            nodes[x].balance = 0
-            nodes[z].balance = 0
+            balance[x] = 0
+            balance[z] = 0
             return z, False
-        w = nodes[z].left
-        wb = nodes[w].balance
-        self._rotate_right(z)
-        self._rotate_left(x)
-        nodes[x].balance = -1 if wb > 0 else 0
-        nodes[z].balance = 1 if wb < 0 else 0
-        nodes[w].balance = 0
+        w = self.link[1 - d][z]
+        wb = balance[w]
+        self._rotate(z, 1 - d)
+        self._rotate(x, d)
+        balance[x] = -s if wb == s else 0
+        balance[z] = s if wb == -s else 0
+        balance[w] = 0
         return w, False
 
-    def _fix_left_heavy(self, x: int, stats: Optional[VisitStats]):
-        nodes = self.nodes
-        z = nodes[x].left
-        zb = nodes[z].balance
-        if stats is not None:
-            stats.rotations += 1
-        if zb <= 0:
-            self._rotate_right(x)
-            if zb == 0:
-                nodes[x].balance = -1
-                nodes[z].balance = 1
-                return z, True
-            nodes[x].balance = 0
-            nodes[z].balance = 0
-            return z, False
-        w = nodes[z].right
-        wb = nodes[w].balance
-        self._rotate_left(z)
-        self._rotate_right(x)
-        nodes[x].balance = 1 if wb < 0 else 0
-        nodes[z].balance = -1 if wb > 0 else 0
-        nodes[w].balance = 0
-        return w, False
-
-    def _rotate_left(self, x: int) -> int:
-        nodes = self.nodes
-        xn = nodes[x]
-        z = xn.right
-        zn = nodes[z]
+    def _rotate(self, x: int, d: int) -> int:
+        """Lift x's child on side ``d`` into x's place; returns it."""
+        e = 1 - d
+        near, inner = self.link[d], self.link[e]
+        parent = self.parent
+        z = near[x]
         self.rotations += 1
-        if zn.lthread:
-            # z had no left child: x keeps z as its successor via a thread
-            xn.right = z
-            xn.rthread = True
+        if self.thread[e][z]:
+            # z had no inner child: x's slot keeps z, now as a thread
+            self.thread[d][x] = 1
         else:
-            b = zn.left
-            xn.right = b
-            nodes[b].parent = x
-        zn.left = x
-        zn.lthread = False
-        p = xn.parent
-        zn.parent = p
+            b = inner[z]
+            near[x] = b
+            parent[b] = x
+        inner[z] = x
+        self.thread[e][z] = 0
+        p = parent[x]
+        parent[z] = p
         self._replace_child(p, x, z)
-        xn.parent = z
-        return z
-
-    def _rotate_right(self, x: int) -> int:
-        nodes = self.nodes
-        xn = nodes[x]
-        z = xn.left
-        zn = nodes[z]
-        self.rotations += 1
-        if zn.rthread:
-            xn.left = z
-            xn.lthread = True
-        else:
-            b = zn.right
-            xn.left = b
-            nodes[b].parent = x
-        zn.right = x
-        zn.rthread = False
-        p = xn.parent
-        zn.parent = p
-        self._replace_child(p, x, z)
-        xn.parent = z
+        parent[x] = z
         return z
 
     # -- verification ----------------------------------------------------
@@ -548,51 +475,49 @@ class ThreadedAvlTree:
     def validate(self) -> list[str]:
         """Check every structural invariant; returns a list of violations."""
         out: list[str] = []
-        nodes = self.nodes
-        d = nodes[DUMMY]
-        if d.key is not None:
+        key, parent, balance = self.key, self.parent, self.balance
+        left, right = self.link
+        lthread, rthread = self.thread
+        if key[DUMMY] is not None:
             out.append("dummy: key is not empty")
-        if d.rthread or d.right != DUMMY:
+        if rthread[DUMMY] or right[DUMMY] != DUMMY:
             out.append("dummy: right slot must be a child link to itself")
         if self.size == 0:
-            if not d.lthread or d.left != DUMMY:
+            if not lthread[DUMMY] or left[DUMMY] != DUMMY:
                 out.append("dummy: empty tree must thread its root slot to itself")
             return out
-        if d.lthread:
+        if lthread[DUMMY]:
             out.append("dummy: nonempty tree lacks a root child link")
             return out
 
         # structural walk over child links
         seen: set[int] = set()
         order: list[int] = []
-        heights: dict[int, int] = {}
         broken = False
 
-        def walk(h: int, parent: int, lo: Optional[tuple], hi: Optional[tuple]) -> int:
+        def walk(h: int, up: int, lo: Optional[tuple], hi: Optional[tuple]) -> int:
             nonlocal broken
             if h in seen or h == DUMMY or not self._alive(h):
                 out.append(f"node {h}: repeated or dead handle in structure")
                 broken = True
                 return 0
             seen.add(h)
-            n = nodes[h]
-            if n.parent != parent:
-                out.append(f"node {h}: parent is {n.parent}, expected {parent}")
-            if lo is not None and not lo < n.key:
-                out.append(f"node {h}: key {n.key!r} not above subtree bound {lo!r}")
-            if hi is not None and not n.key < hi:
-                out.append(f"node {h}: key {n.key!r} not below subtree bound {hi!r}")
-            hl = walk(n.left, h, lo, n.key) if not n.lthread else 0
+            k = key[h]
+            if parent[h] != up:
+                out.append(f"node {h}: parent is {parent[h]}, expected {up}")
+            if lo is not None and not lo < k:
+                out.append(f"node {h}: key {k!r} not above subtree bound {lo!r}")
+            if hi is not None and not k < hi:
+                out.append(f"node {h}: key {k!r} not below subtree bound {hi!r}")
+            hl = walk(left[h], h, lo, k) if not lthread[h] else 0
             order.append(h)
-            hr = walk(n.right, h, n.key, hi) if not n.rthread else 0
-            if n.balance != hr - hl:
-                out.append(f"node {h}: balance {n.balance} but child heights "
+            hr = walk(right[h], h, k, hi) if not rthread[h] else 0
+            if balance[h] != hr - hl:
+                out.append(f"node {h}: balance {balance[h]} but child heights "
                            f"{hl}/{hr}")
             if abs(hr - hl) > 1:
                 out.append(f"node {h}: subtree heights differ by {abs(hr - hl)}")
-            height = 1 + max(hl, hr)
-            heights[h] = height
-            return height
+            return 1 + max(hl, hr)
 
         total_height = walk(self.root, DUMMY, None, None)
         if broken:
@@ -602,8 +527,8 @@ class ThreadedAvlTree:
 
         # strict key ordering along the recursive inorder
         for a, b in zip(order, order[1:]):
-            if not nodes[a].key < nodes[b].key:
-                out.append(f"ordering: key {nodes[a].key!r} !< {nodes[b].key!r}")
+            if not key[a] < key[b]:
+                out.append(f"ordering: key {key[a]!r} !< {key[b]!r}")
 
         # thread walk must reproduce the recursive inorder node-for-node
         walk_handles = []
@@ -625,17 +550,15 @@ class ThreadedAvlTree:
         # each thread slot must target the inorder neighbour
         pos = {h: i for i, h in enumerate(order)}
         for h in order:
-            n = nodes[h]
-            if n.lthread:
+            if lthread[h]:
                 expect = order[pos[h] - 1] if pos[h] > 0 else DUMMY
-                if n.left != expect:
-                    out.append(f"node {h}: left thread -> {n.left}, expected {expect}")
-            if n.rthread:
+                if left[h] != expect:
+                    out.append(f"node {h}: left thread -> {left[h]}, expected {expect}")
+            if rthread[h]:
                 expect = order[pos[h] + 1] if pos[h] + 1 < len(order) else DUMMY
-                if n.right != expect:
-                    out.append(f"node {h}: right thread -> {n.right}, expected {expect}")
+                if right[h] != expect:
+                    out.append(f"node {h}: right thread -> {right[h]}, expected {expect}")
 
-        import math
         bound = 1.45 * math.log2(self.size + 2)
         if total_height > bound:
             out.append(f"height {total_height} exceeds balance bound {bound:.2f}")

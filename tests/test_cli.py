@@ -157,3 +157,9 @@ def test_bench_report_shape_and_determinism(tmp_path):
 
 def test_bench_bad_sizes_exits_2():
     assert run(["bench", "--n", "abc"]) == 2
+
+
+def test_bench_negative_size_exits_2(tmp_path):
+    out = tmp_path / "b.csv"
+    for sizes in ("-5", "10,-1"):
+        assert run(["bench", "--n", sizes, "--out", str(out)]) == 2

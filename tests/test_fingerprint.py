@@ -1,0 +1,107 @@
+"""Behavioural fingerprint of the index: one SHA-256 over a seeded trace.
+
+A fixed, seeded trace of inserts, deletes (down to empty), membership
+tests and window queries runs for k = 1, 2, 3 on an index built by
+``insert`` and on one built by ``from_points``.  The digest covers every
+result, every ``VisitStats`` field, each level's rotation count and, at
+checkpoints, the full per-handle layout of every level: links, thread
+flags, parent, balance and cross link.  A refactor that keeps the
+algorithm keeps the digest; any change to handle numbering, tree shape
+or a counter changes it.  When a change alters behaviour on purpose,
+record the new digest together with the reason.
+"""
+
+import dataclasses
+import hashlib
+import random
+
+from threadkd.index import KdPointIndex
+from threadkd.query import window_query
+from threadkd.stats import VisitStats
+from threadkd.tree import DUMMY
+
+DIGEST = "b26d4d20b46f7fa6f96ebe20a34b645075303620c14ee289b7cefec7440fd1bc"
+
+# (k, bound, radix): small universes, so groups open, shrink and vanish
+CONFIGS = [(1, 300, 4), (2, 24, 2), (2, 64, 16), (3, 10, 3)]
+
+
+def layout(idx):
+    """Per-level arena dump: every live cell's key, links, thread flags,
+    parent, balance and cross link; dead cells show only as dead."""
+    out = []
+    for tree in idx.trees:
+        cells = []
+        for h in range(len(tree.nodes)):
+            n = tree.node(h)
+            if h != DUMMY and n.key is None:
+                cells.append(None)
+                continue
+            cells.append((n.key, n.left, n.right, n.lthread, n.rthread,
+                          n.parent, n.balance, n.cross_link))
+        out.append((tree.size, tree.rotations, cells))
+    return out
+
+
+def trace(idx, rng, bound, steps):
+    """Yield one record per operation of a seeded mixed trace that grows
+    the index, churns it and then deletes every point."""
+    k = idx.k
+    live = set(idx.points())
+
+    def point():
+        return tuple(rng.randrange(bound) for _ in range(k))
+
+    def record(op, arg, result, st):
+        return (op, arg, result, dataclasses.astuple(st),
+                tuple(t.rotations for t in idx.trees))
+
+    for step in range(steps):
+        grow = 0.45 if step < steps // 2 else 0.25
+        r = rng.random()
+        st = VisitStats()
+        if r < grow:
+            p = point()
+            yield record("insert", p, idx.insert(p, st), st)
+            live.add(p)
+        elif r < grow + 0.15:
+            p = rng.choice(sorted(live)) if live and rng.random() < 0.8 else point()
+            yield record("delete", p, idx.delete(p, st), st)
+            live.discard(p)
+        elif r < grow + 0.3:
+            p = point()
+            yield record("contains", p, idx.contains(p), st)
+        else:
+            w = [tuple(sorted((rng.randrange(bound), rng.randrange(bound))))
+                 for _ in range(k)]
+            yield record("window", w, window_query(idx, w, st)[0], st)
+        if step % 50 == 0:
+            assert idx.validate() == []
+            yield layout(idx)
+    rest = sorted(live)
+    rng.shuffle(rest)
+    for p in rest:
+        st = VisitStats()
+        yield record("delete", p, idx.delete(p, st), st)
+    yield layout(idx)
+
+
+def fingerprint() -> str:
+    h = hashlib.sha256()
+    for k, bound, radix in CONFIGS:
+        rng = random.Random(f"fingerprint:{k}:{bound}:{radix}")
+        seed_pts = [tuple(rng.randrange(bound) for _ in range(k))
+                    for _ in range(300)]
+        built = KdPointIndex(k, bound, radix=radix)
+        bulk = KdPointIndex.from_points(k, bound, seed_pts, radix=radix)
+        for idx in (built, bulk):
+            h.update(repr(layout(idx)).encode())
+            for rec in trace(idx, rng, bound, 2000):
+                h.update(repr(rec).encode())
+            assert len(idx) == 0
+            assert idx.validate() == []
+    return h.hexdigest()
+
+
+def test_fingerprint():
+    assert fingerprint() == DIGEST

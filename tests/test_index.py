@@ -147,6 +147,28 @@ def test_domain_errors():
         KdPointIndex(0, 16)
 
 
+@pytest.mark.parametrize("kwargs", [dict(radix=1), dict(radix=0),
+                                    dict(radix=-3), dict(width=0),
+                                    dict(width=-1)])
+def test_degenerate_trie_shape_rejected(kwargs):
+    # radix 0 or 1 never covers the bound, and width 0 holds no key
+    with pytest.raises(ValueError):
+        KdPointIndex(2, 100, **kwargs)
+    with pytest.raises(ValueError):
+        KdPointIndex(1, 1, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [5, None, 2.5])
+def test_non_iterable_point_rejected(bad):
+    idx = KdPointIndex.from_points(2, 16, FIVE)
+    for call in (idx.insert, idx.delete, idx.contains, idx.__contains__,
+                 lambda p: KdPointIndex.from_points(2, 16, FIVE + [p])):
+        with pytest.raises(ValueError):
+            call(bad)
+    assert list(idx.points()) == FIVE
+    assert idx.validate() == []
+
+
 def test_bool_coordinates_rejected():
     idx = KdPointIndex(2, 16)
     for p in [(True, 1), (1, False)]:

@@ -80,6 +80,14 @@ def test_non_integer_window_bounds():
     assert window_query(idx, w)[0] == [(2, 6), (6, 6)]
 
 
+def test_ranges_that_are_not_pairs():
+    idx = five_index()
+    for w in ([(1, 2, 3), (0, 1)], [5, 6], None, [(1,), (0, 1)], 7,
+              [(0, 15), None]):
+        with pytest.raises(WindowError):
+            window_query(idx, w)
+
+
 def test_no_first_level_candidates_prunes_everything():
     idx = five_index()
     res, st_ = window_query(idx, [(9, 15), (0, 15)])
