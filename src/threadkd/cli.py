@@ -20,6 +20,7 @@ or out-of-range point data is affinely rescaled per dimension onto
 from __future__ import annotations
 
 import argparse
+import random
 import statistics
 import sys
 import time
@@ -144,8 +145,29 @@ def load_windows(path: str, k: int, bound: int) -> list[list[tuple[int, int]]]:
 # -- subcommands -------------------------------------------------------
 
 
+def _check_shape(k: int, radix: int, width: int,
+                 bound: Optional[int] = None) -> int:
+    """Reject a bad --k, --radix or --width; returns the universe bound,
+    radix ** width unless a points file gives it (verify, where --width 0
+    derives the width from the bound)."""
+    if k < 1:
+        raise CliParseError("--k must be >= 1")
+    if radix < 2:
+        raise CliParseError("--radix must be >= 2")
+    if bound is None:
+        if width < 1:
+            raise CliParseError("--width must be >= 1")
+        return radix ** width
+    if width < 0:
+        raise CliParseError("--width must be >= 0")
+    if width and radix ** width < bound:
+        raise CliParseError(f"--radix {radix} --width {width} cannot cover "
+                            f"bound {bound}")
+    return bound
+
+
 def cmd_generate(args) -> int:
-    bound = args.radix ** args.width
+    bound = _check_shape(args.k, args.radix, args.width)
     if args.n < 0:
         raise CliParseError("--n must be >= 0")
     pts = make_points(args.n, args.k, bound, args.dist, args.seed)
@@ -161,6 +183,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     k, bound, pts, notes = load_points(args.points)
+    _check_shape(k, args.radix, args.width, bound)
     windows = load_windows(args.queries, k, bound)
     idx = KdPointIndex.from_points(k, bound, pts, radix=args.radix,
                                    width=args.width or None)
@@ -232,7 +255,11 @@ def cmd_bench(args) -> int:
         raise CliParseError("--n lists no sizes")
     if min(sizes) < 0:
         raise CliParseError("--n sizes must be >= 0")
-    bound = args.radix ** args.width
+    bound = _check_shape(args.k, args.radix, args.width)
+    if args.queries:
+        windows = load_windows(args.queries, args.k, bound)
+    else:
+        windows = mixed_bench_windows(60, args.k, bound, args.seed + 999)
     out: TextIO = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     mismatches = 0
     try:
@@ -242,10 +269,6 @@ def cmd_bench(args) -> int:
         out.write(_COLUMNS + "\n")
         for n in sizes:
             pts = make_points(n, args.k, bound, args.dist, args.seed)
-            if args.queries:
-                windows = load_windows(args.queries, args.k, bound)
-            else:
-                windows = mixed_bench_windows(60, args.k, bound, args.seed + 999)
 
             # the last w points are inserted singly for the insert summary
             w = min(INSERT_WINDOW, n)
@@ -289,8 +312,7 @@ def cmd_bench(args) -> int:
                 if got != want or ngot != want:
                     mismatches += 1
 
-            import random as _random
-            rng = _random.Random(args.seed + 7)
+            rng = random.Random(args.seed + 7)
             sample = rng.sample(pts, min(500, len(pts))) if pts else []
             dtouch: list[int] = []
             for p in sample:

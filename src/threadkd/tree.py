@@ -341,12 +341,12 @@ class ThreadedAvlTree:
             stats.tree_nodes_visited += 1
         link, thread, parent = self.link, self.thread, self.parent
         if thread[0][h] or thread[1][h]:
-            p, side = self._detach(h, stats)
+            p, side = self._detach(h)
         else:
             # two children: the inorder successor s leaves its own place
             # and takes h's, so every other handle stays where it is
             s = self.in_succ(h, stats)
-            p, side = self._detach(s, stats)
+            p, side = self._detach(s)
             if p == h:
                 # s was h's right child: the shrunk side is now s's own
                 p = s
@@ -369,7 +369,7 @@ class ThreadedAvlTree:
         self._release(h)
         self._rebalance_delete(p, side, stats)
 
-    def _detach(self, h: int, stats: Optional[VisitStats]) -> tuple[int, int]:
+    def _detach(self, h: int) -> tuple[int, int]:
         """Unlink a node with at most one child; returns (parent, shrunk side)."""
         link, thread = self.link, self.thread
         p = self.parent[h]
@@ -383,15 +383,9 @@ class ThreadedAvlTree:
         sub = link[d][h]
         link[side][p] = sub
         self.parent[sub] = p
-        # the lifted subtree's extreme node on the far side threaded to h;
-        # retarget it to h's neighbour on that side
-        e = 1 - d
-        q = sub
-        while not thread[e][q]:
-            q = link[e][q]
-            if stats is not None:
-                stats.threads_followed += 1
-        link[e][q] = link[e][h]
+        # an AVL node's only child is a leaf, and its far-side thread
+        # targeted h; retarget it to h's neighbour on that side
+        link[1 - d][sub] = link[1 - d][h]
         return p, side
 
     def _rebalance_delete(self, x: int, side: int,

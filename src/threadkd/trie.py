@@ -15,10 +15,16 @@ the answer, which is then resolved by following smallest valid slots
 down to an entry.  No walk ever backs up, so a lookup touches at most
 two root-to-bottom paths of nodes.
 
-Inserts and deletes repair threads locally: the affected node, the new
-or removed branch, and the chain of largest-valid slots under the key's
-in-node predecessor.  Cost is bounded by radix * width slot writes.
-``from_sorted`` builds the same trie from sorted items, each node once.
+Inserts and deletes repair the threads with one routine, ``_rethread``:
+the empty slots left of the changed slot, and the chain of largest-valid
+slots under the first valid one, all end right before the change, so
+each gets the new next reference.  A delete finds its *cut* in the same
+descent: the deepest node on the path that keeps another key, or the
+root.  Clearing the cut's slot drops the branch below it whole, and the
+reference that now follows is already in the cut's next slot (or its
+``up``), so nothing searches for it.  Cost is bounded by radix * width
+slot writes.  ``from_sorted`` builds the same trie from sorted items,
+each node once.
 """
 
 from __future__ import annotations
@@ -135,16 +141,13 @@ class ThreadedTrie:
              stats: Optional[VisitStats] = None) -> Optional[Entry]:
         self._check_key(key)
         node = self.root
-        for i, d in enumerate(self._digits(key)):
+        for d in self._digits(key):
             if stats is not None:
                 stats.trie_nodes_visited += 1
             if not node.valid[d]:
                 return None
-            ref = node.slots[d]
-            if i == self.width - 1:
-                return ref
-            node = ref
-        return None
+            node = node.slots[d]
+        return node
 
     def succ_geq(self, key: int,
                  stats: Optional[VisitStats] = None) -> Optional[Entry]:
@@ -159,33 +162,21 @@ class ThreadedTrie:
             stats.trie_lookups += 1
         if self.size == 0 or key >= self.capacity:
             return None
-        if key < 0:
-            key = 0
         node = self.root
-        last = self.width - 1
-        for i, d in enumerate(self._digits(key)):
+        for d in self._digits(max(key, 0)):
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            if node.valid[d]:
-                ref = node.slots[d]
-                if i == last:
-                    return ref
-                node = ref
-            else:
+            if not node.valid[d]:
                 return self._resolve(node.slots[d], stats)
-        return None
+            node = node.slots[d]
+        return node
 
     def _resolve(self, ref, stats: Optional[VisitStats]) -> Optional[Entry]:
         # follow smallest valid slots down to the entry the thread promises
         while isinstance(ref, TrieNode):
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            node = ref
-            ref = None
-            for d in range(self.radix):
-                if node.valid[d]:
-                    ref = node.slots[d]
-                    break
+            ref = ref.slots[ref.valid.index(1)]
         return ref
 
     def min_entry(self, stats: Optional[VisitStats] = None) -> Optional[Entry]:
@@ -219,98 +210,79 @@ class ThreadedTrie:
         self._check_key(key)
         digits = self._digits(key)
         node = self.root
-        depth = 0
-        last = self.width - 1
-        while node.valid[digits[depth]]:
+        for depth, d in enumerate(digits):
+            if not node.valid[d]:
+                break
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            if depth == last:
-                raise ValueError(f"duplicate key {key}")
-            node = node.slots[digits[depth]]
-            depth += 1
-        d_b = digits[depth]
-        nxt = node.slots[d_b]        # old thread target, may be None
+            node = node.slots[d]
+        else:
+            raise ValueError(f"duplicate key {key}")
+        nxt = node.slots[d]          # old thread target, may be None
 
         entry = Entry(key, value)
         ref: object = entry
-        for i in range(last, depth, -1):
+        for i in range(self.width - 1, depth, -1):
             m = TrieNode(self.radix, nxt)
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            d = digits[i]
-            m.valid[d] = 1
-            m.slots[:d + 1] = [ref] * (d + 1)
+            b = digits[i]
+            m.valid[b] = 1
+            m.slots[:b + 1] = [ref] * (b + 1)
             ref = m
 
         if stats is not None:
             stats.trie_nodes_visited += 1
-        node.valid[d_b] = 1
-        node.slots[d_b] = ref
-        j = d_b - 1
-        while j >= 0 and not node.valid[j]:
-            node.slots[j] = ref
-            j -= 1
-        if j >= 0:
-            # the in-node predecessor's subtree now precedes the new key:
-            # its whole largest-valid chain must point up at the new branch
-            self._repoint_pred_chain(node.slots[j], ref, stats)
+        # slot d is still empty, so the repair writes the new branch into it
+        self._rethread(node, d, ref, stats)
+        node.valid[d] = 1
         self.size += 1
         return entry
 
     def delete(self, key: int, stats: Optional[VisitStats] = None) -> Entry:
         """Remove ``key``; returns its entry.  Raises KeyError if absent."""
         self._check_key(key)
-        digits = self._digits(key)
-        path: list[tuple[TrieNode, int]] = []
-        node = self.root
-        for i, d in enumerate(digits):
+        last = self.radix - 1
+        node = cut = self.root
+        for d in self._digits(key):
             if stats is not None:
                 stats.trie_nodes_visited += 1
             if not node.valid[d]:
                 raise KeyError(key)
-            path.append((node, d))
-            if i < self.width - 1:
-                node = node.slots[d]
-        entry = path[-1][0].slots[path[-1][1]]
-
-        # clear the bottom slot, then prune now-empty nodes bottom-up
-        level = self.width - 1
-        while True:
-            m, d = path[level]
-            m.valid[d] = 0
-            m.slots[d] = None
-            if level == 0 or any(m.valid):
-                break
-            level -= 1
-        n_s, d_s = path[level]
-
-        new_next = n_s.up
-        for j in range(d_s + 1, self.radix):
-            if n_s.valid[j]:
-                new_next = n_s.slots[j]
-                break
-        j = d_s
-        while j >= 0 and not n_s.valid[j]:
-            n_s.slots[j] = new_next
-            j -= 1
-        if j >= 0:
-            self._repoint_pred_chain(n_s.slots[j], new_next, stats)
+            ref = node.slots[d]
+            # the cut is the deepest node that keeps another key, or the
+            # root; d's branch is alone in its node only if the threads on
+            # both sides reach past it: slot 0 to the branch, slot d + 1 to up
+            if (node is self.root or node.slots[0] is not ref
+                    or (d < last and node.slots[d + 1] is not node.up)):
+                cut, cut_d = node, d
+            node = ref
+        nxt = cut.slots[cut_d + 1] if cut_d < last else cut.up
+        cut.valid[cut_d] = 0
+        self._rethread(cut, cut_d, nxt, stats)
         self.size -= 1
-        return entry
+        return node
 
-    def _repoint_pred_chain(self, ref, target,
-                            stats: Optional[VisitStats]) -> None:
-        # walk the largest-valid path; every node on it ends its subtree
-        # right where the change happened, so up and trailing threads move
-        while isinstance(ref, TrieNode):
+    def _rethread(self, node: TrieNode, j: int, target,
+                  stats: Optional[VisitStats]) -> None:
+        """Thread ``node``'s empty slots from ``j`` leftward to ``target``.
+
+        The first valid slot left of them holds the subtree that now ends
+        right before ``target``, and so does its largest-valid chain:
+        each node on it gets ``target`` as its ``up`` and trailing threads.
+        """
+        while True:
+            i = node.valid.rfind(1, 0, j + 1)
+            node.slots[i + 1:j + 1] = [target] * (j - i)
+            if i < 0:
+                return
+            node = node.slots[i]
+            if not isinstance(node, TrieNode):
+                return
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            ref.up = target
+            node.up = target
             j = self.radix - 1
-            while j >= 0 and not ref.valid[j]:
-                ref.slots[j] = target
-                j -= 1
-            ref = ref.slots[j]
 
     # -- verification ----------------------------------------------------
 

@@ -163,3 +163,35 @@ def test_bench_negative_size_exits_2(tmp_path):
     out = tmp_path / "b.csv"
     for sizes in ("-5", "10,-1"):
         assert run(["bench", "--n", sizes, "--out", str(out)]) == 2
+
+
+def test_generate_bad_shape_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    for bad in (["--k", "0"], ["--radix", "1"], ["--width", "0"]):
+        assert run(["generate", "--n", "1", "--out", str(out), *bad]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_bad_shape_exits_2(tmp_path, capsys):
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    p.write_text(FIVE_CSV, encoding="ascii")
+    q.write_text("1,8,5,7\n", encoding="ascii")
+    for bad in (["--radix", "1"], ["--radix", "2", "--width", "1"],
+                ["--width", "-1"]):
+        assert run(["verify", "--points", str(p), "--queries", str(q),
+                    *bad]) == 2
+        assert "error:" in capsys.readouterr().err
+    # the derived width and an exact cover of bound 16 still pass
+    for ok in (["--radix", "2"], ["--radix", "2", "--width", "4"]):
+        assert run(["verify", "--points", str(p), "--queries", str(q),
+                    *ok]) == 0
+
+
+def test_bench_bad_shape_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    for bad in (["--k", "0"], ["--radix", "1"], ["--width", "0"]):
+        assert run(["bench", "--n", "1", "--k", "1", "--out", str(out),
+                    *bad]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
