@@ -6,9 +6,13 @@ lexicographically; the last level holds the points themselves.  Nodes
 sharing an i-prefix sit contiguously in level i's inorder sequence and
 form a group.  Each level-i node (i < k-1) carries a cross link to its
 group's first node one level down: the member with the smallest next
-coordinate.  Every group-first node (and the inorder-first node of
-level 0) carries a successor-threaded trie mapping the group members'
-level coordinate to their tree handles.
+coordinate.  Level 0 is one group under a header, level -1: a one-node
+tree holding the empty prefix at handle ``HEAD``, whose cross link is
+DUMMY while the index is empty.  It is the list head of Knuth's
+threaded trees (TAOCP vol. 1, 2.3.1) one level up, so every level
+reaches its groups alike.  Every group-first node carries a
+successor-threaded trie mapping the group members' level coordinate to
+their tree handles.
 
 The tries replace key search entirely: membership walks k tries,
 insertion derives each level's position hint from trie successors and
@@ -28,30 +32,41 @@ from .tree import DUMMY, ThreadedAvlTree
 from .trie import ThreadedTrie
 
 
-def as_coordinate(c) -> int:
+HEAD = 1    # the header's one node, the empty prefix
+
+
+def as_coordinate(c, what: str = "coordinate") -> int:
     """``c`` as a plain int; ValueError for bools and non-integers.
 
     Int-like values such as ``numpy.int64`` pass through ``__index__``.
     """
     if isinstance(c, bool):
-        raise ValueError(f"coordinate {c!r} is a bool, not an integer")
+        raise ValueError(f"{what} {c!r} is a bool, not an integer")
     try:
         return operator.index(c)
     except TypeError:
-        raise ValueError(f"coordinate {c!r} is not an integer") from None
+        raise ValueError(f"{what} {c!r} is not an integer") from None
 
 
 class KdPointIndex:
     """Dynamic set of distinct k-tuples with windowed retrieval support.
 
     Coordinates are ints in [0, bound), or int-like values such as
-    ``numpy.int64`` (stored as plain ints); bools are rejected.  bound
-    must fit the trie shape, bound <= radix ** width.  Single writer,
-    concurrent readers only while no mutation runs.
+    ``numpy.int64`` (stored as plain ints); bools are rejected, and so
+    are ``k``, ``bound``, ``radix`` and ``width`` under the same rule.
+    bound must fit the trie shape, bound <= radix ** width.  Single
+    writer, concurrent readers only while no mutation runs.
+
+    ``trees`` holds the k levels; ``above[i]`` is the tree one level up
+    from level i, the header for level 0.
     """
 
     def __init__(self, k: int, bound: int, radix: int = 16,
                  width: Optional[int] = None):
+        k, bound, radix = (as_coordinate(v, name) for v, name in
+                           ((k, "k"), (bound, "bound"), (radix, "radix")))
+        if width is not None:
+            width = as_coordinate(width, "width")
         if k < 1:
             raise ValueError("k must be >= 1")
         if bound < 1:
@@ -72,6 +87,9 @@ class KdPointIndex:
         self.radix = radix
         self.width = width
         self.trees = [ThreadedAvlTree() for _ in range(k)]
+        head = ThreadedAvlTree.from_sorted([()])
+        head.cross[HEAD] = DUMMY
+        self.above = [head, *self.trees[:-1]]
         self.size = 0
 
     @classmethod
@@ -82,8 +100,10 @@ class KdPointIndex:
         Bulk load: the checked points are sorted once, one pass derives
         every level's distinct prefixes and group starts, and each level's
         tree and group tries are then built directly from sorted runs.
-        The trees come out perfectly balanced, so the shape-dependent
-        counters (``threads_followed``; for later updates also
+        Level i's g-th group (from 1) hangs under handle g one level up:
+        level i-1's g-th key or, for level 0's one group, the header's
+        ``HEAD``.  The trees come out perfectly balanced, so the
+        shape-dependent counters (``threads_followed``; for later updates also
         ``rotations`` and ``tree_nodes_visited``) can differ from an index
         built by ``insert``; points, tries, cross links, query results and
         the other query counters are the same.
@@ -111,8 +131,9 @@ class KdPointIndex:
         handles = list(range(len(pts) + 2))
         idx.trees = [ThreadedAvlTree.from_sorted(level, handles)
                      for level in keys]
+        idx.above[1:] = idx.trees[:-1]
         for i, tree in enumerate(idx.trees):
-            above = idx.trees[i - 1].cross if i else None
+            above = idx.above[i].cross
             coords = [key[i] for key in keys[i]]
             ends = starts[i][1:] + [len(coords)]
             for g, (s, e) in enumerate(zip(starts[i], ends), 1):
@@ -120,8 +141,7 @@ class KdPointIndex:
                 tree.trie[first] = ThreadedTrie.from_sorted(
                     idx.radix, idx.width,
                     list(zip(coords[s:e], handles[s + 1:e + 1])))
-                if above is not None:
-                    above[g] = first
+                above[g] = first
         idx.size = len(pts)
         return idx
 
@@ -150,26 +170,17 @@ class KdPointIndex:
 
     # -- group navigation ------------------------------------------------
     #
-    # path[j] is the handle of p[:j+1] on level j, so path[i-1] names the
-    # level-i group that p[:i+1] belongs to.  Level 0 is one group whose
-    # first node is the tree's first node.
-
-    def _group_first(self, i: int, path: list[int],
-                     stats: Optional[VisitStats]) -> int:
-        """First node of the level-i group under path[:i]."""
-        if i == 0:
-            return self.trees[0].first(stats)
-        return self.trees[i - 1].cross[path[i - 1]]
+    # path[i] is the handle of p[:i] one level up from level i (path[0] is
+    # HEAD), so the level-i group that p[:i+1] belongs to starts at
+    # above[i].cross[path[i]].  The group does not exist while that link
+    # is unset: None on a node just made, DUMMY in an empty index's header.
 
     def _group_last(self, i: int, path: list[int],
                     stats: Optional[VisitStats]) -> int:
-        """Last level-i node before the group after path[:i]'s, or DUMMY
+        """Last level-i node before the group after p[:i]'s, or DUMMY
         when level i is empty."""
-        tree = self.trees[i]
-        if i == 0:
-            return tree.last(stats) if tree.size else DUMMY
-        above = self.trees[i - 1]
-        s = above.in_succ(path[i - 1], stats)
+        above, tree = self.above[i], self.trees[i]
+        s = above.in_succ(path[i], stats)
         if s == DUMMY:
             return tree.last(stats)
         return tree.in_pred(above.cross[s], stats)
@@ -181,20 +192,18 @@ class KdPointIndex:
         tries = self.trees[i].trie
         tries[old] = None
         tries[new] = trie
-        if i > 0:
-            self.trees[i - 1].cross[path[i - 1]] = new
+        self.above[i].cross[path[i]] = new
 
     def _prefix_path(self, p: tuple,
                      stats: Optional[VisitStats] = None) -> list[int]:
-        """Handles of p's stored prefixes, shortest first, up to the
-        first level that misses; all k of them when p is stored."""
-        path: list[int] = []
-        if self.size == 0:
-            return path
-        for i in range(self.k):
-            # a lookup counts trie work only, not the step to a group
-            g = self._group_first(i, path, None)
-            e = self.trees[i].trie[g].find(p[i], stats)
+        """HEAD and the handles of p's stored prefixes, shortest first, up
+        to the first level that misses; k + 1 of them when p is stored."""
+        path = [HEAD]
+        for i, tree in enumerate(self.trees):
+            g = self.above[i].cross[path[i]]
+            if g == DUMMY:
+                break
+            e = tree.trie[g].find(p[i], stats)
             if e is None:
                 break
             path.append(e.value)
@@ -204,7 +213,7 @@ class KdPointIndex:
 
     def contains(self, point: Sequence[int]) -> bool:
         p = self._check_point(point)
-        return len(self._prefix_path(p)) == self.k
+        return len(self._prefix_path(p)) > self.k
 
     def __contains__(self, point) -> bool:
         return self.contains(point)
@@ -216,26 +225,23 @@ class KdPointIndex:
         """Add a point; returns False (and changes nothing) if present."""
         p = self._check_point(point)
         path = self._prefix_path(p, stats)
-        jstar = len(path)
-        if jstar == self.k:
+        if len(path) > self.k:
             return False
-        for i in range(jstar, self.k):
+        for i in range(len(path) - 1, self.k):
             tree = self.trees[i]
-            if i == jstar and self.size:
-                # joins an existing group, before its trie successor or,
-                # past the group maximum, at the group's end
-                g = self._group_first(i, path, stats)
+            g = self.above[i].cross[path[i]] or DUMMY
+            if g == DUMMY:
+                # opens a group, after the groups before it
+                trie, e = ThreadedTrie(self.radix, self.width), None
+            else:
+                # joins the group, before its trie successor or, past the
+                # group maximum, at the group's end
                 trie = tree.trie[g]
                 e = trie.succ_geq(p[i], stats)
-                if e is not None:
-                    pos = tree.in_pred(e.value, stats)
-                else:
-                    pos = self._group_last(i, path, stats)
-            else:
-                # opens a group under the node just made one level up
-                g = DUMMY
-                trie = ThreadedTrie(self.radix, self.width)
+            if e is None:
                 pos = self._group_last(i, path, stats)
+            else:
+                pos = tree.in_pred(e.value, stats)
             h = tree.insert_after(pos, p[:i + 1], stats)
             if g == DUMMY or p[i] < tree.key[g][i]:
                 self._set_group_first(i, path, trie, g, h)
@@ -251,12 +257,12 @@ class KdPointIndex:
         """Remove a point; returns False if it was not stored."""
         p = self._check_point(point)
         path = self._prefix_path(p, stats)
-        if len(path) < self.k:
+        if len(path) <= self.k:
             return False
         for i in range(self.k - 1, -1, -1):
             tree = self.trees[i]
-            h = path[i]
-            g = self._group_first(i, path, stats)
+            h = path[i + 1]
+            g = self.above[i].cross[path[i]]
             trie = tree.trie[g]
             if trie.size > 1:
                 trie.delete(p[i], stats)
@@ -266,8 +272,10 @@ class KdPointIndex:
                                           tree.in_succ(h, stats))
                 tree.delete_node(h, stats)
                 break
-            # sole member: the whole group goes, so the prefix one level
-            # up must go too
+            # sole member: the whole group goes, so its link above is
+            # unset and the prefix one level up must go too (the header
+            # stays, with DUMMY for the emptied index)
+            self.above[i].cross[path[i]] = DUMMY
             tree.delete_node(h, stats)
         self.size -= 1
         return True
@@ -304,7 +312,7 @@ class KdPointIndex:
         if out:
             return out
 
-        # per level: group layout, tries, cross links
+        # per level: group layout, tries, and the cross links into it
         for i in range(k):
             tree = self.trees[i]
             keys = tree.key
@@ -325,24 +333,19 @@ class KdPointIndex:
                     out.append(f"level {i}: group {prefix} trie maps "
                                f"{got} instead of {want}")
             for h in tree.inorder():
-                key = keys[h]
                 if h not in firsts and tree.trie[h] is not None:
-                    out.append(f"level {i}: non-first node {key} carries a trie")
-                cl = tree.cross[h]
-                if i < k - 1:
-                    below = self.trees[i + 1]
-                    if cl is None:
-                        out.append(f"level {i}: node {key} lacks a cross link")
-                        continue
-                    target_key = below.key[cl]
-                    if target_key[:i + 1] != key:
-                        out.append(f"level {i}: cross link of {key} targets "
-                                   f"{target_key}")
-                        continue
-                    pred = below.in_pred(cl)
-                    if pred != DUMMY and below.key[pred][:i + 1] == key:
-                        out.append(f"level {i}: cross link of {key} misses the "
-                                   f"group minimum {target_key}")
-                elif cl is not None:
-                    out.append(f"last level: node {key} has a cross link")
+                    out.append(f"level {i}: non-first node {keys[h]} carries a trie")
+            # every node one level up, the header included, links to its
+            # group's first member here; the empty index's header to DUMMY
+            above = self.above[i]
+            for h in above.inorder():
+                key, cl = above.key[h], above.cross[h]
+                first = groups.get(key, [DUMMY])[0]
+                if cl != first:
+                    out.append(f"level {i - 1}: cross link of {key} is {cl}, "
+                               f"not its group minimum {first}")
+        last = self.trees[k - 1]
+        for h in last.inorder():
+            if last.cross[h] is not None:
+                out.append(f"last level: node {last.key[h]} has a cross link")
         return out

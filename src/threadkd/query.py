@@ -1,7 +1,7 @@
 """Orthogonal window reporting over a KdPointIndex, with visit counters.
 
 A query window is a sequence of k inclusive (lo, hi) coordinate pairs.
-The walk starts from level 0's first node and descends: every level-i
+The walk starts from the header's cross link and descends: every
 candidate's cross link leads to a group one level down, where the group
 walk either starts at the group minimum (when it already clears lo),
 jumps via the group trie's successor lookup, or stops cold when the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .index import KdPointIndex, as_coordinate
+from .index import HEAD, KdPointIndex, as_coordinate
 from .stats import VisitStats
 from .tree import DUMMY
 
@@ -116,5 +116,5 @@ def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
     st.per_level_candidates = [0] * index.k
     results: list[tuple] = []
     if index.size:
-        _walk(index, w, 0, index.trees[0].first(), st, results)
+        _walk(index, w, 0, index.above[0].cross[HEAD], st, results)
     return results, st

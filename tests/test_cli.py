@@ -88,6 +88,15 @@ def test_verify_parse_error_line_number(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_verify_non_finite_value_exits_2(tmp_path, capsys, value):
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    p.write_text(f"# k=2 bound=16\n2,2\n{value},6\n", encoding="ascii")
+    q.write_text("0,1,0,1\n", encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q)]) == 2
+    assert ":3: non-finite value" in capsys.readouterr().err
+
+
 def test_verify_missing_header(tmp_path):
     p, q = tmp_path / "p.csv", tmp_path / "q.csv"
     p.write_text("2,2\n", encoding="ascii")

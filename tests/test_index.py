@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadkd.index import KdPointIndex
+from threadkd.index import HEAD, KdPointIndex
 from threadkd.query import window_query
+from threadkd.tree import DUMMY
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
@@ -158,6 +159,18 @@ def test_degenerate_trie_shape_rejected(kwargs):
         KdPointIndex(1, 1, **kwargs)
 
 
+def test_shape_arguments_follow_the_coordinate_rule():
+    # k, bound, radix and width are checked like coordinates: no bools,
+    # no floats, int-likes stored as plain ints
+    for args in [(True, 16), (2, True), (2, 16.5), (2.0, 16), (2, 16, True),
+                 (2, 16, 4.0), (2, 16, 4, True), (2, 16, 4, 2.0)]:
+        with pytest.raises(ValueError):
+            KdPointIndex(*args)
+    idx = KdPointIndex(*(np.int64(v) for v in (2, 16, 4, 2)))
+    assert [type(v) for v in (idx.k, idx.bound, idx.radix, idx.width)] == [int] * 4
+    assert idx.insert((3, 15)) and idx.validate() == []
+
+
 @pytest.mark.parametrize("bad", [5, None, 2.5])
 def test_non_iterable_point_rejected(bad):
     idx = KdPointIndex.from_points(2, 16, FIVE)
@@ -201,6 +214,23 @@ def test_validate_catches_bad_cross_link():
     wrong = [hh for hh in t1.inorder() if t1.node(hh).key == (2, 6)][0]
     t0.node(h).cross_link = wrong
     assert any("minimum" in v for v in idx.validate())
+
+
+def test_validate_catches_bad_header_link():
+    idx = KdPointIndex.from_points(2, 16, FIVE)
+    t0 = idx.trees[0]
+    head = idx.above[0].cross
+    assert head[HEAD] == t0.first()
+    # aim the header at level 0's second node, then at nothing
+    for wrong in (t0.in_succ(t0.first()), DUMMY):
+        head[HEAD] = wrong
+        assert any(v.startswith("level -1: cross link") and "minimum" in v
+                   for v in idx.validate())
+    # an empty index's header must link to DUMMY
+    empty = KdPointIndex(2, 16)
+    assert empty.validate() == []
+    empty.above[0].cross[HEAD] = 1
+    assert any(v.startswith("level -1") for v in empty.validate())
 
 
 def test_validate_catches_missing_trie():

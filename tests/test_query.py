@@ -126,6 +126,16 @@ def test_single_dimension_query():
     assert_accounting(st_, 1)
 
 
+@pytest.mark.parametrize("s", [1, 8, 64, 512])
+def test_query_cost_is_not_bounded_by_hits(s):
+    # the paper's theta(t) claim fails: s level-0 candidates for no hit,
+    # because every x qualifies before coordinate 1 rejects each group
+    idx = KdPointIndex.from_points(2, 512, [(x, 0) for x in range(s)])
+    res, st_ = window_query(idx, [(0, s - 1), (1, 1)])
+    assert res == []
+    assert st_.per_level_candidates == [s, 0]
+
+
 def test_point_window():
     idx = five_index()
     res, _ = window_query(idx, [(6, 6), (6, 6)])
