@@ -80,8 +80,13 @@ def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
         no, header = next(rows)
     except StopIteration:
         raise CliParseError(f"{path}: empty file, expected `# k=.. bound=..`")
-    fields = dict(part.split("=", 1) for part in header.lstrip("#").split()
-                  if "=" in part)
+    pairs = [part.split("=", 1) for part in header.lstrip("#").split()
+             if "=" in part]
+    names = [name for name, _ in pairs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CliParseError(f"{path}:1: header repeats {', '.join(repeated)}")
+    fields = dict(pairs)
     if header[:1] != "#" or "k" not in fields or "bound" not in fields:
         raise CliParseError(f"{path}:1: header must look like `# k=2 bound=4096`")
     try:

@@ -10,16 +10,24 @@ coordinate.  Level 0 is one group under a header, level -1: a one-node
 tree holding the empty prefix at handle ``HEAD``, whose cross link is
 DUMMY while the index is empty.  It is the list head of Knuth's
 threaded trees (TAOCP vol. 1, 2.3.1) one level up, so every level
-reaches its groups alike.  Every group-first node carries a
-successor-threaded trie mapping the group members' level coordinate to
-their tree handles.
+reaches its groups alike.
 
-The tries replace key search entirely: membership walks k tries,
-insertion derives each level's position hint from trie successors and
-neighbouring groups' cross links, so the per-level structural work does
-not grow with the number of stored points.  Deletion walks bottom-up,
-pruning prefix nodes whose group emptied and re-aiming cross links and
-tries when a group minimum goes away.
+Every group-first node carries a marker in its ``trie`` column; no other
+node does.  A group of more than ``T`` members keeps a successor-threaded
+trie mapping the members' level coordinate to their tree handles.  A
+smaller group keeps its member count, a positive int, and its successor
+lookup walks at most ``T`` inorder threads from the first member instead
+(adaptive node sizing, as in Leis, Kemper and Neumann, "The Adaptive
+Radix Tree", ICDE 2013).  A group that grows past ``T`` gets its trie
+built from its members, and one that falls back to ``T`` trades it for
+its count, so the marker depends only on the group's size.
+
+The tries and walks replace key search entirely: membership looks up k
+groups, insertion derives each level's position hint from group
+successors and neighbouring groups' cross links, so the per-level
+structural work does not grow with the number of stored points.
+Deletion walks bottom-up, pruning prefix nodes whose group emptied and
+re-aiming cross links and markers when a group minimum goes away.
 """
 
 from __future__ import annotations
@@ -34,6 +42,13 @@ from .trie import ThreadedTrie
 
 HEAD = 1    # the header's one node, the empty prefix
 
+# Largest group kept without a trie.  Swept over 1, 2, 4, 8 and 16 on the
+# benchmark workloads: 1 to 8 build and query `square` alike, `churn`'s
+# build time and memory fall as T grows (its level-1 groups have about 12
+# members), and 16 reaches `lead-narrow`'s smallest groups and lengthens
+# `square`'s query walks.
+T = 8
+
 
 def as_coordinate(c, what: str = "coordinate") -> int:
     """``c`` as a plain int; ValueError for bools and non-integers.
@@ -46,6 +61,47 @@ def as_coordinate(c, what: str = "coordinate") -> int:
         return operator.index(c)
     except TypeError:
         raise ValueError(f"{what} {c!r} is not an integer") from None
+
+
+def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
+                stats: Optional[VisitStats] = None
+                ) -> tuple[Optional[int], int]:
+    """Successor lookup in the level-i group from ``first`` that keeps a
+    member count instead of a trie.
+
+    Returns the group's last member whose level coordinate is below
+    ``c`` (None when ``first``'s is not) and its first member at ``c``
+    or above (DUMMY when none is).  Walks at most the count, so at most
+    ``T`` inorder threads; counted as trie work, one ``trie_nodes_visited``
+    per member read, as ``ThreadedTrie.find`` counts.  A caller that
+    stands in for ``succ_geq`` counts the ``trie_lookups`` itself.
+    """
+    key = tree.key
+    n = tree.trie[first]
+    prev, h = None, first
+    while True:
+        if stats is not None:
+            stats.trie_nodes_visited += 1
+        if key[h][i] >= c:
+            return prev, h
+        n -= 1
+        if n == 0:
+            return h, DUMMY
+        prev, h = h, tree.in_succ(h, stats)
+
+
+def group_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
+               stats: Optional[VisitStats] = None) -> int:
+    """First member at ``c`` or above of the level-i group from ``first``,
+    or DUMMY: the group trie's successor, or for a group that keeps a
+    count, the small-group walk's."""
+    marker = tree.trie[first]
+    if type(marker) is int:
+        if stats is not None:
+            stats.trie_lookups += 1
+        return _small_succ(tree, i, first, c, stats)[1]
+    e = marker.succ_geq(c, stats)
+    return DUMMY if e is None else e.value
 
 
 class KdPointIndex:
@@ -99,13 +155,14 @@ class KdPointIndex:
 
         Bulk load: the checked points are sorted once, one pass derives
         every level's distinct prefixes and group starts, and each level's
-        tree and group tries are then built directly from sorted runs.
+        tree and group markers are then built directly from sorted runs:
+        a run of ``T`` or fewer members gets its count, a longer one a trie.
         Level i's g-th group (from 1) hangs under handle g one level up:
         level i-1's g-th key or, for level 0's one group, the header's
         ``HEAD``.  The trees come out perfectly balanced, so the
         shape-dependent counters (``threads_followed``; for later updates also
         ``rotations`` and ``tree_nodes_visited``) can differ from an index
-        built by ``insert``; points, tries, cross links, query results and
+        built by ``insert``; points, markers, cross links, query results and
         the other query counters are the same.
         """
         idx = cls(k, bound, radix, width)
@@ -138,9 +195,12 @@ class KdPointIndex:
             ends = starts[i][1:] + [len(coords)]
             for g, (s, e) in enumerate(zip(starts[i], ends), 1):
                 first = handles[s + 1]
-                tree.trie[first] = ThreadedTrie.from_sorted(
-                    idx.radix, idx.width,
-                    list(zip(coords[s:e], handles[s + 1:e + 1])))
+                if e - s > T:
+                    tree.trie[first] = ThreadedTrie.from_sorted(
+                        idx.radix, idx.width,
+                        list(zip(coords[s:e], handles[s + 1:e + 1])))
+                else:
+                    tree.trie[first] = e - s
                 above[g] = first
         idx.size = len(pts)
         return idx
@@ -174,6 +234,8 @@ class KdPointIndex:
     # HEAD), so the level-i group that p[:i+1] belongs to starts at
     # above[i].cross[path[i]].  The group does not exist while that link
     # is unset: None on a node just made, DUMMY in an empty index's header.
+    # The first node's marker, trees[i].trie[first], is the group's member
+    # count (an int) or its trie.
 
     def _group_last(self, i: int, path: list[int],
                     stats: Optional[VisitStats]) -> int:
@@ -185,14 +247,26 @@ class KdPointIndex:
             return tree.last(stats)
         return tree.in_pred(above.cross[s], stats)
 
-    def _set_group_first(self, i: int, path: list[int], trie: ThreadedTrie,
+    def _set_group_first(self, i: int, path: list[int],
                          old: int, new: int) -> None:
-        """Make ``new`` its group's first node: it takes the group trie
-        from ``old`` (DUMMY for a new group) and the cross link above."""
+        """Make ``new`` its group's first node: it takes the group marker
+        from ``old`` (none from DUMMY, for a new group) and the cross link
+        above."""
         tries = self.trees[i].trie
-        tries[old] = None
-        tries[new] = trie
+        tries[new], tries[old] = tries[old], None
         self.above[i].cross[path[i]] = new
+
+    def _group_trie(self, i: int, first: int, n: int,
+                    stats: Optional[VisitStats]) -> ThreadedTrie:
+        """A trie over the ``n`` members of the level-i group from ``first``."""
+        tree = self.trees[i]
+        key = tree.key
+        h = first
+        items = [(key[h][i], h)]
+        for _ in range(n - 1):
+            h = tree.in_succ(h, stats)
+            items.append((key[h][i], h))
+        return ThreadedTrie.from_sorted(self.radix, self.width, items)
 
     def _prefix_path(self, p: tuple,
                      stats: Optional[VisitStats] = None) -> list[int]:
@@ -203,10 +277,17 @@ class KdPointIndex:
             g = self.above[i].cross[path[i]]
             if g == DUMMY:
                 break
-            e = tree.trie[g].find(p[i], stats)
-            if e is None:
-                break
-            path.append(e.value)
+            marker = tree.trie[g]
+            if type(marker) is int:
+                h = _small_succ(tree, i, g, p[i], stats)[1]
+                if h == DUMMY or tree.key[h][i] != p[i]:
+                    break
+            else:
+                e = marker.find(p[i], stats)
+                if e is None:
+                    break
+                h = e.value
+            path.append(h)
         return path
 
     # -- lookups ---------------------------------------------------------
@@ -229,23 +310,37 @@ class KdPointIndex:
             return False
         for i in range(len(path) - 1, self.k):
             tree = self.trees[i]
+            tries = tree.trie
             g = self.above[i].cross[path[i]] or DUMMY
+            marker = 0 if g == DUMMY else tries[g]
             if g == DUMMY:
                 # opens a group, after the groups before it
-                trie, e = ThreadedTrie(self.radix, self.width), None
+                pos = self._group_last(i, path, stats)
+            elif type(marker) is int:
+                # joins a small group after its last member below p[i],
+                # or before its first member
+                if stats is not None:
+                    stats.trie_lookups += 1
+                prev = _small_succ(tree, i, g, p[i], stats)[0]
+                pos = tree.in_pred(g, stats) if prev is None else prev
             else:
                 # joins the group, before its trie successor or, past the
                 # group maximum, at the group's end
-                trie = tree.trie[g]
-                e = trie.succ_geq(p[i], stats)
-            if e is None:
-                pos = self._group_last(i, path, stats)
-            else:
-                pos = tree.in_pred(e.value, stats)
+                e = marker.succ_geq(p[i], stats)
+                if e is None:
+                    pos = self._group_last(i, path, stats)
+                else:
+                    pos = tree.in_pred(e.value, stats)
             h = tree.insert_after(pos, p[:i + 1], stats)
             if g == DUMMY or p[i] < tree.key[g][i]:
-                self._set_group_first(i, path, trie, g, h)
-            trie.insert(p[i], h, stats)
+                self._set_group_first(i, path, g, h)
+                g = h
+            if type(marker) is not int:
+                marker.insert(p[i], h, stats)
+            elif marker < T:
+                tries[g] = marker + 1
+            else:
+                tries[g] = self._group_trie(i, g, marker + 1, stats)
             path.append(h)
         self.size += 1
         return True
@@ -263,13 +358,18 @@ class KdPointIndex:
             tree = self.trees[i]
             h = path[i + 1]
             g = self.above[i].cross[path[i]]
-            trie = tree.trie[g]
-            if trie.size > 1:
-                trie.delete(p[i], stats)
+            marker = tree.trie[g]
+            n = marker if type(marker) is int else marker.size
+            if n > 1:
+                if n > T + 1:
+                    marker.delete(p[i], stats)
+                else:
+                    # a count, or a trie whose group falls to T, gives
+                    # way to the smaller count
+                    tree.trie[g] = n - 1
                 if g == h:
                     # the group minimum leaves: the next member takes over
-                    self._set_group_first(i, path, trie, h,
-                                          tree.in_succ(h, stats))
+                    self._set_group_first(i, path, h, tree.in_succ(h, stats))
                 tree.delete_node(h, stats)
                 break
             # sole member: the whole group goes, so its link above is
@@ -312,7 +412,7 @@ class KdPointIndex:
         if out:
             return out
 
-        # per level: group layout, tries, and the cross links into it
+        # per level: group layout, markers, and the cross links into it
         for i in range(k):
             tree = self.trees[i]
             keys = tree.key
@@ -321,20 +421,28 @@ class KdPointIndex:
                 groups.setdefault(keys[h][:i], []).append(h)
             firsts = {members[0] for members in groups.values()}
             for prefix, members in groups.items():
-                trie = tree.trie[members[0]]
-                if trie is None:
-                    out.append(f"level {i}: group {prefix} first node lacks a trie")
+                marker = tree.trie[members[0]]
+                where = f"level {i}: group {prefix} of {len(members)}"
+                if type(marker) is int:
+                    if marker != len(members) or marker > T:
+                        out.append(f"{where} counts {marker} (T = {T})")
                     continue
-                for v in trie.validate():
-                    out.append(f"level {i}: group {prefix} trie: {v}")
+                if not isinstance(marker, ThreadedTrie):
+                    out.append(f"{where}: first node carries {marker!r}, "
+                               f"not a count or a trie")
+                    continue
+                for v in marker.validate():
+                    out.append(f"{where} trie: {v}")
+                if marker.size <= T:
+                    out.append(f"{where} keeps a trie (T = {T})")
                 want = [(keys[h][i], h) for h in members]
-                got = list(trie.items())
+                got = list(marker.items())
                 if got != want:
-                    out.append(f"level {i}: group {prefix} trie maps "
-                               f"{got} instead of {want}")
+                    out.append(f"{where} trie maps {got} instead of {want}")
             for h in tree.inorder():
                 if h not in firsts and tree.trie[h] is not None:
-                    out.append(f"level {i}: non-first node {keys[h]} carries a trie")
+                    out.append(f"level {i}: non-first node {keys[h]} "
+                               f"carries a marker")
             # every node one level up, the header included, links to its
             # group's first member here; the empty index's header to DUMMY
             above = self.above[i]

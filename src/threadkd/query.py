@@ -4,22 +4,25 @@ A query window is a sequence of k inclusive (lo, hi) coordinate pairs.
 The walk starts from the header's cross link and descends: every
 candidate's cross link leads to a group one level down, where the group
 walk either starts at the group minimum (when it already clears lo),
-jumps via the group trie's successor lookup, or stops cold when the
-minimum exceeds hi.  Candidates on the last level are the answer, in
+jumps to the successor of lo, or stops cold when the minimum exceeds
+hi.  The successor comes from the group trie or, in a group of at most
+``T`` members that keeps a count instead, from a walk over at most
+``T`` threads.  Candidates on the last level are the answer, in
 lexicographic order.
 
 Counting rules, chosen so the documented bounds hold exactly: every
 node whose range test runs counts one tree visit (candidates plus the
 probe that ends a walk); reading a group minimum through its cross link
-is part of the link follow, not a visit; trie costs are tracked
-separately per lookup.
+is part of the link follow, not a visit; successor lookups are tracked
+separately as trie work, one lookup each, whether a trie or a small
+group's walk answers it.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .index import HEAD, KdPointIndex, as_coordinate
+from .index import HEAD, KdPointIndex, as_coordinate, group_succ
 from .stats import VisitStats
 from .tree import DUMMY
 
@@ -55,11 +58,14 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
                      stats: Optional[VisitStats] = None) -> list[int]:
     """Handles in group_first's group whose level coordinate is in [lo, hi].
 
-    Walks inorder threads from the chosen start node; ends on the first
+    The walk starts at the group minimum when it clears lo, and otherwise
+    at the successor of lo: the group trie's, or for a group that keeps
+    a count instead, the first member at lo or above within at most T
+    threads.  It walks inorder threads from there and ends on the first
     node past hi or on the next group's first node (the first one after
-    the start that carries a trie), which costs one probe visit, or at
-    the end of the level.  A group whose minimum exceeds hi is rejected
-    on that probe alone, without opening the trie.
+    the start that carries a marker, count or trie), which costs one
+    probe visit, or at the end of the level.  A group whose minimum
+    exceeds hi is rejected on that probe alone, without a lookup.
     """
     tree = index.trees[level]
     key = tree.key
@@ -73,10 +79,9 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     if m >= lo:
         start = group_first
     else:
-        e = tries[group_first].succ_geq(lo, stats)
-        if e is None:
+        start = group_succ(tree, level, group_first, lo, stats)
+        if start == DUMMY:
             return out
-        start = e.value
     h = start
     while h != DUMMY:
         if stats is not None:
@@ -110,10 +115,16 @@ def _walk(index: KdPointIndex, w: list[tuple[int, int]], level: int,
 def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
                  stats: Optional[VisitStats] = None
                  ) -> tuple[list[tuple], VisitStats]:
-    """All stored points inside the window, plus the traversal counters."""
+    """All stored points inside the window, plus the traversal counters.
+
+    The counters are added to ``stats`` when one is given, so a stats
+    object reused across queries sums them; ``per_level_candidates`` is
+    padded to k entries first.
+    """
     w = check_window(index, window)
     st = stats if stats is not None else VisitStats()
-    st.per_level_candidates = [0] * index.k
+    cands = st.per_level_candidates
+    cands.extend([0] * (index.k - len(cands)))
     results: list[tuple] = []
     if index.size:
         _walk(index, w, 0, index.above[0].cross[HEAD], st, results)

@@ -9,16 +9,19 @@ from dataclasses import dataclass, field
 class VisitStats:
     """Counts of structure elements touched by one operation.
 
-    A fresh instance is used per operation; nothing here is shared state,
-    so concurrent readers can each carry their own counter.
+    Usually a fresh instance is used per operation; a reused one sums the
+    counts of every operation given it.  Nothing here is shared state, so
+    concurrent readers can each carry their own counter.
 
     tree_nodes_visited counts tree nodes examined as candidates (range or
-    prefix test evaluated), trie_nodes_visited counts trie cells entered,
-    threads_followed counts link hops taken while stepping through either
-    structure, cross_links_followed counts jumps from one level to the
-    next, and trie_lookups counts successor-lookup calls issued against
-    tries.  per_level_candidates[j] is the number of level-j keys whose
-    range test passed during a window query.
+    prefix test evaluated), trie_nodes_visited counts trie cells entered
+    and members read by a small group's walk, threads_followed counts
+    link hops taken while stepping through either structure,
+    cross_links_followed counts jumps from one level to the next, and
+    trie_lookups counts successor-lookup calls issued against tries or,
+    in a group that keeps a count instead, against its members.
+    per_level_candidates[j] is the number of level-j keys whose
+    range test passed during window queries.
     """
 
     tree_nodes_visited: int = 0

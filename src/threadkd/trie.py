@@ -68,6 +68,8 @@ def _powers(radix: int, width: int) -> tuple[int, ...]:
 class ThreadedTrie:
     """Successor-threaded radix trie mapping ints in [0, radix**width) to payloads."""
 
+    __slots__ = ("radix", "width", "capacity", "root", "size", "_pow")
+
     def __init__(self, radix: int, width: int):
         if radix < 2 or width < 1:
             raise ValueError("radix must be >= 2 and width >= 1")

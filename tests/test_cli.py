@@ -104,6 +104,15 @@ def test_verify_missing_header(tmp_path):
     assert run(["verify", "--points", str(p), "--queries", str(q)]) == 2
 
 
+def test_verify_repeated_header_key(tmp_path, capsys):
+    # the last k must not silently win: the error names the header line
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    p.write_text("# k=2 bound=16 k=3\n2,2\n", encoding="ascii")
+    q.write_text("0,1,0,1\n", encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q)]) == 2
+    assert ":1: header repeats k" in capsys.readouterr().err
+
+
 def test_verify_bad_window_rejected(tmp_path):
     p, q = tmp_path / "p.csv", tmp_path / "q.csv"
     p.write_text(FIVE_CSV, encoding="ascii")

@@ -20,13 +20,16 @@ from threadkd.query import window_query
 from threadkd.stats import VisitStats
 from threadkd.tree import DUMMY
 
-# Re-recorded when level 0 moved under the index's header node: inserts
-# and deletes now reach level 0's group through the header's cross link
-# instead of a counted walk to the tree's first node, and an insert at
-# the end of level 0 counts one step past the header.  Only
-# threads_followed on insert and delete records changed; the trace with
-# that field masked hashes the same before and after.
-DIGEST = "0ecf728399e9f437c03ec1ddd7e7d352c5ac574558ecaf898ea1ae869d2051bf"
+# Re-recorded when groups of at most T = 8 members gave up their tries:
+# such a group's lookups walk its members by inorder threads, counted as
+# one trie node per member read (plus one trie lookup where the walk
+# stands in for a successor lookup), and a group keeps a trie exactly
+# while it has more than T members.  Only trie_nodes_visited and
+# threads_followed changed; the trace with those two fields masked
+# hashes the same before and after.  Over the whole trace, window records'
+# trie_nodes_visited rose 2% (181,705 -> 184,692) and threads_followed
+# 20% (460,652 -> 552,575).
+DIGEST = "8330cca2ca7f50676c9678f4008762b247100344759556161659df172ddc112c"
 
 # (k, bound, radix): small universes, so groups open, shrink and vanish
 CONFIGS = [(1, 300, 4), (2, 24, 2), (2, 64, 16), (3, 10, 3)]

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadkd.index import HEAD, KdPointIndex
+from threadkd.baseline import brute_force_query
+from threadkd.index import HEAD, T, KdPointIndex
 from threadkd.query import window_query
 from threadkd.tree import DUMMY
+from threadkd.trie import ThreadedTrie
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
 
 def snapshot(idx):
-    """Handle-free structural dump: keys, cross targets, trie contents."""
+    """Handle-free structural dump: keys, cross targets, group markers
+    (a count, or a trie's contents)."""
     out = []
     for i, tree in enumerate(idx.trees):
         level = []
@@ -22,12 +25,23 @@ def snapshot(idx):
             cl = None
             if n.cross_link is not None:
                 cl = idx.trees[i + 1].node(n.cross_link).key
-            items = None
-            if n.trie is not None:
-                items = [(c, tree.node(hh).key) for c, hh in n.trie.items()]
-            level.append((n.key, cl, items))
+            marker = n.trie
+            if isinstance(marker, ThreadedTrie):
+                marker = [(c, tree.node(hh).key) for c, hh in marker.items()]
+            level.append((n.key, cl, marker))
         out.append(level)
     return out
+
+
+def assert_marker(tree, first, coords):
+    """``first``'s marker stands for a group with level coordinates
+    ``coords``: their count when there are at most T, else a trie over
+    them."""
+    m = tree.trie[first]
+    if len(coords) > T:
+        assert isinstance(m, ThreadedTrie) and list(m.keys()) == coords
+    else:
+        assert type(m) is int and m == len(coords)
 
 
 def test_empty_index():
@@ -46,8 +60,8 @@ def test_singleton_layout():
     h0 = t0.first()
     assert t0.node(h0).key == (2,)
     assert t1.node(t0.node(h0).cross_link).key == (2, 2)
-    assert list(t0.node(h0).trie.keys()) == [2]
-    assert list(t1.node(t1.first()).trie.keys()) == [2]
+    assert_marker(t0, h0, [2])
+    assert_marker(t1, t1.first(), [2])
     assert idx.validate() == []
 
 
@@ -58,7 +72,9 @@ def test_five_point_layout():
     assert list(t1.keys()) == sorted(FIVE)
     targets = [t1.node(t0.node(h).cross_link).key for h in t0.inorder()]
     assert targets == [(2, 2), (6, 2), (8, 10)]
-    assert list(t0.node(t0.first()).trie.keys()) == [2, 6, 8]
+    assert_marker(t0, t0.first(), [2, 6, 8])
+    for h, coords in zip(t0.inorder(), ([2, 6], [2, 6], [10])):
+        assert_marker(t1, t0.cross[h], coords)
     assert idx.validate() == []
 
 
@@ -94,7 +110,7 @@ def test_delete_prunes_prefix():
     assert idx.delete((8, 10))
     t0 = idx.trees[0]
     assert list(t0.keys()) == [(2,), (6,)]
-    assert list(t0.node(t0.first()).trie.keys()) == [2, 6]
+    assert_marker(t0, t0.first(), [2, 6])
     assert idx.validate() == []
 
 
@@ -234,19 +250,44 @@ def test_validate_catches_bad_header_link():
 
 
 def test_validate_catches_missing_trie():
+    # a group-first node must carry a marker: its count or its trie
+    for marker in (None, True, 1.0, "1"):
+        idx = KdPointIndex.from_points(2, 16, FIVE)
+        t1 = idx.trees[1]
+        t1.trie[t1.first()] = marker
+        assert any("not a count or a trie" in v for v in idx.validate())
+    # and only a group-first node carries one
     idx = KdPointIndex.from_points(2, 16, FIVE)
-    t0 = idx.trees[0]
-    t0.node(t0.first()).trie = None
-    assert any("trie" in v for v in idx.validate())
+    t1 = idx.trees[1]
+    t1.trie[t1.in_succ(t1.first())] = 1
+    assert any("non-first node" in v for v in idx.validate())
 
 
 def test_validate_catches_stale_trie_entry():
+    # a trie above T whose entry no longer matches its group
+    big = [(0, y) for y in range(T + 1)]
+    idx = KdPointIndex.from_points(2, 16, big)
+    t1 = idx.trees[1]
+    trie = t1.trie[t1.first()]
+    assert isinstance(trie, ThreadedTrie)
+    trie.delete(T)
+    trie.insert(15, t1.first())
+    assert any("trie maps" in v for v in idx.validate())
+    # a count that is not the group size, or one above T
     idx = KdPointIndex.from_points(2, 16, FIVE)
-    t0 = idx.trees[0]
-    trie = t0.node(t0.first()).trie
-    trie.delete(6)
-    trie.insert(7, t0.first())
-    assert idx.validate() != []
+    t1 = idx.trees[1]
+    t1.trie[t1.first()] += 1
+    assert any("counts" in v for v in idx.validate())
+    idx = KdPointIndex.from_points(2, 16, big)
+    t1 = idx.trees[1]
+    t1.trie[t1.first()] = T + 1
+    assert any(f"counts {T + 1}" in v for v in idx.validate())
+    # a trie, however exact, on a group of T or fewer members
+    idx = KdPointIndex.from_points(2, 16, FIVE)
+    t1 = idx.trees[1]
+    t1.trie[t1.first()] = ThreadedTrie.from_sorted(
+        16, 1, [(2, t1.first()), (6, t1.in_succ(t1.first()))])
+    assert any("keeps a trie" in v for v in idx.validate())
 
 
 def test_one_dimensional_index():
@@ -257,6 +298,39 @@ def test_one_dimensional_index():
     assert idx.delete((9,))
     assert not idx.delete((9,))
     assert idx.validate() == []
+
+
+# -- groups without a trie ----------------------------------------------
+
+def test_group_trie_built_above_t_and_dropped_at_t():
+    """One level-1 group grows from 1 to T + 1 members, steps back to T and
+    up again by its minimum, and shrinks back to 1, between neighbouring
+    groups; it keeps a trie exactly while it has more than T members."""
+    idx = KdPointIndex.from_points(2, 64, [(4, 30), (6, 1)], radix=4)
+    oracle = {(4, 30), (6, 1)}
+    ys = [31, 1, 62, 30] + list(range(2, 2 * T, 2))    # new minima and maxima
+    grow = [(5, y) for y in ys[:T + 1]]
+    shrink = (grow[1::2] + grow[::2][::-1])[:T]     # the minimum goes first
+    ops = ([("insert", p) for p in grow]
+           + [("delete", grow[1]), ("insert", grow[1])]
+           + [("delete", p) for p in shrink])
+    windows = [[(0, 63), (0, 63)], [(5, 5), (2, 40)], [(4, 6), (31, 63)],
+               [(5, 5), (3, 3)], [(0, 5), (29, 31)]]
+    probes = grow + [(5, 0), (5, 63), (5, 29), (4, 31), (6, 0)]
+    for step, (op, p) in enumerate(ops):
+        assert getattr(idx, op)(p)
+        if op == "insert":
+            oracle.add(p)
+        else:
+            oracle.discard(p)
+        t0, t1 = idx.trees
+        x5 = next(h for h in t0.inorder() if t0.key[h] == (5,))
+        assert_marker(t1, t0.cross[x5], sorted(q[1] for q in oracle if q[0] == 5))
+        assert idx.validate() == [], step
+        assert [idx.contains(q) for q in probes] == [q in oracle for q in probes]
+        for w in windows:
+            assert window_query(idx, w)[0] == brute_force_query(list(oracle), w)
+    assert sorted(idx.points()) == sorted(oracle) and len(oracle) == 3
 
 
 @pytest.mark.parametrize("k,bound", [(1, 64), (2, 64), (3, 16)])

@@ -50,6 +50,19 @@ def test_full_universe_window():
     assert res == sorted(FIVE)
 
 
+def test_reused_stats_accumulate_candidates():
+    # like every other counter, per_level_candidates sums over the queries
+    idx = five_index()
+    once = window_query(idx, [(0, 15), (0, 15)])[1]
+    st_ = VisitStats()
+    for _ in range(2):
+        window_query(idx, [(0, 15), (0, 15)], st_)
+    assert once.per_level_candidates == [3, 5]
+    assert st_.per_level_candidates == [6, 10]
+    assert st_.tree_nodes_visited == 2 * once.tree_nodes_visited
+    assert st_.cross_links_followed == 2 * once.cross_links_followed
+
+
 def test_empty_index_window():
     idx = KdPointIndex(2, 16)
     res, st_ = window_query(idx, [(0, 15), (0, 15)])
