@@ -14,7 +14,8 @@ reaches its groups alike.
 
 Every group-first node carries a marker in its ``trie`` column; no other
 node does.  A group of more than ``T`` members keeps a successor-threaded
-trie mapping the members' level coordinate to their tree handles.  A
+trie mapping the members' level coordinate to their tree handles, a
+``ValueTrie``, whose lookups answer with the handle itself.  A
 smaller group keeps its member count, a positive int, and its successor
 lookup walks at most ``T`` inorder threads from the first member instead
 (adaptive node sizing, as in Leis, Kemper and Neumann, "The Adaptive
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .stats import VisitStats
 from .tree import DUMMY, ThreadedAvlTree
-from .trie import ThreadedTrie
+from .trie import ThreadedTrie, ValueTrie
 
 
 HEAD = 1    # the header's one node, the empty prefix
@@ -100,8 +101,8 @@ def group_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
         if stats is not None:
             stats.trie_lookups += 1
         return _small_succ(tree, i, first, c, stats)[1]
-    e = marker.succ_geq(c, stats)
-    return DUMMY if e is None else e.value
+    h = marker.succ_geq(c, stats)
+    return DUMMY if h is None else h
 
 
 class KdPointIndex:
@@ -196,7 +197,7 @@ class KdPointIndex:
             for g, (s, e) in enumerate(zip(starts[i], ends), 1):
                 first = handles[s + 1]
                 if e - s > T:
-                    tree.trie[first] = ThreadedTrie.from_sorted(
+                    tree.trie[first] = ValueTrie.from_sorted(
                         idx.radix, idx.width,
                         list(zip(coords[s:e], handles[s + 1:e + 1])))
                 else:
@@ -209,7 +210,9 @@ class KdPointIndex:
         return self.size
 
     def points(self) -> Iterator[tuple]:
-        """Stored points in lexicographic order."""
+        """Stored points in lexicographic order.  Like ``dict`` iteration,
+        the iterator raises RuntimeError on its next step after an insert
+        or delete changed the index."""
         return self.trees[self.k - 1].keys()
 
     def _check_point(self, point: Sequence[int]) -> tuple:
@@ -257,7 +260,7 @@ class KdPointIndex:
         self.above[i].cross[path[i]] = new
 
     def _group_trie(self, i: int, first: int, n: int,
-                    stats: Optional[VisitStats]) -> ThreadedTrie:
+                    stats: Optional[VisitStats]) -> ValueTrie:
         """A trie over the ``n`` members of the level-i group from ``first``."""
         tree = self.trees[i]
         key = tree.key
@@ -266,7 +269,7 @@ class KdPointIndex:
         for _ in range(n - 1):
             h = tree.in_succ(h, stats)
             items.append((key[h][i], h))
-        return ThreadedTrie.from_sorted(self.radix, self.width, items)
+        return ValueTrie.from_sorted(self.radix, self.width, items)
 
     def _prefix_path(self, p: tuple,
                      stats: Optional[VisitStats] = None) -> list[int]:
@@ -283,10 +286,9 @@ class KdPointIndex:
                 if h == DUMMY or tree.key[h][i] != p[i]:
                     break
             else:
-                e = marker.find(p[i], stats)
-                if e is None:
+                h = marker.find(p[i], stats)
+                if h is None:
                     break
-                h = e.value
             path.append(h)
         return path
 
@@ -326,11 +328,11 @@ class KdPointIndex:
             else:
                 # joins the group, before its trie successor or, past the
                 # group maximum, at the group's end
-                e = marker.succ_geq(p[i], stats)
-                if e is None:
+                s = marker.succ_geq(p[i], stats)
+                if s is None:
                     pos = self._group_last(i, path, stats)
                 else:
-                    pos = tree.in_pred(e.value, stats)
+                    pos = tree.in_pred(s, stats)
             h = tree.insert_after(pos, p[:i + 1], stats)
             if g == DUMMY or p[i] < tree.key[g][i]:
                 self._set_group_first(i, path, g, h)

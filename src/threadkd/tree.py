@@ -127,6 +127,9 @@ class ThreadedAvlTree:
         self.free: list[int] = []
         self.size = 0
         self.rotations = 0
+        # bumped by every insert and delete, so an inorder walk can tell
+        # that the tree changed under it
+        self.mutations = 0
         # Dummy arrangement: left slot is the root link (thread to self when
         # empty), right slot is a child link to itself so that succ/pred of
         # the dummy resolve to the first/last real node.
@@ -258,10 +261,17 @@ class ThreadedAvlTree:
         return self.in_pred(DUMMY, stats)
 
     def inorder(self) -> Iterator[int]:
-        """Yield live handles in increasing key order via threads."""
+        """Yield live handles in increasing key order via threads.
+
+        Raises RuntimeError on the next step after an insert or delete,
+        as iterating a dict does after a change.
+        """
+        stamp = self.mutations
         h = self.in_succ(DUMMY)
         while h != DUMMY:
             yield h
+            if self.mutations != stamp:
+                raise RuntimeError("tree changed during iteration")
             h = self.in_succ(h)
 
     def keys(self) -> Iterator[tuple]:
@@ -291,6 +301,7 @@ class ThreadedAvlTree:
                                 f"{keys[succ]!r}")
 
         h = self._alloc(key)
+        self.mutations += 1
         if stats is not None:
             stats.tree_nodes_visited += 2
         left, right = self.link
@@ -366,6 +377,7 @@ class ThreadedAvlTree:
             parent[s] = parent[h]
             self._replace_child(parent[h], h, s)
         self.size -= 1
+        self.mutations += 1
         self._release(h)
         self._rebalance_delete(p, side, stats)
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -418,3 +419,31 @@ def test_from_points_drops_duplicates():
     assert len(idx) == 5
     assert list(idx.points()) == sorted(FIVE)
     assert idx.validate() == []
+
+
+def test_points_raises_when_the_index_changes():
+    idx = KdPointIndex.from_points(2, 16, [(x, y) for x in range(8)
+                                           for y in range(8)])
+    it = idx.points()
+    p = next(it)
+    assert not idx.insert(p)             # no change: iteration goes on
+    assert next(it) == (0, 1)
+    idx.delete(p)
+    idx.insert((9, 9))
+    with pytest.raises(RuntimeError):
+        next(it)
+
+
+def test_bulk_load_keeps_objects_per_trie_not_per_point():
+    # the group tries are flat columns: a handful of collector-tracked
+    # objects per trie, however many keys and trie nodes it holds
+    rng = random.Random(20)
+    pts = [(rng.randrange(1024), rng.randrange(1024)) for _ in range(20_000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    idx = KdPointIndex.from_points(2, 1024, pts)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    tries = sum(isinstance(m, ThreadedTrie) for t in idx.trees for m in t.trie)
+    assert tries > 1000
+    assert grown <= 8 * tries + 100, (grown, tries)

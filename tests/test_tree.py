@@ -276,3 +276,16 @@ def test_from_sorted_tree_takes_updates():
     t.delete_node(t.first())
     assert t.validate() == []
     assert t.size == 28
+
+
+@pytest.mark.parametrize("change", ["insert", "delete"])
+def test_inorder_raises_after_a_change(change):
+    t, handles, _ = build_sequential(range(0, 20, 2))
+    it = t.keys()
+    assert next(it) == (0,)
+    if change == "insert":
+        t.insert_after(handles[4], (5,))
+    else:
+        t.delete_node(handles[8])
+    with pytest.raises(RuntimeError):
+        next(it)

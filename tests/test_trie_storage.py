@@ -1,0 +1,122 @@
+"""The flat storage behind ``ThreadedTrie``: freed cells are reused before
+the columns grow, and ``validate()`` checks the free lists against what
+the root reaches."""
+
+import bisect
+import random
+
+import pytest
+
+from threadkd.trie import ThreadedTrie, TrieNode
+
+
+def nodes_needed(trie, keys):
+    """Nodes a trie holding ``keys`` has: the root and one per distinct
+    prefix of 1 to width - 1 digits."""
+    R, W = trie.radix, trie.width
+    return 1 + sum(len({k // R ** (W - j) for k in keys}) for j in range(1, W))
+
+
+def check_succ(trie, keys, rng, probes=8):
+    for _ in range(probes):
+        q = rng.randrange(-2, trie.capacity + 2)
+        i = bisect.bisect_left(keys, max(q, 0))
+        want = keys[i] if i < len(keys) and q < trie.capacity else None
+        got = trie.succ_geq(q)
+        assert (got.key if got else None) == want
+
+
+def test_churn_reuses_freed_cells():
+    rng = random.Random(16003)
+    t = ThreadedTrie(16, 3)
+    keys: list[int] = []
+    peak_nodes, peak_keys, peak_entries = 1, [], 0
+    for step in range(10_000):
+        if keys and rng.random() < (0.55 if len(keys) > 48 else 0.3):
+            k = keys.pop(rng.randrange(len(keys)))
+            assert t.delete(k).key == k
+        else:
+            k = rng.randrange(t.capacity)
+            while k in keys:
+                k = rng.randrange(t.capacity)
+            t.insert(k, -k)
+            bisect.insort(keys, k)
+        n = nodes_needed(t, keys)
+        if n > peak_nodes:
+            peak_nodes, peak_keys = n, list(keys)
+        peak_entries = max(peak_entries, len(keys))
+        if step % 100 == 0:
+            check_succ(t, keys, rng)
+        if step % 1000 == 0:
+            assert t.validate() == [], f"step {step}"
+    assert len(t.up) <= peak_nodes
+    assert len(t.key) <= peak_entries
+
+    # down to empty: every cell but the root goes back on a free list
+    for k in rng.sample(keys, len(keys)):
+        t.delete(k)
+    assert len(t) == 0 and t.validate() == []
+    columns = len(t.up), len(t.key)
+
+    # refilled with the keys of the node peak, the columns stay as they are
+    for k in rng.sample(peak_keys, len(peak_keys)):
+        t.insert(k, -k)
+    assert (len(t.up), len(t.key)) == columns
+    assert len(t.up) <= peak_nodes
+    assert t.validate() == []
+    assert list(t.items()) == [(k, -k) for k in peak_keys]
+    check_succ(t, peak_keys, rng, probes=200)
+
+
+def built():
+    """A radix-4, width-3 trie that has freed the branches of keys 40
+    (digits 2, 2, 0) and 57 (3, 2, 1): three nodes and two entries on the
+    free lists."""
+    t = ThreadedTrie(4, 3)
+    for k in (5, 6, 40, 57, 63):
+        t.insert(k, k)
+    t.delete(40)
+    t.delete(57)
+    assert t.validate() == [] and t.free_node is not None
+    return t
+
+
+def push_live_node(t):
+    # a reachable node is put on the free list
+    n = next(s for s in t.root.slots if isinstance(s, TrieNode)).n
+    t.up[n], t.free_node = t.free_node, n
+
+
+def push_live_entry(t):
+    # so is a reachable entry
+    e = next(i for i, k in enumerate(t.key) if k == 5)
+    t.key[e], t.free_entry = t.free_entry, e
+
+
+def reach_freed_node(t):
+    # a freed node is hung back into a valid slot of the root
+    d = t.valid.index(0, 0, t.radix)
+    t.valid[d] = 1
+    t.slots[d] = t.free_node
+
+
+def drop_free_head(t):
+    # a freed node falls off its free list: it leaks
+    t.free_node = t.up[t.free_node]
+
+
+def loop_free_list(t):
+    t.up[t.free_node] = t.free_node
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (push_live_node, "is on the free list but reachable from the root"),
+    (push_live_entry, "is on the free list but reachable from the root"),
+    (reach_freed_node, "is on the free list but reachable from the root"),
+    (drop_free_head, "node cells neither reachable nor on the free list"),
+    (loop_free_list, "free node list broken"),
+])
+def test_validate_catches_free_list_corruption(corrupt, message):
+    t = built()
+    corrupt(t)
+    assert any(message in v for v in t.validate()), t.validate()
