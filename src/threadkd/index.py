@@ -19,9 +19,13 @@ trie mapping the members' level coordinate to their tree handles, a
 smaller group keeps its member count, a positive int, and its successor
 lookup walks at most ``T`` inorder threads from the first member instead
 (adaptive node sizing, as in Leis, Kemper and Neumann, "The Adaptive
-Radix Tree", ICDE 2013).  A group that grows past ``T`` gets its trie
-built from its members, and one that falls back to ``T`` trades it for
-its count, so the marker depends only on the group's size.
+Radix Tree", ICDE 2013).  The tries take the same paper's lazy
+expansion: a member alone under a digit prefix sits in its parent's
+slot, so a trie has a node only for a prefix that two members share,
+about 0.4 nodes per member in level-1 groups of about 24.  A group that
+grows past ``T`` gets its trie built from its members, and one that
+falls back to ``T`` trades it for its count, so the marker depends only
+on the group's size.
 
 The tries and walks replace key search entirely: membership looks up k
 groups, insertion derives each level's position hint from group

@@ -1,28 +1,39 @@
-"""Fixed-depth radix trie with successor threads in every empty slot.
+"""Radix trie with successor threads in every empty slot, expanded lazily.
 
 Keys are integers written as ``width`` digits in base ``radix``, most
 significant first, short keys zero-padded.  Each node owns ``radix``
-slots; a slot on the path to some stored key is valid and holds either
-the next trie node or, at the bottom level, the entry itself.  Every
-other slot holds a thread: a direct reference to the next valid node in
-key order (the next valid ref inside the same node, or the node's ``up``
-target when nothing follows locally).  ``up`` is the next valid node
-after the node's whole subtree.
+slots and stands for one digit prefix; the root stands for the empty
+one.  A non-root node exists only for a prefix that at least two stored
+keys share.  A slot whose subtree holds one key holds that key's entry
+directly, at any depth (lazy expansion, as in Leis, Kemper and Neumann,
+"The Adaptive Radix Tree", ICDE 2013); a slot whose subtree holds more
+holds the next node.  Either way the slot is valid.  Every other slot
+holds a thread: a direct reference to the next valid node or entry in
+key order (the next valid ref inside the same node, or the node's
+``up`` target when nothing follows locally).  ``up`` is the next valid
+ref after the node's whole subtree.  The shape depends only on the
+stored keys, never on the order they came in.
 
-Threads make ``succ_geq`` a single root-to-bottom descent: the first
+Threads make ``succ_geq`` a single root-to-entry descent: the first
 invalid slot on the search path jumps straight to the subtree holding
 the answer, which is then resolved by following smallest valid slots
-down to an entry.  No walk ever backs up, so a lookup touches at most
-two root-to-bottom paths of nodes.
+down to an entry.  An entry met on the way is the only key under its
+prefix, so one compare settles it: the entry is the answer if its key
+is at least the probe, and otherwise the ref after its slot is.  No
+walk ever backs up, so a lookup touches at most two root-to-bottom
+paths of nodes.  ``find`` stops at the first entry with the same
+compare.
 
 Inserts and deletes repair the threads with one routine, ``_rethread``:
 the empty slots left of the changed slot, and the chain of largest-valid
 slots under the first valid one, all end right before the change, so
-each gets the new next reference.  A delete finds its *cut* in the same
-descent: the deepest node on the path that keeps another key, or the
-root.  Clearing the cut's slot drops the branch below it whole, and the
-reference that now follows is already in the cut's next slot (or its
-``up``), so nothing searches for it.  Cost is bounded by radix * width
+each gets the new next reference.  An insert into an empty slot writes
+its entry there.  One that meets another key's entry *splits* it: the
+nodes for the digits the two keys still share, and one node holding
+both, replace the entry in its slot.  A delete clears the entry's slot,
+unless that leaves a non-root node with one key: then the node *folds*,
+together with each one-slot node above it, and the highest slot that
+survives takes the remaining entry.  Cost is bounded by radix * width
 slot writes.  ``from_sorted`` builds the same trie from sorted items,
 each node once.
 
@@ -32,10 +43,11 @@ object per node or entry.  Node ``n`` has the slots
 positions of the bytearray ``valid``, and ``up[n]``; the root is node 0.
 Entry ``e`` maps ``key[e]`` to ``value[e]``.  A slot or ``up`` holds a
 node id (>= 0), entry ``e`` encoded as ``~e`` (-e - 1, so always < 0),
-or None where nothing follows.  A delete puts the dropped branch's
-nodes and entry on free lists, reused before a column grows: freed
-nodes chain through ``up`` from ``free_node``, freed entries through
-``key`` from ``free_entry``, each chain ending in None.
+or None where nothing follows.  Every trie takes its ``~e`` from one
+shared list, so an entry reference is not an int object of its own.  A
+delete puts the cells it drops on free lists, reused before a column
+grows: freed nodes chain through ``up`` from ``free_node``, freed
+entries through ``key`` from ``free_entry``, each chain ending in None.
 
 ``TrieNode`` and ``Entry`` are read-only views for callers that look at
 the structure: ``root``, a node view's ``slots`` and ``up``, and what
@@ -54,7 +66,7 @@ from .stats import VisitStats
 
 
 class Entry:
-    """A stored key with its payload, as a bottom-level slot refers to it.
+    """A stored key with its payload, as a slot refers to it.
 
     A snapshot: it keeps both after the entry is deleted."""
 
@@ -105,13 +117,26 @@ def _powers(radix: int, width: int) -> tuple[int, ...]:
     return tuple(radix ** (width - 1 - i) for i in range(width))
 
 
+# _REFS[e] == ~e, the slot reference of entry e.  Every trie takes its
+# references from here, so each is one int object however many slots and
+# tries hold it (the interpreter shares only the ints from -5 to 256).
+_REFS: list[int] = []
+
+
+def _entry_refs(n: int) -> list[int]:
+    """``_REFS``, grown to hold the references of entries 0 to n - 1."""
+    if len(_REFS) < n:
+        _REFS.extend(range(~len(_REFS), ~n, -1))
+    return _REFS
+
+
 class ThreadedTrie:
     """Successor-threaded radix trie mapping ints in [0, radix**width) to
     payloads.  Lookups and updates answer with an ``Entry``, or None."""
 
     __slots__ = ("radix", "width", "capacity", "size", "_pow", "slots",
                  "valid", "up", "key", "value", "free_node", "free_entry",
-                 "_views")
+                 "mutations", "_views")
 
     def __init__(self, radix: int, width: int):
         if radix < 2 or width < 1:
@@ -129,6 +154,9 @@ class ThreadedTrie:
         self.value: list = []
         self.free_node: Optional[int] = None
         self.free_entry: Optional[int] = None
+        # bumped by every insert and delete, so items() can tell that the
+        # trie changed under it
+        self.mutations = 0
         self._views: Optional[dict] = None
 
     @classmethod
@@ -140,42 +168,43 @@ class ThreadedTrie:
         Each node is created once and its slots are filled run by run:
         the items sharing a digit at a node form one run, and runs are
         taken right to left, so every thread and ``up`` target already
-        exists when it is written.  A run of one item gets its path of
-        one-slot nodes from ``_branch``, as an insert does.  Item ``a``
-        becomes entry ``a``.  Key order is not checked here;
-        ``validate()`` reports a violation.
+        exists when it is written.  Item ``a`` becomes entry ``a``, and a
+        run of one item puts it in the run's slot.  Key order is not
+        checked here; ``validate()`` reports a violation.
         """
         trie = cls(radix, width)
         if items:
             trie._check_key(items[0][0])
             trie._check_key(items[-1][0])
             trie.key, trie.value = map(list, zip(*items))
-            trie._fill(0, items, 0, len(items), 0)
+            trie._fill(0, trie.key, _entry_refs(len(items)), 0, len(items), 0)
             trie.size = len(items)
         return trie
 
-    def _fill(self, n: int, items: Sequence[tuple[int, Any]],
-              lo: int, hi: int, depth: int) -> None:
-        # node n's subtree holds items[lo:hi] and its up is set; each run of
-        # one digit becomes a valid slot, the empty slots before a run
-        # thread to its subtree and those after the last run to the up
+    def _fill(self, n: int, keys: Sequence[int], refs: Sequence[int],
+              lo: int, hi: int, depth: int,
+              stats: Optional[VisitStats] = None) -> None:
+        # node n's subtree holds keys[lo:hi], whose entry references are
+        # refs[lo:hi], and its up is set; each run of one digit becomes a
+        # valid slot, the empty slots before a run thread to its subtree
+        # and those after the last run to the up
         r = self.radix
         p = self._pow[depth]
-        bottom = depth == self.width - 1
         slots, valid = self.slots, self.valid
         base = n * r
         nxt, end, b = self.up[n], r, hi
         while b > lo:
-            d = items[b - 1][0] // p % r
+            d = keys[b - 1] // p % r
             a = b - 1
-            while a > lo and items[a - 1][0] // p % r == d:
+            while a > lo and keys[a - 1] // p % r == d:
                 a -= 1
-            if bottom or a == b - 1:
-                # one item: the entry, or the single path of nodes down to it
-                ref = self._branch(items[a][0], ~a, depth + 1, nxt, None)
+            if a == b - 1:
+                ref = refs[a]
             else:
                 ref = self._new_node(nxt)
-                self._fill(ref, items, a, b, depth + 1)
+                if stats is not None:
+                    stats.trie_nodes_visited += 1
+                self._fill(ref, keys, refs, a, b, depth + 1, stats)
             slots[base + d + 1:base + end] = [nxt] * (end - d - 1)
             slots[base + d] = ref
             valid[base + d] = 1
@@ -219,26 +248,20 @@ class ThreadedTrie:
             self.free_entry = self.key[e]
             self.key[e] = key
             self.value[e] = value
-        return ~e
+        return _REFS[e] if e < len(_REFS) else _entry_refs(e + 1)[e]
 
-    def _free_branch(self, ref: int) -> None:
-        """Put a branch cut off by a delete, nodes of one valid slot each
-        down to an entry, on the free lists."""
-        r, slots, valid, up = self.radix, self.slots, self.valid, self.up
-        views = self._views
-        while True:
-            if views:
-                views.pop(ref, None)
-            if ref < 0:
-                break
-            below = slots[valid.index(1, ref * r)]
-            up[ref] = self.free_node
+    def _free(self, ref: int) -> None:
+        """Put the node or entry ``ref`` on its free list."""
+        if self._views:
+            self._views.pop(ref, None)
+        if ref >= 0:
+            self.up[ref] = self.free_node
             self.free_node = ref
-            ref = below
-        e = ~ref
-        self.key[e] = self.free_entry
-        self.value[e] = None
-        self.free_entry = e
+        else:
+            e = ~ref
+            self.key[e] = self.free_entry
+            self.value[e] = None
+            self.free_entry = e
 
     # -- views -----------------------------------------------------------
 
@@ -280,15 +303,20 @@ class ThreadedTrie:
             if not valid[i]:
                 return None
             node = slots[i]
-        return self._result(node)
+            if node < 0:
+                # the only key under this prefix
+                return self._result(node) if self.key[~node] == key else None
 
     def succ_geq(self, key: int, stats: Optional[VisitStats] = None):
         """Entry with the smallest stored key >= ``key``, or None.
 
         Descends the search path until the first invalid slot, whose
-        thread lands on the subtree holding the answer; that subtree is
-        resolved by smallest valid slots.  Keys past the capacity have
-        no successor; negative keys clamp to zero.
+        thread lands on the subtree holding the answer, or the first
+        entry, which answers itself if its key is large enough and
+        otherwise leaves the answer to the ref after its slot.  What
+        the descent lands on is resolved by smallest valid slots.  Keys
+        past the capacity have no successor; negative keys clamp to
+        zero.
         """
         if stats is not None:
             stats.trie_lookups += 1
@@ -300,11 +328,17 @@ class ThreadedTrie:
         for p in self._pow:
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            i = node * r + key // p % r
+            d = key // p % r
+            i = node * r + d
             if not valid[i]:
                 return self._result(self._resolve(slots[i], stats))
-            node = slots[i]
-        return self._result(node)
+            ref = slots[i]
+            if ref < 0:
+                if self.key[~ref] >= key:
+                    return self._result(ref)
+                nxt = slots[i + 1] if d < r - 1 else self.up[node]
+                return self._result(self._resolve(nxt, stats))
+            node = ref
 
     def _resolve(self, ref, stats: Optional[VisitStats]):
         # follow smallest valid slots down to the entry the thread promises
@@ -323,20 +357,28 @@ class ThreadedTrie:
         return self._result(self._resolve(0, stats))
 
     def items(self) -> Iterator[tuple[int, Any]]:
-        """All (key, value) pairs in increasing key order."""
-        r, last = self.radix, self.width - 1
+        """All (key, value) pairs in increasing key order.
+
+        Raises RuntimeError on the next step after an insert or delete,
+        as iterating a dict does after a change.
+        """
+        r = self.radix
         slots, valid, key, value = self.slots, self.valid, self.key, self.value
 
-        def walk(n, depth):
+        def walk(n):
             for i in range(n * r, n * r + r):
                 if valid[i]:
                     ref = slots[i]
-                    if depth == last:
+                    if ref < 0:
                         yield key[~ref], value[~ref]
                     else:
-                        yield from walk(ref, depth + 1)
+                        yield from walk(ref)
 
-        yield from walk(0, 0)
+        stamp = self.mutations
+        for item in walk(0):
+            yield item
+            if self.mutations != stamp:
+                raise RuntimeError("trie changed during iteration")
 
     def keys(self) -> Iterator[int]:
         for k, _ in self.items():
@@ -348,28 +390,40 @@ class ThreadedTrie:
                stats: Optional[VisitStats] = None):
         """Store ``key`` -> ``value``; raises on duplicates."""
         self._check_key(key)
-        r, slots, valid, pw = self.radix, self.slots, self.valid, self._pow
+        r, slots, valid, key_of = self.radix, self.slots, self.valid, self.key
         node = 0
-        for depth, p in enumerate(pw):
+        for depth, p in enumerate(self._pow):
             d = key // p % r
             i = node * r + d
-            if not valid[i]:
-                break
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            node = slots[i]
-        else:
-            raise ValueError(f"duplicate key {key}")
-        nxt = slots[i]          # old thread target, may be None
-
-        entry = self._new_entry(key, value)
-        ref = self._branch(key, entry, depth + 1, nxt, stats)
-        if stats is not None:
-            stats.trie_nodes_visited += 1
-        # slot d is still empty, so the repair writes the new branch into it
-        self._rethread(node, d, ref, stats)
-        valid[i] = 1
+            if not valid[i]:
+                # the thread's slot takes the entry, and so do the threads
+                # before it that aimed at the same next ref
+                entry = self._new_entry(key, value)
+                self._rethread(node, d, entry, stats)
+                valid[i] = 1
+                break
+            other = slots[i]
+            if other < 0:
+                # split: the two keys' nodes replace the other's entry
+                g = key_of[~other]
+                if g == key:
+                    raise ValueError(f"duplicate key {key}")
+                entry = self._new_entry(key, value)
+                keys, refs = (((g, key), (other, entry)) if g < key
+                              else ((key, g), (entry, other)))
+                top = self._new_node(slots[i + 1] if d < r - 1
+                                     else self.up[node])
+                if stats is not None:
+                    stats.trie_nodes_visited += 1
+                self._fill(top, keys, refs, 0, 2, depth + 1, stats)
+                slots[i] = top
+                self._rethread(node, d - 1, top, stats)
+                break
+            node = other
         self.size += 1
+        self.mutations += 1
         return self._result(entry)
 
     def delete(self, key: int, stats: Optional[VisitStats] = None):
@@ -386,39 +440,43 @@ class ThreadedTrie:
             if not valid[i]:
                 raise KeyError(key)
             ref = slots[i]
-            # the cut is the deepest node that keeps another key, or the
-            # root; d's branch is alone in its node only if the threads on
-            # both sides reach past it: slot 0 to the branch, slot d + 1 to up
+            if ref < 0:
+                break
+            # the fold would stop here: the deepest node above the entry
+            # that is the root or keeps another slot; a slot is alone in
+            # its node only if the threads on both sides reach past it:
+            # slot 0 to it, slot d + 1 to up
             if (node == 0 or slots[i - d] != ref
                     or (d < last and slots[i + 1] != up[node])):
                 cut, cut_d, cut_i = node, d, i
             node = ref
-        nxt = slots[cut_i + 1] if cut_d < last else up[cut]
-        dropped = slots[cut_i]
-        valid[cut_i] = 0
-        self._rethread(cut, cut_d, nxt, stats)
+        if self.key[~ref] != key:
+            raise KeyError(key)
+        result = self._result(ref)
+        b, other = node * r, None
+        if node and valid.count(1, b, b + r) == 2:
+            # the other valid slot's ref: the first after slot d if slot 0
+            # reaches d, and slot 0's otherwise
+            other = slots[i + 1] if slots[b] == ref else slots[b]
+        if other is not None and other < 0:
+            # fold: the node and the one-slot nodes above it go, and the
+            # cut's slot takes the other entry
+            dropped = slots[cut_i]
+            slots[cut_i] = other
+            self._rethread(cut, cut_d - 1, other, stats)
+            while dropped != node:
+                below = slots[valid.index(1, dropped * r)]
+                self._free(dropped)
+                dropped = below
+            self._free(node)
+        else:
+            nxt = slots[i + 1] if d < last else up[node]
+            valid[i] = 0
+            self._rethread(node, d, nxt, stats)
+        self._free(ref)
         self.size -= 1
-        result = self._result(node)
-        self._free_branch(dropped)
+        self.mutations += 1
         return result
-
-    def _branch(self, key: int, ref: int, top: int, nxt,
-                stats: Optional[VisitStats]) -> int:
-        """The nodes of one key from depth ``top`` down, built bottom up:
-        each has one valid slot, on ``key``'s path, that holds the node
-        below or, at the bottom, the entry ``ref``; the slots before it
-        thread there too and the rest, like ``up``, to ``nxt``.  Returns
-        the top node, or ``ref`` when ``top`` is past the bottom."""
-        r, slots, valid, pw = self.radix, self.slots, self.valid, self._pow
-        for j in range(self.width - 1, top - 1, -1):
-            m = self._new_node(nxt)
-            if stats is not None:
-                stats.trie_nodes_visited += 1
-            b, base = key // pw[j] % r, m * r
-            valid[base + b] = 1
-            slots[base:base + b + 1] = [ref] * (b + 1)
-            ref = m
-        return ref
 
     def _rethread(self, node: int, j: int, target,
                   stats: Optional[VisitStats]) -> None:
@@ -450,7 +508,7 @@ class ThreadedTrie:
         """Check structure, key placement, every thread and the free
         lists; list violations."""
         out: list[str] = []
-        R, W = self.radix, self.width
+        R, W, pw = self.radix, self.width, self._pow
         slots, valid, up, key = self.slots, self.valid, self.up, self.key
         nodes, entries = len(up), len(key)
         if not len(slots) == len(valid) == nodes * R or len(self.value) != entries:
@@ -459,32 +517,39 @@ class ThreadedTrie:
                     f"{len(self.value)} values"]
         live_nodes, live_entries = {0}, set()
 
-        def walk(n: int, depth: int, prefix: int) -> None:
-            nvalid = 0
+        def walk(n: int, depth: int, prefix: int) -> int:
+            # the number of keys under node n, whose digits so far are prefix
+            held = 0
             for d in range(R):
                 if not valid[n * R + d]:
                     continue
-                nvalid += 1
                 ref = slots[n * R + d]
                 at = prefix * R + d
-                if depth == W - 1:
-                    if not (type(ref) is int and -entries <= ref < 0):
-                        out.append(f"bottom slot {at}: not an entry")
-                    elif ~ref in live_entries:
+                if type(ref) is int and -entries <= ref < 0:
+                    if ~ref in live_entries:
                         out.append(f"entry {~ref} reached twice")
-                    else:
-                        live_entries.add(~ref)
-                        if key[~ref] != at:
-                            out.append(f"entry key {key[~ref]} in slot for {at}")
+                        continue
+                    live_entries.add(~ref)
+                    k = key[~ref]
+                    held += 1
+                    if not (type(k) is int and k // pw[depth] == at):
+                        out.append(f"entry key {k!r} in the slot for prefix "
+                                   f"{at} at depth {depth}")
+                elif depth == W - 1:
+                    out.append(f"bottom slot {at}: not an entry")
                 elif not (type(ref) is int and 0 < ref < nodes):
-                    out.append(f"interior slot at depth {depth}: not a node")
+                    out.append(f"slot for prefix {at} at depth {depth}: "
+                               f"not a node or an entry")
                 elif ref in live_nodes:
                     out.append(f"node {ref} reached twice")
                 else:
                     live_nodes.add(ref)
-                    walk(ref, depth + 1, at)
-            if nvalid == 0 and n != 0:
-                out.append(f"empty interior node at depth {depth}")
+                    held += walk(ref, depth + 1, at)
+            if held < 2 and n != 0:
+                out.append(f"node {n} at depth {depth} holds {held} "
+                           f"key{'' if held == 1 else 's'}; only the root "
+                           f"may hold fewer than two")
+            return held
 
         walk(0, 0, 0)
         if len(live_entries) != self.size:

@@ -25,34 +25,24 @@ def test_empty():
 
 
 def test_two_keys_structure():
-    """With radix 10 and width 2, keys 8 and 42 share nothing; every empty
-    slot must jump straight to whatever comes next in key order."""
+    """With radix 10 and width 2, keys 8 and 42 share nothing, so each is
+    alone under its first digit and sits in the root as an entry; every
+    empty slot must jump straight to whatever comes next in key order."""
     t = ThreadedTrie(10, 2)
     e08 = t.insert(8, "a")
     e42 = t.insert(42, "b")
     root = t.root
-    low = root.slots[0]      # branch holding 8 (as digits 0,8)
-    high = root.slots[4]     # branch holding 42
-    assert isinstance(low, TrieNode) and isinstance(high, TrieNode)
-    # gaps between the two branches jump to the higher branch node
+    assert root.valid[0] and root.slots[0] is e08      # 8 as digits 0,8
+    assert root.valid[4] and root.slots[4] is e42
+    # gaps between the two entries jump to the higher one
     for d in (1, 2, 3):
         assert not root.valid[d]
-        assert root.slots[d] is high
-    # inside the high branch, slots before digit 2 jump to 42's entry
-    for d in (0, 1):
-        assert not high.valid[d]
-        assert high.slots[d] is e42
-    # inside the low branch, slots before digit 8 jump to 8's entry,
-    # and slot 9 leaves the branch for the next one over
-    for d in range(8):
-        assert low.slots[d] is e08
-    assert low.slots[9] is high
-    assert low.up is high
+        assert root.slots[d] is e42
     # nothing follows 42
-    assert high.up is None
-    for d in range(3, 10):
-        assert not high.valid[d]
-        assert high.slots[d] is None
+    for d in range(5, 10):
+        assert not root.valid[d]
+        assert root.slots[d] is None
+    assert len(t.up) == 1      # the root is the only node
     assert t.validate() == []
 
 
@@ -107,13 +97,67 @@ def test_delete_prunes_and_repoints():
     t.insert(8, None)
     t.insert(42, None)
     t.delete(42)
-    low = t.root.slots[0]
-    assert low.up is None
-    assert low.slots[9] is None
+    assert t.root.slots[0] is t.find(8)
     for d in range(1, 10):
         assert not t.root.valid[d]
         assert t.root.slots[d] is None
     assert t.succ_geq(9) is None
+    assert t.validate() == []
+
+
+def test_delete_folds_a_two_key_node():
+    """42 and 47 share their first digit, so they get a node in root slot
+    4; deleting 47 leaves that node one key, and it folds back into the
+    slot as the entry of 42 and goes on the free list."""
+    t = ThreadedTrie(10, 2)
+    e42 = t.insert(42, "a")
+    t.insert(47, "b")
+    node = t.root.slots[4]
+    assert isinstance(node, TrieNode)
+    assert [node.valid[d] for d in (2, 7)] == [1, 1]
+    t.delete(47)
+    assert t.root.valid[4] and t.root.slots[4] is e42
+    assert all(t.root.slots[d] is e42 for d in range(4))
+    assert all(t.root.slots[d] is None for d in range(5, 10))
+    assert t.free_node == node.n
+    assert t.validate() == []
+
+
+def test_delete_folds_a_chain_into_the_highest_surviving_slot():
+    # 420 and 421 share two digits: nodes for 4 and 42 fold together
+    t = ThreadedTrie(10, 3)
+    e420 = t.insert(420, None)
+    t.insert(421, None)
+    assert len(t.up) == 3
+    t.delete(421)
+    assert t.root.slots[4] is e420
+    assert [len(t.up), t.validate()] == [3, []]
+    free = [t.free_node, t.up[t.free_node]]
+    assert sorted(free) == [1, 2] and t.up[free[1]] is None
+    # with 400 beside them, the node for 4 keeps two keys and takes 420
+    t.insert(400, None)
+    t.insert(421, None)
+    t.delete(421)
+    four = t.root.slots[4]
+    assert four.slots[0] is t.find(400)
+    assert four.slots[1] is four.slots[2] is e420
+    assert four.slots[3] is None and four.up is None
+    assert t.validate() == []
+
+
+def test_split_retargets_threads_to_the_new_node():
+    # 8 threads past its slot to 42's entry; when 47 arrives the entry
+    # turns into a node, and every thread that aimed at it follows
+    t = ThreadedTrie(10, 3)
+    t.insert(8, None)
+    t.insert(420, None)
+    t.insert(470, None)
+    root = t.root
+    node = root.slots[4]
+    assert isinstance(node, TrieNode)
+    assert all(root.slots[d] is node for d in (1, 2, 3))
+    assert t.succ_geq(9).key == 420
+    assert t.succ_geq(421).key == 470
     assert t.validate() == []
 
 
@@ -223,6 +267,29 @@ def test_insert_delete_round_trip(keys, data):
     assert len(t) == 0
 
 
+def test_items_raise_when_the_trie_changes():
+    t = ThreadedTrie(16, 2)
+    t.insert(0x11, None)
+    t.insert(0x31, None)
+    for walk in (t.keys(), t.items()):
+        first = next(walk)
+        assert first in (0x11, (0x11, None))
+        t.delete(0x11)
+        t.insert(0x0F, None)
+        with pytest.raises(RuntimeError):
+            next(walk)
+        t.delete(0x0F)
+        t.insert(0x11, None)
+    # failed updates change nothing, so a walk goes on
+    walk = t.keys()
+    assert next(walk) == 0x11
+    with pytest.raises(ValueError):
+        t.insert(0x31, None)
+    with pytest.raises(KeyError):
+        t.delete(0x20)
+    assert list(walk) == [0x31]
+
+
 def same_slots(a, b):
     """Slot-for-slot equality of two tries: valid flags, threads, ups,
     entries (key and payload), with thread targets matched by position."""
@@ -259,6 +326,25 @@ def test_from_sorted_matches_inserts(radix, width):
         assert bulk.validate() == []
         assert list(bulk.items()) == list(built.items()) == items
         assert same_slots(bulk, built)
+
+
+@given(st.sampled_from([(2, 6), (4, 3), (16, 2)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shape_depends_only_on_the_keys(shape, data):
+    """After any sequence of updates the trie is, slot for slot, the one
+    ``from_sorted`` builds from its items: a key toggles, inserted when
+    absent and deleted when present."""
+    radix, width = shape
+    t = ThreadedTrie(radix, width)
+    for k in data.draw(st.lists(st.integers(0, radix ** width - 1),
+                                max_size=60)):
+        if t.find(k) is None:
+            t.insert(k, -k)
+        else:
+            t.delete(k)
+        assert same_slots(t, ThreadedTrie.from_sorted(radix, width,
+                                                      list(t.items())))
+    assert t.validate() == []
 
 
 def test_from_sorted_trie_takes_updates():

@@ -4,6 +4,7 @@ the root reaches."""
 
 import bisect
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,10 +12,19 @@ from threadkd.trie import ThreadedTrie, TrieNode
 
 
 def nodes_needed(trie, keys):
-    """Nodes a trie holding ``keys`` has: the root and one per distinct
-    prefix of 1 to width - 1 digits."""
+    """Nodes a trie holding ``keys`` has: the root and one per prefix of
+    1 to width - 1 digits that two keys or more share."""
     R, W = trie.radix, trie.width
-    return 1 + sum(len({k // R ** (W - j) for k in keys}) for j in range(1, W))
+    return 1 + sum(
+        sum(c >= 2 for c in Counter(k // R ** (W - j) for k in keys).values())
+        for j in range(1, W))
+
+
+def live_nodes(trie):
+    free, n = 0, trie.free_node
+    while n is not None:
+        free, n = free + 1, trie.up[n]
+    return len(trie.up) - free
 
 
 def check_succ(trie, keys, rng, probes=8):
@@ -49,6 +59,7 @@ def test_churn_reuses_freed_cells():
             check_succ(t, keys, rng)
         if step % 1000 == 0:
             assert t.validate() == [], f"step {step}"
+            assert live_nodes(t) == n
     assert len(t.up) <= peak_nodes
     assert len(t.key) <= peak_entries
 
@@ -107,6 +118,23 @@ def drop_free_head(t):
 
 def loop_free_list(t):
     t.up[t.free_node] = t.free_node
+
+
+def test_validate_catches_a_node_with_one_key():
+    # key 8 behind a node of its own in root slot 0, as a trie without
+    # lazy expansion would hold it; threads and free lists are intact
+    t = ThreadedTrie(10, 2)
+    t.insert(8, None)
+    e = t.slots[0]
+    assert e < 0
+    t.up.append(None)
+    t.slots += [e] * 9 + [None]
+    t.valid += bytes(8) + b"\1" + bytes(1)
+    t.slots[0] = 1
+    assert t.validate() == [
+        "node 1 at depth 1 holds 1 key; only the root may hold fewer than two"]
+    t.valid[18] = 0
+    assert "node 1 at depth 1 holds 0 keys" in t.validate()[0]
 
 
 @pytest.mark.parametrize("corrupt,message", [
