@@ -95,20 +95,6 @@ def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
         prev, h = h, tree.in_succ(h, stats)
 
 
-def group_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
-               stats: Optional[VisitStats] = None) -> int:
-    """First member at ``c`` or above of the level-i group from ``first``,
-    or DUMMY: the group trie's successor, or for a group that keeps a
-    count, the small-group walk's."""
-    marker = tree.trie[first]
-    if type(marker) is int:
-        if stats is not None:
-            stats.trie_lookups += 1
-        return _small_succ(tree, i, first, c, stats)[1]
-    h = marker.succ_geq(c, stats)
-    return DUMMY if h is None else h
-
-
 class KdPointIndex:
     """Dynamic set of distinct k-tuples with windowed retrieval support.
 
@@ -201,9 +187,9 @@ class KdPointIndex:
             for g, (s, e) in enumerate(zip(starts[i], ends), 1):
                 first = handles[s + 1]
                 if e - s > T:
-                    tree.trie[first] = ValueTrie.from_sorted(
-                        idx.radix, idx.width,
-                        list(zip(coords[s:e], handles[s + 1:e + 1])))
+                    tree.trie[first] = ValueTrie.from_columns(
+                        idx.radix, idx.width, coords[s:e],
+                        handles[s + 1:e + 1])
                 else:
                     tree.trie[first] = e - s
                 above[g] = first
@@ -269,11 +255,12 @@ class KdPointIndex:
         tree = self.trees[i]
         key = tree.key
         h = first
-        items = [(key[h][i], h)]
+        coords, handles = [key[h][i]], [h]
         for _ in range(n - 1):
             h = tree.in_succ(h, stats)
-            items.append((key[h][i], h))
-        return ValueTrie.from_sorted(self.radix, self.width, items)
+            coords.append(key[h][i])
+            handles.append(h)
+        return ValueTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple,
                      stats: Optional[VisitStats] = None) -> list[int]:

@@ -1,28 +1,35 @@
 """Orthogonal window reporting over a KdPointIndex, with visit counters.
 
 A query window is a sequence of k inclusive (lo, hi) coordinate pairs.
-The walk starts from the header's cross link and descends: every
-candidate's cross link leads to a group one level down, where the group
-walk either starts at the group minimum (when it already clears lo),
-jumps to the successor of lo, or stops cold when the minimum exceeds
-hi.  The successor comes from the group trie or, in a group of at most
-``T`` members that keeps a count instead, from a walk over at most
-``T`` threads.  Candidates on the last level are the answer, in
-lexicographic order.
+The walk runs one level at a time.  Level 0's one group hangs under the
+header's cross link; on every level, each chosen group is walked in
+turn, and the cross links of its members inside the level's range pick
+the groups one level down.  A group walk either starts at the group
+minimum (when it already clears lo), jumps to the successor of lo, or
+stops cold when the minimum exceeds hi.  The successor comes from the
+group trie or, in a group of at most ``T`` members that keeps a count
+instead, from a walk over at most ``T`` threads.  The members on the
+last level are the answer.
+
+They come out in lexicographic order: a level's groups are walked in
+the order of the members above that chose them, each group's members in
+inorder, and a group holds exactly the keys that extend its parent's, so
+every level's list stays sorted by prefix.
 
 Counting rules, chosen so the documented bounds hold exactly: every
 node whose range test runs counts one tree visit (candidates plus the
-probe that ends a walk); reading a group minimum through its cross link
-is part of the link follow, not a visit; successor lookups are tracked
-separately as trie work, one lookup each, whether a trie or a small
-group's walk answers it.
+probe that ends a group walk); reading a group minimum through its
+cross link is part of the link follow, not a visit; successor lookups
+are tracked separately as trie work, one lookup each, whether a trie or
+a small group's walk answers it.  A query counts exactly what walking
+the groups one recursive call at a time would.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .index import HEAD, KdPointIndex, as_coordinate, group_succ
+from .index import HEAD, KdPointIndex, _small_succ, as_coordinate
 from .stats import VisitStats
 from .tree import DUMMY
 
@@ -67,49 +74,47 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     probe visit, or at the end of the level.  A group whose minimum
     exceeds hi is rejected on that probe alone, without a lookup.
     """
+    return _level_members(index, level, [group_first], lo, hi, stats)
+
+
+def _level_members(index: KdPointIndex, level: int, groups: list[int],
+                   lo: int, hi: int,
+                   stats: Optional[VisitStats]) -> list[int]:
+    """``level_candidates`` over every group in ``groups``, given by their
+    first nodes: the members in [lo, hi], group after group."""
     tree = index.trees[level]
-    key = tree.key
-    tries = tree.trie
+    key, tries = tree.key, tree.trie
+    # bound per call, not at import, so a wrapper set on the class applies
+    in_succ = tree.in_succ
     out: list[int] = []
-    m = key[group_first][level]
-    if m > hi:
-        if stats is not None:
-            stats.tree_nodes_visited += 1
-        return out
-    if m >= lo:
-        start = group_first
-    else:
-        start = group_succ(tree, level, group_first, lo, stats)
-        if start == DUMMY:
-            return out
-    h = start
-    while h != DUMMY:
-        if stats is not None:
-            stats.tree_nodes_visited += 1
-        if key[h][level] > hi or (tries[h] is not None and h != start):
-            break
-        out.append(h)
-        h = tree.in_succ(h, stats)
+    append = out.append
+    visited = lookups = 0
+    for first in groups:
+        m = key[first][level]
+        if m > hi:
+            visited += 1
+            continue
+        if m >= lo:
+            start = first
+        else:
+            marker = tries[first]
+            if type(marker) is int:
+                lookups += 1
+                start = _small_succ(tree, level, first, lo, stats)[1]
+            else:
+                # None past the group maximum; no handle is DUMMY, 0
+                start = marker.succ_geq(lo, stats) or DUMMY
+        h = start
+        while h != DUMMY:
+            visited += 1
+            if key[h][level] > hi or (tries[h] is not None and h != start):
+                break
+            append(h)
+            h = in_succ(h, stats)
+    if stats is not None:
+        stats.tree_nodes_visited += visited
+        stats.trie_lookups += lookups
     return out
-
-
-def _walk(index: KdPointIndex, w: list[tuple[int, int]], level: int,
-          group_first: int, st: VisitStats, results: list[tuple]) -> None:
-    """Append to ``results`` every point inside ``w`` below the level group
-    that starts at ``group_first``."""
-    lo, hi = w[level]
-    cands = level_candidates(index, level, group_first, lo, hi, st)
-    st.per_level_candidates[level] += len(cands)
-    tree = index.trees[level]
-    if level == index.k - 1:
-        key = tree.key
-        for h in cands:
-            results.append(key[h])
-    else:
-        cross = tree.cross
-        for h in cands:
-            st.cross_links_followed += 1
-            _walk(index, w, level + 1, cross[h], st, results)
 
 
 def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
@@ -125,7 +130,17 @@ def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
     st = stats if stats is not None else VisitStats()
     cands = st.per_level_candidates
     cands.extend([0] * (index.k - len(cands)))
-    results: list[tuple] = []
-    if index.size:
-        _walk(index, w, 0, index.above[0].cross[HEAD], st, results)
-    return results, st
+    if not index.size:
+        return [], st
+    groups = [index.above[0].cross[HEAD]]
+    last = index.k - 1
+    for level, (lo, hi) in enumerate(w):
+        hs = _level_members(index, level, groups, lo, hi, st)
+        cands[level] += len(hs)
+        tree = index.trees[level]
+        if level == last:
+            key = tree.key
+            return [key[h] for h in hs], st
+        st.cross_links_followed += len(hs)
+        cross = tree.cross
+        groups = [cross[h] for h in hs]

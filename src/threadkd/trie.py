@@ -34,8 +34,8 @@ both, replace the entry in its slot.  A delete clears the entry's slot,
 unless that leaves a non-root node with one key: then the node *folds*,
 together with each one-slot node above it, and the highest slot that
 survives takes the remaining entry.  Cost is bounded by radix * width
-slot writes.  ``from_sorted`` builds the same trie from sorted items,
-each node once.
+slot writes.  ``from_columns`` builds the same trie from sorted key and
+value columns, each node once, and ``from_sorted`` from sorted pairs.
 
 Storage is flat: each trie owns one column per field and there is no
 object per node or entry.  Node ``n`` has the slots
@@ -164,21 +164,33 @@ class ThreadedTrie:
                     items: Sequence[tuple[int, Any]]) -> "ThreadedTrie":
         """Trie holding ``items``, (key, value) pairs in strictly increasing
         key order; slot for slot what inserting them one by one builds.
+        See ``from_columns``."""
+        if not items:
+            return cls(radix, width)
+        keys, values = map(list, zip(*items))
+        return cls.from_columns(radix, width, keys, values)
+
+    @classmethod
+    def from_columns(cls, radix: int, width: int, keys: list[int],
+                     values: list) -> "ThreadedTrie":
+        """Trie mapping ``keys[a]`` to ``values[a]``, keys in strictly
+        increasing order; the two lists, of equal length, become its
+        ``key`` and ``value`` columns as they are, not copied.
 
         Each node is created once and its slots are filled run by run:
-        the items sharing a digit at a node form one run, and runs are
+        the keys sharing a digit at a node form one run, and runs are
         taken right to left, so every thread and ``up`` target already
-        exists when it is written.  Item ``a`` becomes entry ``a``, and a
-        run of one item puts it in the run's slot.  Key order is not
+        exists when it is written.  Key ``a`` becomes entry ``a``, and a
+        run of one key puts it in the run's slot.  Key order is not
         checked here; ``validate()`` reports a violation.
         """
         trie = cls(radix, width)
-        if items:
-            trie._check_key(items[0][0])
-            trie._check_key(items[-1][0])
-            trie.key, trie.value = map(list, zip(*items))
-            trie._fill(0, trie.key, _entry_refs(len(items)), 0, len(items), 0)
-            trie.size = len(items)
+        if keys:
+            trie._check_key(keys[0])
+            trie._check_key(keys[-1])
+            trie.key, trie.value = keys, values
+            trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
+            trie.size = len(keys)
         return trie
 
     def _fill(self, n: int, keys: Sequence[int], refs: Sequence[int],

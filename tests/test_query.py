@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadkd.baseline import brute_force_query
-from threadkd.index import KdPointIndex
+from threadkd.index import HEAD, KdPointIndex
 from threadkd.query import (WindowError, check_window, level_candidates,
                             window_query)
 from threadkd.stats import VisitStats
@@ -198,3 +199,109 @@ def test_growing_window_never_loses_points(pts, xr, yr, pad):
     big, _ = window_query(idx, [(max(0, lo_x - pad), min(63, hi_x + pad)),
                                 (max(0, lo_y - pad), min(63, hi_y + pad))])
     assert set(small) <= set(big)
+
+
+def recursive_query(idx, w, st_):
+    """The window query one group at a time: ``level_candidates`` on a
+    group, then a recursive call through each candidate's cross link."""
+    cands = st_.per_level_candidates
+    cands.extend([0] * (idx.k - len(cands)))
+    out = []
+
+    def walk(level, first):
+        hs = level_candidates(idx, level, first, *w[level], st_)
+        cands[level] += len(hs)
+        for h in hs:
+            node = idx.trees[level].node(h)
+            if level == idx.k - 1:
+                out.append(node.key)
+            else:
+                st_.cross_links_followed += 1
+                walk(level + 1, node.cross_link)
+
+    if len(idx):
+        walk(0, idx.above[0].node(HEAD).cross_link)
+    return out
+
+
+def random_window(rng, k, bound):
+    w = []
+    for _ in range(k):
+        a, b = rng.randrange(bound), rng.randrange(bound)
+        w.append((min(a, b), max(a, b)))
+    return w
+
+
+def assert_same_as_recursive(idx, rng, windows=40):
+    for _ in range(windows):
+        w = random_window(rng, idx.k, idx.bound)
+        ref = VisitStats()
+        got, st_ = window_query(idx, w)
+        assert got == recursive_query(idx, w, ref)
+        assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
+    # a reused VisitStats sums the queries' counts on both sides
+    ws = [random_window(rng, idx.k, idx.bound) for _ in range(5)]
+    ref, st_ = VisitStats(), VisitStats()
+    for w in ws:
+        window_query(idx, w, st_)
+        recursive_query(idx, w, ref)
+    assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
+
+
+def group_markers(idx):
+    """The kinds of group marker in the index: int for a count, else the
+    trie's type."""
+    return {type(t.trie[h]) for t in idx.trees for h in t.inorder()
+            if t.trie[h] is not None}
+
+
+@pytest.mark.parametrize("k,bound", [(1, 16), (2, 24), (3, 12), (4, 16)])
+def test_level_walk_matches_recursive_walk(k, bound):
+    rng = random.Random(4111 * k + bound)
+    pts = {tuple(rng.randrange(bound) for _ in range(k))
+           for _ in range(min(bound ** k // 2, 700))}
+    idx = KdPointIndex.from_points(k, bound, pts, radix=4)
+    assert_same_as_recursive(idx, rng)
+    # updates grow and shrink groups across T, so the walks compared on
+    # the way meet groups that keep a count and groups that keep a trie
+    live = sorted(pts)
+    kinds = group_markers(idx)
+    for step in range(600):
+        if live and rng.random() < 0.5:
+            idx.delete(live.pop(rng.randrange(len(live))))
+        else:
+            p = tuple(rng.randrange(bound) for _ in range(k))
+            if idx.insert(p):
+                live.append(p)
+        if step % 60 == 0:
+            kinds |= group_markers(idx)
+            assert_same_as_recursive(idx, rng, windows=10)
+    assert len(kinds) == 2
+
+
+def test_level_candidates_without_stats():
+    # level 0 and the level-1 groups under x < 60 keep tries; the group
+    # under x = 63 keeps a count
+    pts = [(x, y) for x in range(0, 60, 5) for y in range(0, 64, 3)]
+    idx = KdPointIndex.from_points(2, 64, pts + [(63, 7), (63, 40)])
+    t0 = idx.trees[0]
+    groups = [(0, idx.above[0].node(HEAD).cross_link)]
+    groups += [(1, t0.node(h).cross_link) for h in t0.inorder()]
+    for level, first in groups:
+        for lo, hi in ((5, 40), (0, 63), (41, 41), (62, 63)):
+            assert (level_candidates(idx, level, first, lo, hi)
+                    == level_candidates(idx, level, first, lo, hi,
+                                        VisitStats()))
+
+
+def test_emptied_index_window_counts_nothing():
+    idx = KdPointIndex.from_points(3, 16, [(1, 2, 3), (4, 5, 6)])
+    for p in [(1, 2, 3), (4, 5, 6)]:
+        idx.delete(p)
+    for empty in (idx, KdPointIndex(3, 16)):
+        ref = VisitStats()
+        got, st_ = window_query(empty, [(0, 15)] * 3)
+        assert got == recursive_query(empty, [(0, 15)] * 3, ref) == []
+        assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
+        assert st_.total_touches() == 0
+        assert st_.per_level_candidates == [0, 0, 0]

@@ -1,6 +1,7 @@
 """The flat storage behind ``ThreadedTrie``: freed cells are reused before
-the columns grow, and ``validate()`` checks the free lists against what
-the root reaches."""
+the columns grow, ``validate()`` checks the free lists against what the
+root reaches, and a trie built from key and value columns is the one
+built from pairs."""
 
 import bisect
 import random
@@ -8,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from threadkd.trie import ThreadedTrie, TrieNode
+from threadkd.trie import ThreadedTrie, TrieNode, ValueTrie
 
 
 def nodes_needed(trie, keys):
@@ -148,3 +149,28 @@ def test_validate_catches_free_list_corruption(corrupt, message):
     t = built()
     corrupt(t)
     assert any(message in v for v in t.validate()), t.validate()
+
+
+COLUMNS = ("size", "slots", "valid", "up", "key", "value", "free_node",
+           "free_entry")
+
+
+@pytest.mark.parametrize("radix,width", [(2, 12), (10, 4), (16, 3)])
+def test_column_build_matches_pair_build(radix, width):
+    # runs of many keys: 3 * radix consecutive ones, filling whole bottom
+    # nodes; runs of one: the scattered keys, mostly alone in a slot
+    # near the root
+    rng = random.Random(radix * width)
+    cap = radix ** width
+    base = cap // 2
+    keys = sorted({*range(base, base + 3 * radix), 0, cap - 1,
+                   *(rng.randrange(cap) for _ in range(3))})
+    for ks in (keys, keys[:1], []):
+        values = [k * 7 + 1 for k in ks]
+        col = ValueTrie.from_columns(radix, width, list(ks), list(values))
+        pairs = ValueTrie.from_sorted(radix, width, list(zip(ks, values)))
+        assert col.validate() == []
+        for name in COLUMNS:
+            assert getattr(col, name) == getattr(pairs, name), name
+        for k, v in zip(ks, values):
+            assert col.find(k) == v
