@@ -20,18 +20,19 @@ or out-of-range point data is affinely rescaled per dimension onto
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import random
 import statistics
 import sys
 import time
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .baseline import NaiveKdTree, brute_force_query
 from .index import KdPointIndex
-from .query import window_query
+from .query import WindowError, check_window, window_query
 from .stats import VisitStats
 from .workload import GenerationError, make_points, mixed_bench_windows, random_windows
 
@@ -129,56 +130,58 @@ def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
     return k, bound, distinct, notes
 
 
-def load_windows(path: str, k: int, bound: int) -> list[list[tuple[int, int]]]:
+def load_windows(path: str, index: KdPointIndex) -> list[list[tuple[int, int]]]:
+    """The windows in ``path``, each checked by ``check_window`` against
+    ``index``'s k and bound."""
     out = []
     for no, s in _data_rows(path):
         parts = s.split(",")
-        if len(parts) != 2 * k:
-            raise CliParseError(f"{path}:{no}: expected {2 * k} fields, "
+        if len(parts) != 2 * index.k:
+            raise CliParseError(f"{path}:{no}: expected {2 * index.k} fields, "
                                 f"got {len(parts)}")
         try:
             vals = [int(x) for x in parts]
         except ValueError:
             raise CliParseError(f"{path}:{no}: non-integer bound") from None
-        w = []
-        for j in range(k):
-            lo, hi = vals[2 * j], vals[2 * j + 1]
-            if lo > hi:
-                raise CliParseError(f"{path}:{no}: range {j} has lo > hi")
-            if lo < 0 or hi >= bound:
-                raise CliParseError(f"{path}:{no}: range {j} outside "
-                                    f"[0, {bound})")
-            w.append((lo, hi))
-        out.append(w)
+        try:
+            out.append(check_window(index, zip(vals[::2], vals[1::2])))
+        except WindowError as e:
+            raise CliParseError(f"{path}:{no}: {e}") from None
     return out
+
+
+def _report(path: Optional[str]):
+    """The report stream, for a ``with``: the file at ``path``, or stdout,
+    which stays open."""
+    if path:
+        return open(path, "w", encoding="ascii")
+    return contextlib.nullcontext(sys.stdout)
 
 
 # -- subcommands -------------------------------------------------------
 
 
-def _check_shape(k: int, radix: int, width: int,
-                 bound: Optional[int] = None) -> int:
-    """Reject a bad --k, --radix or --width; returns the universe bound,
-    radix ** width unless a points file gives it (verify, where --width 0
-    derives the width from the bound)."""
-    if k < 1:
-        raise CliParseError("--k must be >= 1")
-    if radix < 2:
-        raise CliParseError("--radix must be >= 2")
-    if bound is None:
-        if width < 1:
-            raise CliParseError("--width must be >= 1")
-        return radix ** width
-    if width < 0:
-        raise CliParseError("--width must be >= 0")
-    if width and radix ** width < bound:
-        raise CliParseError(f"--radix {radix} --width {width} cannot cover "
-                            f"bound {bound}")
-    return bound
+def _index(k: int, bound: int, pts, radix: int,
+           width: Optional[int]) -> KdPointIndex:
+    """``KdPointIndex.from_points``; the index's own checks on k, bound,
+    radix and width make a bad shape a usage error."""
+    try:
+        return KdPointIndex.from_points(k, bound, pts, radix=radix, width=width)
+    except ValueError as e:
+        raise CliParseError(str(e)) from None
+
+
+def _universe(args) -> KdPointIndex:
+    """An empty index over [0, radix ** width), the universe of generated
+    data.  radix ** width is taken only once an index has accepted --k,
+    --radix and --width: a negative width would give a float bound."""
+    shape = _index(args.k, 1, (), args.radix, args.width)
+    return _index(args.k, shape.radix ** shape.width, (), args.radix,
+                  args.width)
 
 
 def cmd_generate(args) -> int:
-    bound = _check_shape(args.k, args.radix, args.width)
+    bound = _universe(args).bound
     if args.n < 0:
         raise CliParseError("--n must be >= 0")
     pts = make_points(args.n, args.k, bound, args.dist, args.seed)
@@ -194,13 +197,11 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     k, bound, pts, notes = load_points(args.points)
-    _check_shape(k, args.radix, args.width, bound)
-    windows = load_windows(args.queries, k, bound)
-    idx = KdPointIndex.from_points(k, bound, pts, radix=args.radix,
-                                   width=args.width or None)
+    idx = _index(k, bound, pts, args.radix, args.width or None)
+    windows = load_windows(args.queries, idx)
+    arr = np.asarray(pts, dtype=np.int64)
 
-    out: TextIO = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
-    try:
+    with _report(args.out) as out:
         out.write(f"# verify points={args.points} queries={args.queries} "
                   f"k={k} bound={bound} radix={args.radix} width={idx.width}\n")
         for note in notes:
@@ -209,7 +210,7 @@ def cmd_verify(args) -> int:
         mismatches = 0
         for i, w in enumerate(windows):
             got, _ = window_query(idx, w)
-            want = brute_force_query(pts, w)
+            want = brute_force_query(arr, w)
             ok = got == want
             mismatches += 0 if ok else 1
             out.write(f"{i},{len(got)},{len(want)},{int(ok)}\n")
@@ -217,9 +218,6 @@ def cmd_verify(args) -> int:
         for v in violations:
             out.write(f"# violation: {v}\n")
         out.write(f"# mismatches={mismatches} violations={len(violations)}\n")
-    finally:
-        if args.out:
-            out.close()
     status = 0 if (mismatches == 0 and not violations) else 1
     print(f"verify: {len(pts)} points, {len(windows)} queries, "
           f"{mismatches} mismatches, {len(violations)} violations -> "
@@ -246,8 +244,21 @@ def _row(out, engine, phase, n, args, label="", result="", touches="",
                         label, result, touches, *c, wall]) + "\n")
 
 
-def _summary_rows(out, phase, n, args, touches: list[int]) -> None:
-    """Mean, p50 and p99 of per-operation touches; nothing when empty."""
+def _timed(fn, *fargs):
+    """``fn(*fargs)`` and its wall time in whole microseconds."""
+    t0 = time.perf_counter_ns()
+    result = fn(*fargs)
+    return result, (time.perf_counter_ns() - t0) // 1000
+
+
+def _touch_rows(out, phase, n, args, op, pts) -> None:
+    """Runs ``op`` (the index's insert or delete) on each point, then
+    writes the mean, p50 and p99 of its touches; nothing when empty."""
+    touches = []
+    for p in pts:
+        s = VisitStats()
+        op(p, stats=s)
+        touches.append(s.total_touches())
     if not touches:
         return
     for label, val in (("mean", statistics.fmean(touches)),
@@ -266,78 +277,52 @@ def cmd_bench(args) -> int:
         raise CliParseError("--n lists no sizes")
     if min(sizes) < 0:
         raise CliParseError("--n sizes must be >= 0")
-    bound = _check_shape(args.k, args.radix, args.width)
+    shape = _universe(args)
+    bound = shape.bound
     if args.queries:
-        windows = load_windows(args.queries, args.k, bound)
+        windows = load_windows(args.queries, shape)
     else:
         windows = mixed_bench_windows(60, args.k, bound, args.seed + 999)
-    out: TextIO = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
+    # every size is drawn before the report opens, so a size the universe
+    # cannot hold leaves no partial report
+    drawn = [make_points(n, args.k, bound, args.dist, args.seed) for n in sizes]
     mismatches = 0
-    try:
+    with _report(args.out) as out:
         out.write(f"# bench k={args.k} dist={args.dist} seed={args.seed} "
                   f"radix={args.radix} width={args.width} bound={bound}\n")
         out.write("# quantization: identity (generated integer workload)\n")
         out.write(_COLUMNS + "\n")
-        for n in sizes:
-            pts = make_points(n, args.k, bound, args.dist, args.seed)
+        for n, pts in zip(sizes, drawn):
             # built once, so the brute column times the filter alone
             arr = np.asarray(pts, dtype=np.int64)
 
             # the last w points are inserted singly for the insert summary
             w = min(INSERT_WINDOW, n)
-            t0 = time.perf_counter_ns()
-            idx = KdPointIndex.from_points(args.k, bound, pts[:n - w],
-                                           radix=args.radix, width=args.width)
-            _row(out, "threaded", "build", n, args,
-                 wall=(time.perf_counter_ns() - t0) // 1000)
-            touch: list[int] = []
-            for p in pts[n - w:]:
-                s = VisitStats()
-                idx.insert(p, stats=s)
-                touch.append(s.total_touches())
-            naive = NaiveKdTree(args.k)
-            t0 = time.perf_counter_ns()
-            for p in pts:
-                naive.insert(p)
-            _row(out, "naive", "build", n, args,
-                 wall=(time.perf_counter_ns() - t0) // 1000)
-
-            _summary_rows(out, "insert", n, args, touch)
+            idx, us = _timed(KdPointIndex.from_points, args.k, bound,
+                             pts[:n - w], args.radix, args.width)
+            _row(out, "threaded", "build", n, args, wall=us)
+            naive, us = _timed(NaiveKdTree.from_points, args.k, pts)
+            _row(out, "naive", "build", n, args, wall=us)
+            _touch_rows(out, "insert", n, args, idx.insert, pts[n - w:])
 
             for i, w in enumerate(windows):
-                st = VisitStats()
-                t0 = time.perf_counter_ns()
-                got, _ = window_query(idx, w, stats=st)
-                us = (time.perf_counter_ns() - t0) // 1000
+                st, nst = VisitStats(), VisitStats()
+                (got, _), us = _timed(window_query, idx, w, st)
                 _row(out, "threaded", "query", n, args, label=f"q{i}",
                      result=len(got), st=st, wall=us)
-                nst = VisitStats()
-                t0 = time.perf_counter_ns()
-                ngot = naive.query(w, nst)
-                us = (time.perf_counter_ns() - t0) // 1000
+                ngot, us = _timed(naive.query, w, nst)
                 _row(out, "naive", "query", n, args, label=f"q{i}",
                      result=len(ngot), st=nst, wall=us)
-                t0 = time.perf_counter_ns()
-                want = brute_force_query(arr, w)
-                us = (time.perf_counter_ns() - t0) // 1000
+                want, us = _timed(brute_force_query, arr, w)
                 _row(out, "brute", "query", n, args, label=f"q{i}",
                      result=len(want), wall=us)
                 if got != want or ngot != want:
                     mismatches += 1
 
-            rng = random.Random(args.seed + 7)
-            sample = rng.sample(pts, min(500, len(pts))) if pts else []
-            dtouch: list[int] = []
-            for p in sample:
-                s = VisitStats()
-                idx.delete(p, stats=s)
-                dtouch.append(s.total_touches())
-            _summary_rows(out, "delete", n, args, dtouch)
+            sample = random.Random(args.seed + 7).sample(pts, min(500, n))
+            _touch_rows(out, "delete", n, args, idx.delete, sample)
             if mismatches:
                 out.write(f"# engine mismatches: {mismatches}\n")
-    finally:
-        if args.out:
-            out.close()
     if mismatches:
         print(f"bench: {mismatches} engine mismatches", file=sys.stderr)
         return 1

@@ -251,15 +251,16 @@ class KdPointIndex:
 
     def _group_trie(self, i: int, first: int, n: int,
                     stats: Optional[VisitStats]) -> ValueTrie:
-        """A trie over the ``n`` members of the level-i group from ``first``."""
+        """A trie over the ``n`` members of the level-i group from ``first``.
+
+        Its columns are made at their final length, so the trie holds no
+        spare list capacity."""
         tree = self.trees[i]
         key = tree.key
-        h = first
-        coords, handles = [key[h][i]], [h]
-        for _ in range(n - 1):
-            h = tree.in_succ(h, stats)
-            coords.append(key[h][i])
-            handles.append(h)
+        coords, handles = [key[first][i]] * n, [first] * n
+        for a in range(1, n):
+            h = handles[a] = tree.in_succ(handles[a - 1], stats)
+            coords[a] = key[h][i]
         return ValueTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple,

@@ -353,14 +353,15 @@ class ThreadedTrie:
             node = ref
 
     def _resolve(self, ref, stats: Optional[VisitStats]):
-        # follow smallest valid slots down to the entry the thread promises
+        # follow smallest valid slots down to the entry the thread promises;
+        # a node's slot 0 holds its smallest valid ref or threads to it
         if ref is None:
             return None
-        r, slots, valid = self.radix, self.slots, self.valid
+        r, slots = self.radix, self.slots
         while ref >= 0:
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            ref = slots[valid.index(1, ref * r)]
+            ref = slots[ref * r]
         return ref
 
     def min_entry(self, stats: Optional[VisitStats] = None):
@@ -477,7 +478,7 @@ class ThreadedTrie:
             slots[cut_i] = other
             self._rethread(cut, cut_d - 1, other, stats)
             while dropped != node:
-                below = slots[valid.index(1, dropped * r)]
+                below = slots[dropped * r]
                 self._free(dropped)
                 dropped = below
             self._free(node)

@@ -8,9 +8,7 @@ of k inclusive (lo, hi) pairs inside the same universe.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Optional
 
 
 class GenerationError(ValueError):
@@ -49,8 +47,7 @@ def uniform_points(n: int, k: int, bound: int, seed: int) -> list[tuple]:
     return out
 
 
-def clustered_points(n: int, k: int, bound: int, seed: int,
-                     clusters: Optional[int] = None) -> list[tuple]:
+def clustered_points(n: int, k: int, bound: int, seed: int) -> list[tuple]:
     """n distinct points in tight Gaussian blobs around random centers.
 
     Each draw picks a center and adds rounded Gaussian noise, clamped to
@@ -62,8 +59,7 @@ def clustered_points(n: int, k: int, bound: int, seed: int,
         raise GenerationError(f"cannot draw {n} distinct points from a "
                               f"universe of {cap}")
     rng = random.Random(seed)
-    if clusters is None:
-        clusters = max(1, min(32, n // 20 or 1))
+    clusters = max(1, min(32, n // 20 or 1))
     centers = [tuple(rng.randrange(bound) for _ in range(k))
                for _ in range(clusters)]
     sigma = max(1.0, bound / 64)
@@ -93,21 +89,16 @@ def make_points(n: int, k: int, bound: int, dist: str, seed: int) -> list[tuple]
     raise GenerationError(f"unknown distribution {dist!r}")
 
 
-def random_windows(m: int, k: int, bound: int, seed: int,
-                   span: Optional[int] = None) -> list[list[tuple[int, int]]]:
-    """m windows; each range is either unconstrained or span-wide."""
+def random_windows(m: int, k: int, bound: int, seed: int
+                   ) -> list[list[tuple[int, int]]]:
+    """m windows; each range spans two uniform draws."""
     rng = random.Random(seed)
     out = []
     for _ in range(m):
         w = []
         for _ in range(k):
-            if span is None:
-                a, b = rng.randrange(bound), rng.randrange(bound)
-                w.append((min(a, b), max(a, b)))
-            else:
-                s = min(span, bound)
-                lo = rng.randrange(bound - s + 1)
-                w.append((lo, lo + s - 1))
+            a, b = rng.randrange(bound), rng.randrange(bound)
+            w.append((min(a, b), max(a, b)))
         out.append(w)
     return out
 

@@ -213,3 +213,32 @@ def test_bench_bad_shape_exits_2(tmp_path, capsys):
                     *bad]) == 2
         assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_size_past_the_universe_writes_nothing(tmp_path, capsys):
+    # every size is drawn before the report opens: no partial report
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--n", "10,5000", "--k", "1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [["generate", "--n", "1"],
+                                 ["bench", "--n", "1", "--k", "1"]])
+def test_negative_width_exits_2(tmp_path, capsys, cmd):
+    # radix ** width is not taken before the width is checked: a negative
+    # width gives a float bound, and 0 ** -1 raises ZeroDivisionError
+    out = tmp_path / "out.csv"
+    for bad in (["--width", "-1"], ["--radix", "0", "--width", "-1"]):
+        assert run([*cmd, "--out", str(out), *bad]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_window_outside_bound_names_its_line(tmp_path, capsys):
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    p.write_text(FIVE_CSV, encoding="ascii")
+    q.write_text("1,8,5,7\n# comment\n0,16,0,15\n", encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q)]) == 2
+    err = capsys.readouterr().err
+    assert f"{q}:3:" in err and "outside" in err

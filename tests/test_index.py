@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -447,3 +448,17 @@ def test_bulk_load_keeps_objects_per_trie_not_per_point():
     tries = sum(isinstance(m, ThreadedTrie) for t in idx.trees for m in t.trie)
     assert tries > 1000
     assert grown <= 8 * tries + 100, (grown, tries)
+
+
+def test_group_trie_columns_have_no_spare_capacity():
+    # a trie built when a group passes T holds its key and value columns
+    # at their exact size, as a bulk-loaded group's slices are
+    idx = KdPointIndex(2, 64, radix=4)
+    for y in range(T + 1):
+        idx.insert((5, 3 * y))
+    t0, t1 = idx.trees
+    trie = t1.trie[t0.cross[t0.first()]]
+    assert isinstance(trie, ThreadedTrie) and len(trie.key) == T + 1
+    exact = sys.getsizeof([0] * len(trie.key))
+    assert sys.getsizeof(trie.key) == exact
+    assert sys.getsizeof(trie.value) == exact
