@@ -8,11 +8,12 @@ Subcommands:
              and brute force over a generated workload
 
 Exit codes: 0 success, 1 result mismatch or invariant violation,
-2 usage or parse problems.
+2 usage or parse problems, including a file that cannot be opened.
 
-File formats: points CSV starts with `# k=<k> bound=<B>` followed by
-one `x1,...,xk` row per point; queries CSV holds `lo1,hi1,...,lok,hik`
-rows.  Blank lines and further `#` comments are ignored.  Non-integer
+File formats: points CSV starts with `# k=<k> bound=<B>`, its first
+non-blank line, followed by one `x1,...,xk` row per point; queries CSV
+holds `lo1,hi1,...,lok,hik` rows.  Blank lines are ignored, and so are
+`#` comments after a file's first non-blank line.  Non-integer
 or out-of-range point data is affinely rescaled per dimension onto
 [0, bound); the applied mapping is emitted in the report header.
 """
@@ -44,29 +45,43 @@ class CliParseError(Exception):
 # -- file I/O ----------------------------------------------------------
 
 
+def _output(path: str):
+    """``path`` opened for writing; a path that cannot be opened is a
+    usage error."""
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as e:
+        raise CliParseError(f"{path}: {e}") from None
+
+
 def write_points(path: str, k: int, bound: int, pts) -> None:
-    with open(path, "w", encoding="ascii") as f:
+    with _output(path) as f:
         f.write(f"# k={k} bound={bound}\n")
         for p in pts:
             f.write(",".join(str(c) for c in p) + "\n")
 
 
 def write_windows(path: str, windows) -> None:
-    with open(path, "w", encoding="ascii") as f:
+    with _output(path) as f:
         for w in windows:
             f.write(",".join(f"{lo},{hi}" for lo, hi in w) + "\n")
 
 
 def _data_rows(path: str):
+    """(line number, stripped line) for each line of ``path`` but blank
+    ones and the ``#`` comments after the first non-blank line, which a
+    points file's header is."""
     try:
         fh = open(path, "r", encoding="ascii")
     except OSError as e:
         raise CliParseError(f"{path}: {e}") from None
     with fh:
+        first = True
         for no, line in enumerate(fh, 1):
             s = line.strip()
-            if not s or (s.startswith("#") and no > 1):
+            if not s or (s.startswith("#") and not first):
                 continue
+            first = False
             yield no, s
 
 
@@ -86,16 +101,16 @@ def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
     names = [name for name, _ in pairs]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        raise CliParseError(f"{path}:1: header repeats {', '.join(repeated)}")
+        raise CliParseError(f"{path}:{no}: header repeats {', '.join(repeated)}")
     fields = dict(pairs)
     if header[:1] != "#" or "k" not in fields or "bound" not in fields:
-        raise CliParseError(f"{path}:1: header must look like `# k=2 bound=4096`")
+        raise CliParseError(f"{path}:{no}: header must look like `# k=2 bound=4096`")
     try:
         k, bound = int(fields["k"]), int(fields["bound"])
     except ValueError:
-        raise CliParseError(f"{path}:1: non-integer k or bound") from None
+        raise CliParseError(f"{path}:{no}: non-integer k or bound") from None
     if k < 1 or bound < 1:
-        raise CliParseError(f"{path}:1: k and bound must be positive")
+        raise CliParseError(f"{path}:{no}: k and bound must be positive")
 
     raw: list[list[float]] = []
     for no, s in rows:
@@ -154,7 +169,7 @@ def _report(path: Optional[str]):
     """The report stream, for a ``with``: the file at ``path``, or stdout,
     which stays open."""
     if path:
-        return open(path, "w", encoding="ascii")
+        return _output(path)
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -185,12 +200,15 @@ def cmd_generate(args) -> int:
     if args.n < 0:
         raise CliParseError("--n must be >= 0")
     pts = make_points(args.n, args.k, bound, args.dist, args.seed)
+    if args.queries:
+        # written first, so a --queries path that cannot be opened leaves
+        # no points file
+        windows = random_windows(100, args.k, bound, args.seed + 1)
+        write_windows(args.queries, windows)
     write_points(args.out, args.k, bound, pts)
     print(f"wrote {len(pts)} points (k={args.k}, bound={bound}, "
           f"dist={args.dist}) to {args.out}")
     if args.queries:
-        windows = random_windows(100, args.k, bound, args.seed + 1)
-        write_windows(args.queries, windows)
         print(f"wrote {len(windows)} query windows to {args.queries}")
     return 0
 

@@ -37,12 +37,11 @@ re-aiming cross links and markers when a group minimum goes away.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .stats import VisitStats
 from .tree import DUMMY, ThreadedAvlTree
-from .trie import ThreadedTrie, ValueTrie
+from .trie import ThreadedTrie, ValueTrie, as_coordinate
 
 
 HEAD = 1    # the header's one node, the empty prefix
@@ -53,19 +52,6 @@ HEAD = 1    # the header's one node, the empty prefix
 # members), and 16 reaches `lead-narrow`'s smallest groups and lengthens
 # `square`'s query walks.
 T = 8
-
-
-def as_coordinate(c, what: str = "coordinate") -> int:
-    """``c`` as a plain int; ValueError for bools and non-integers.
-
-    Int-like values such as ``numpy.int64`` pass through ``__index__``.
-    """
-    if isinstance(c, bool):
-        raise ValueError(f"{what} {c!r} is a bool, not an integer")
-    try:
-        return operator.index(c)
-    except TypeError:
-        raise ValueError(f"{what} {c!r} is not an integer") from None
 
 
 def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
@@ -137,7 +123,6 @@ class KdPointIndex:
         head = ThreadedAvlTree.from_sorted([()])
         head.cross[HEAD] = DUMMY
         self.above = [head, *self.trees[:-1]]
-        self.size = 0
 
     @classmethod
     def from_points(cls, k: int, bound: int, points: Iterable[Sequence[int]],
@@ -193,11 +178,10 @@ class KdPointIndex:
                 else:
                     tree.trie[first] = e - s
                 above[g] = first
-        idx.size = len(pts)
         return idx
 
     def __len__(self) -> int:
-        return self.size
+        return self.trees[-1].size
 
     def points(self) -> Iterator[tuple]:
         """Stored points in lexicographic order.  Like ``dict`` iteration,
@@ -336,7 +320,6 @@ class KdPointIndex:
             else:
                 tries[g] = self._group_trie(i, g, marker + 1, stats)
             path.append(h)
-        self.size += 1
         return True
 
     # -- deletion --------------------------------------------------------
@@ -371,7 +354,6 @@ class KdPointIndex:
             # stays, with DUMMY for the emptied index)
             self.above[i].cross[path[i]] = DUMMY
             tree.delete_node(h, stats)
-        self.size -= 1
         return True
 
     # -- verification ----------------------------------------------------
@@ -386,32 +368,30 @@ class KdPointIndex:
         if out:
             return out
 
-        level_keys = [list(t.keys()) for t in self.trees]
-        points = level_keys[k - 1]
-        if len(points) != self.size:
-            out.append(f"size {self.size} but {len(points)} points stored")
-        for i in range(k):
+        # order[i + 1]: level i's handles in inorder; order[0]: the header's
+        order = [list(t.inorder()) for t in (self.above[0], *self.trees)]
+        points = [self.trees[-1].key[h] for h in order[k]]
+        for i, tree in enumerate(self.trees):
+            got = [tree.key[h] for h in order[i + 1]]
             expect = sorted({p[:i + 1] for p in points})
-            if level_keys[i] != expect:
+            if got != expect:
                 out.append(f"level {i}: keys differ from the prefix set "
-                           f"({len(level_keys[i])} vs {len(expect)})")
+                           f"({len(got)} vs {len(expect)})")
         for i in range(k - 1):
             if not self.trees[i].size <= self.trees[i + 1].size:
                 out.append(f"level {i}: larger than level {i + 1}")
-        for i in range(k):
-            for key in level_keys[i]:
-                for c in key:
-                    if not 0 <= c < self.bound:
-                        out.append(f"level {i}: coordinate {c} out of range")
+        for i, tree in enumerate(self.trees):
+            for c in [c for h in order[i + 1] for c in tree.key[h]]:
+                if not 0 <= c < self.bound:
+                    out.append(f"level {i}: coordinate {c} out of range")
         if out:
             return out
 
         # per level: group layout, markers, and the cross links into it
-        for i in range(k):
-            tree = self.trees[i]
+        for i, tree in enumerate(self.trees):
             keys = tree.key
             groups: dict[tuple, list[int]] = {}
-            for h in tree.inorder():
+            for h in order[i + 1]:
                 groups.setdefault(keys[h][:i], []).append(h)
             firsts = {members[0] for members in groups.values()}
             for prefix, members in groups.items():
@@ -433,21 +413,21 @@ class KdPointIndex:
                 got = list(marker.items())
                 if got != want:
                     out.append(f"{where} trie maps {got} instead of {want}")
-            for h in tree.inorder():
+            for h in order[i + 1]:
                 if h not in firsts and tree.trie[h] is not None:
                     out.append(f"level {i}: non-first node {keys[h]} "
                                f"carries a marker")
             # every node one level up, the header included, links to its
             # group's first member here; the empty index's header to DUMMY
             above = self.above[i]
-            for h in above.inorder():
+            for h in order[i]:
                 key, cl = above.key[h], above.cross[h]
                 first = groups.get(key, [DUMMY])[0]
                 if cl != first:
                     out.append(f"level {i - 1}: cross link of {key} is {cl}, "
                                f"not its group minimum {first}")
         last = self.trees[k - 1]
-        for h in last.inorder():
+        for h in order[k]:
             if last.cross[h] is not None:
                 out.append(f"last level: node {last.key[h]} has a cross link")
         return out

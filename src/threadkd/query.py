@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .index import HEAD, KdPointIndex, _small_succ, as_coordinate
+from .index import HEAD, KdPointIndex, _small_succ
 from .stats import VisitStats
 from .tree import DUMMY
+from .trie import as_coordinate
 
 
 class WindowError(ValueError):
@@ -130,7 +131,7 @@ def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
     st = stats if stats is not None else VisitStats()
     cands = st.per_level_candidates
     cands.extend([0] * (index.k - len(cands)))
-    if not index.size:
+    if not len(index):
         return [], st
     groups = [index.above[0].cross[HEAD]]
     last = index.k - 1

@@ -536,34 +536,29 @@ class ThreadedAvlTree:
             if not key[a] < key[b]:
                 out.append(f"ordering: key {key[a]!r} !< {key[b]!r}")
 
-        # thread walk must reproduce the recursive inorder node-for-node
-        walk_handles = []
-        h = self.in_succ(DUMMY)
+        # the successor and predecessor walks must reproduce the recursive
+        # inorder node for node, forward and backward
         limit = self.size + 1
-        while h != DUMMY and len(walk_handles) <= limit:
-            walk_handles.append(h)
-            h = self.in_succ(h)
-        if walk_handles != order:
-            out.append("threads: successor walk disagrees with recursive inorder")
-        back = []
-        h = self.in_pred(DUMMY)
-        while h != DUMMY and len(back) <= limit:
-            back.append(h)
-            h = self.in_pred(h)
-        if back != list(reversed(order)):
-            out.append("threads: predecessor walk disagrees with recursive inorder")
+        for step, expect, name in ((self.in_succ, order, "successor"),
+                                   (self.in_pred, order[::-1], "predecessor")):
+            got = []
+            h = step(DUMMY)
+            while h != DUMMY and len(got) <= limit:
+                got.append(h)
+                h = step(h)
+            if got != expect:
+                out.append(f"threads: {name} walk disagrees with recursive "
+                           f"inorder")
 
-        # each thread slot must target the inorder neighbour
-        pos = {h: i for i, h in enumerate(order)}
-        for h in order:
-            if lthread[h]:
-                expect = order[pos[h] - 1] if pos[h] > 0 else DUMMY
-                if left[h] != expect:
-                    out.append(f"node {h}: left thread -> {left[h]}, expected {expect}")
-            if rthread[h]:
-                expect = order[pos[h] + 1] if pos[h] + 1 < len(order) else DUMMY
-                if right[h] != expect:
-                    out.append(f"node {h}: right thread -> {right[h]}, expected {expect}")
+        # a thread on side d targets the inorder neighbour at offset 2*d - 1,
+        # DUMMY past either end
+        padded = [DUMMY, *order, DUMMY]
+        for i, h in enumerate(order, 1):
+            for d, side in enumerate(("left", "right")):
+                target, expect = self.link[d][h], padded[i + 2 * d - 1]
+                if self.thread[d][h] and target != expect:
+                    out.append(f"node {h}: {side} thread -> {target}, "
+                               f"expected {expect}")
 
         bound = 1.45 * math.log2(self.size + 2)
         if total_height > bound:

@@ -60,9 +60,23 @@ value instead and makes no view at all.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Any, Iterator, Optional, Sequence
 
 from .stats import VisitStats
+
+
+def as_coordinate(c, what: str = "coordinate") -> int:
+    """``c`` as a plain int; ValueError for bools and non-integers.
+
+    Int-like values such as ``numpy.int64`` pass through ``__index__``.
+    """
+    if isinstance(c, bool):
+        raise ValueError(f"{what} {c!r} is a bool, not an integer")
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise ValueError(f"{what} {c!r} is not an integer") from None
 
 
 class Entry:
@@ -132,13 +146,18 @@ def _entry_refs(n: int) -> list[int]:
 
 class ThreadedTrie:
     """Successor-threaded radix trie mapping ints in [0, radix**width) to
-    payloads.  Lookups and updates answer with an ``Entry``, or None."""
+    payloads.  Lookups and updates answer with an ``Entry``, or None.
+
+    ``radix``, ``width`` and the keys follow ``as_coordinate``: int-likes
+    are stored as plain ints, bools and non-integers raise ValueError."""
 
     __slots__ = ("radix", "width", "capacity", "size", "_pow", "slots",
                  "valid", "up", "key", "value", "free_node", "free_entry",
                  "mutations", "_views")
 
     def __init__(self, radix: int, width: int):
+        radix = as_coordinate(radix, "radix")
+        width = as_coordinate(width, "width")
         if radix < 2 or width < 1:
             raise ValueError("radix must be >= 2 and width >= 1")
         self.radix = radix
@@ -168,6 +187,7 @@ class ThreadedTrie:
         if not items:
             return cls(radix, width)
         keys, values = map(list, zip(*items))
+        keys = [as_coordinate(k, "key") for k in keys]
         return cls.from_columns(radix, width, keys, values)
 
     @classmethod
@@ -181,8 +201,10 @@ class ThreadedTrie:
         the keys sharing a digit at a node form one run, and runs are
         taken right to left, so every thread and ``up`` target already
         exists when it is written.  Key ``a`` becomes entry ``a``, and a
-        run of one key puts it in the run's slot.  Key order is not
-        checked here; ``validate()`` reports a violation.
+        run of one key puts it in the run's slot.  The first and last
+        keys are checked against the capacity; key order and the other
+        keys' type are not checked here, ``validate()`` reports a
+        violation.
         """
         trie = cls(radix, width)
         if keys:
@@ -226,9 +248,13 @@ class ThreadedTrie:
     def __len__(self) -> int:
         return self.size
 
-    def _check_key(self, key: int) -> None:
+    def _check_key(self, key) -> int:
+        """``key`` as a plain int in [0, capacity); ValueError otherwise."""
+        if type(key) is not int:
+            key = as_coordinate(key, "key")
         if not 0 <= key < self.capacity:
             raise ValueError(f"key {key} outside [0, {self.capacity})")
+        return key
 
     # -- cells -----------------------------------------------------------
 
@@ -305,7 +331,7 @@ class ThreadedTrie:
     # -- lookups ---------------------------------------------------------
 
     def find(self, key: int, stats: Optional[VisitStats] = None):
-        self._check_key(key)
+        key = self._check_key(key)
         r, slots, valid = self.radix, self.slots, self.valid
         node = 0
         for p in self._pow:
@@ -328,29 +354,37 @@ class ThreadedTrie:
         otherwise leaves the answer to the ref after its slot.  What
         the descent lands on is resolved by smallest valid slots.  Keys
         past the capacity have no successor; negative keys clamp to
-        zero.
+        zero.  A probe is never stored: one in [0, capacity) that is
+        not an integer raises ValueError when the descent reads its
+        first digit.
         """
         if stats is not None:
             stats.trie_lookups += 1
-        if self.size == 0 or key >= self.capacity:
-            return None
-        key = max(key, 0)
-        r, slots, valid = self.radix, self.slots, self.valid
-        node = 0
-        for p in self._pow:
-            if stats is not None:
-                stats.trie_nodes_visited += 1
-            d = key // p % r
-            i = node * r + d
-            if not valid[i]:
-                return self._result(self._resolve(slots[i], stats))
-            ref = slots[i]
-            if ref < 0:
-                if self.key[~ref] >= key:
-                    return self._result(ref)
-                nxt = slots[i + 1] if d < r - 1 else self.up[node]
-                return self._result(self._resolve(nxt, stats))
-            node = ref
+        try:
+            if self.size == 0 or key >= self.capacity:
+                return None
+            key = max(key, 0)
+            r, slots, valid = self.radix, self.slots, self.valid
+            node = 0
+            for p in self._pow:
+                if stats is not None:
+                    stats.trie_nodes_visited += 1
+                d = key // p % r
+                i = node * r + d
+                if not valid[i]:
+                    return self._result(self._resolve(slots[i], stats))
+                ref = slots[i]
+                if ref < 0:
+                    if self.key[~ref] >= key:
+                        return self._result(ref)
+                    nxt = slots[i + 1] if d < r - 1 else self.up[node]
+                    return self._result(self._resolve(nxt, stats))
+                node = ref
+        except TypeError:
+            # only a failed lookup checks its probe, so the lookups that
+            # succeed pay nothing for the check
+            as_coordinate(key, "key")
+            raise
 
     def _resolve(self, ref, stats: Optional[VisitStats]):
         # follow smallest valid slots down to the entry the thread promises;
@@ -402,7 +436,7 @@ class ThreadedTrie:
     def insert(self, key: int, value: Any,
                stats: Optional[VisitStats] = None):
         """Store ``key`` -> ``value``; raises on duplicates."""
-        self._check_key(key)
+        key = self._check_key(key)
         r, slots, valid, key_of = self.radix, self.slots, self.valid, self.key
         node = 0
         for depth, p in enumerate(self._pow):
@@ -441,7 +475,7 @@ class ThreadedTrie:
 
     def delete(self, key: int, stats: Optional[VisitStats] = None):
         """Remove ``key``; returns its entry.  Raises KeyError if absent."""
-        self._check_key(key)
+        key = self._check_key(key)
         r, slots, valid, up = self.radix, self.slots, self.valid, self.up
         last = r - 1
         node = 0

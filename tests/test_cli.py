@@ -242,3 +242,63 @@ def test_verify_window_outside_bound_names_its_line(tmp_path, capsys):
     assert run(["verify", "--points", str(p), "--queries", str(q)]) == 2
     err = capsys.readouterr().err
     assert f"{q}:3:" in err and "outside" in err
+
+
+@pytest.mark.parametrize("cmd", ["generate", "verify", "bench"])
+def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys, cmd):
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    p.write_text(FIVE_CSV, encoding="ascii")
+    q.write_text("1,8,5,7\n", encoding="ascii")
+    args = {"generate": ["generate", "--n", "5"],
+            "verify": ["verify", "--points", str(p), "--queries", str(q)],
+            "bench": ["bench", "--n", "20", "--width", "2"]}[cmd]
+    missing = tmp_path / "missing" / "out.csv"
+    assert run([*args, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: ") and "Traceback" not in err
+
+
+def test_generate_queries_that_cannot_be_opened_write_no_points(tmp_path,
+                                                                capsys):
+    p = tmp_path / "p.csv"
+    missing = tmp_path / "missing" / "q.csv"
+    assert run(["generate", "--n", "5", "--out", str(p),
+                "--queries", str(missing)]) == 2
+    assert f"error: {missing}: " in capsys.readouterr().err
+    assert not p.exists()
+
+
+def test_verify_header_after_blank_lines(tmp_path, capsys):
+    p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    p.write_text("\n  \n" + FIVE_CSV.replace("\n", "\n# note\n", 1),
+                 encoding="ascii")
+    q.write_text("1,8,5,7\n", encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 0
+    assert "0,2,2,1" in read(rep).splitlines()
+    # a bad header is reported on its own line
+    p.write_text("\n2,2\n", encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q)]) == 2
+    assert f"{p}:2: header must look like" in capsys.readouterr().err
+
+
+def test_bench_reads_its_windows_from_a_file(tmp_path, capsys):
+    q, out = tmp_path / "q.csv", tmp_path / "b.csv"
+    q.write_text("0,100,0,100\n\n5,9,200,255\n", encoding="ascii")
+    args = ["bench", "--n", "50,80", "--k", "2", "--width", "2",
+            "--queries", str(q), "--out", str(out)]
+    assert run(args) == 0
+    lines = [ln for ln in read(out).splitlines() if not ln.startswith("#")]
+    rows = [r for r in csv.DictReader(lines) if r["phase"] == "query"]
+    for engine in ("threaded", "naive", "brute"):
+        for n in ("50", "80"):
+            assert [r["label"] for r in rows if r["engine"] == engine
+                    and r["n"] == n] == ["q0", "q1"]
+    # a window outside the universe [0, 256) names its line, and no
+    # report is written
+    out.unlink()
+    q.write_text("0,100,0,100\n0,256,0,10\n", encoding="ascii")
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"{q}:2:" in err and "outside" in err
+    assert not out.exists()

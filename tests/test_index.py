@@ -462,3 +462,53 @@ def test_group_trie_columns_have_no_spare_capacity():
     exact = sys.getsizeof([0] * len(trie.key))
     assert sys.getsizeof(trie.key) == exact
     assert sys.getsizeof(trie.value) == exact
+
+
+def level_one_size(idx):
+    idx.trees[1].size += 1
+
+
+def renamed_level_zero_key(idx):
+    # (8,) becomes (9,): still in order, but no point starts with 9
+    t0 = idx.trees[0]
+    t0.key[t0.last()] = (9,)
+
+
+def extra_level_zero_keys(idx):
+    t0 = idx.trees[0]
+    for x in (10, 11, 12):
+        t0.insert_after(t0.last(), (x,))
+
+
+def coordinate_past_bound(idx):
+    # the last point (8, 10) becomes (8, 16): still in order
+    t1 = idx.trees[1]
+    t1.key[t1.last()] = (8, 16)
+
+
+def last_level_cross_link(idx):
+    t1 = idx.trees[1]
+    t1.cross[t1.first()] = 1
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (level_one_size, "level 1: size 6 but structure holds 5 nodes"),
+    (renamed_level_zero_key, "level 0: keys differ from the prefix set"),
+    (extra_level_zero_keys, "level 0: larger than level 1"),
+    (coordinate_past_bound, "level 1: coordinate 16 out of range"),
+    (last_level_cross_link, "last level: node (2, 2) has a cross link"),
+])
+def test_validate_reports_each_corruption(corrupt, message):
+    idx = KdPointIndex.from_points(2, 16, FIVE)
+    assert idx.validate() == []
+    corrupt(idx)
+    assert any(message in v for v in idx.validate()), idx.validate()
+
+
+def test_validate_reports_a_group_trie_violation():
+    idx = KdPointIndex.from_points(2, 16, [(0, y) for y in range(T + 1)])
+    t1 = idx.trees[1]
+    t1.trie[t1.first()].up[0] = 5
+    assert any(v.startswith(f"level 1: group (0,) of {T + 1} trie: ")
+               and v.endswith("node 0: up is 5, expected None")
+               for v in idx.validate()), idx.validate()

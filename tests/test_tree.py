@@ -289,3 +289,77 @@ def test_inorder_raises_after_a_change(change):
         t.delete_node(handles[8])
     with pytest.raises(RuntimeError):
         next(it)
+
+
+def seven():
+    """A perfect 7-node tree over (1,) .. (7,), root (4,), and its handles
+    by value."""
+    t, handles, _ = build_sequential(range(1, 8))
+    return t, handles
+
+
+def dummy_key(t, hs):
+    t.key[DUMMY] = ()
+
+
+def dummy_right_thread(t, hs):
+    t.thread[1][DUMMY] = 1
+
+
+def dummy_root_thread(t, hs):
+    t.thread[0][DUMMY] = 1
+
+
+def dead_child(t, hs):
+    # node 2's left child link aims past the arena
+    t.link[0][hs[2]] = len(t.key)
+
+
+def wrong_parent(t, hs):
+    t.parent[hs[1]] = hs[3]
+
+
+def cut_right_subtree(t, hs):
+    # the root's right slot becomes a thread: its left subtree is two
+    # levels taller than what is left on the right
+    t.thread[1][t.root] = 1
+
+
+def size_plus_one(t, hs):
+    t.size += 1
+
+
+def wrong_left_thread(t, hs):
+    # node 5's left thread should reach 4; the successor walk never reads it
+    t.link[0][hs[5]] = hs[2]
+
+
+def size_one(t, hs):
+    # seven nodes of height 3 under a size that allows 1.45 * log2(3)
+    t.size = 1
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (dummy_key, "dummy: key is not empty"),
+    (dummy_right_thread, "dummy: right slot must be a child link to itself"),
+    (dummy_root_thread, "dummy: nonempty tree lacks a root child link"),
+    (dead_child, "repeated or dead handle in structure"),
+    (wrong_parent, "parent is"),
+    (cut_right_subtree, "subtree heights differ by 2"),
+    (size_plus_one, "size 8 but structure holds 7 nodes"),
+    (wrong_left_thread, "predecessor walk disagrees with recursive inorder"),
+    (wrong_left_thread, "left thread ->"),
+    (size_one, "exceeds balance bound"),
+])
+def test_validate_reports_each_corruption(corrupt, message):
+    t, hs = seven()
+    assert t.validate() == []
+    corrupt(t, hs)
+    assert any(message in v for v in t.validate()), t.validate()
+
+
+def test_validate_reports_an_empty_tree_with_a_root_link():
+    t = ThreadedAvlTree()
+    t.thread[0][DUMMY] = 0
+    assert t.validate() == [
+        "dummy: empty tree must thread its root slot to itself"]

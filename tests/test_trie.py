@@ -1,6 +1,7 @@
 import bisect
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,3 +363,39 @@ def test_from_sorted_rejects_out_of_range_keys():
         ThreadedTrie.from_sorted(4, 2, [(3, None), (16, None)])
     with pytest.raises(ValueError):
         ThreadedTrie.from_sorted(4, 2, [(-1, None), (3, None)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, None, "5"])
+def test_bad_keys_raise_value_error_and_are_not_stored(bad):
+    t = ThreadedTrie(16, 2)
+    t.insert(3, "a")
+    for call in (lambda: t.insert(bad, "x"), lambda: t.find(bad),
+                 lambda: t.delete(bad)):
+        with pytest.raises(ValueError):
+            call()
+    if bad is not True:
+        # a probe is only checked when the descent fails on it
+        with pytest.raises(ValueError):
+            t.succ_geq(bad)
+    assert t.validate() == [] and list(t.items()) == [(3, "a")]
+
+
+def test_int_like_keys_and_shape_are_stored_as_ints():
+    t = ThreadedTrie(np.int64(16), np.int64(2))
+    assert type(t.radix) is int and type(t.width) is int
+    assert type(t.capacity) is int and t.capacity == 256
+    t.insert(np.int64(5), "x")
+    assert [type(k) for k in t.keys()] == [int] and t.validate() == []
+    assert t.find(np.int64(5)).value == "x"
+    assert t.succ_geq(np.int64(4)).key == 5
+    assert t.delete(np.int64(5)).key == 5 and len(t) == 0
+    built = ThreadedTrie.from_sorted(16, 2, [(np.int64(3), "a"), (7, "b")])
+    assert [type(k) for k in built.keys()] == [int, int]
+    assert built.validate() == []
+
+
+@pytest.mark.parametrize("radix,width", [(16.0, 2), (16, 2.0), (True, 2),
+                                         (16, True), ("16", 2)])
+def test_shape_follows_the_coordinate_rule(radix, width):
+    with pytest.raises(ValueError):
+        ThreadedTrie(radix, width)

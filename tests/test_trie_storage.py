@@ -174,3 +174,62 @@ def test_column_build_matches_pair_build(radix, width):
             assert getattr(col, name) == getattr(pairs, name), name
         for k, v in zip(ks, values):
             assert col.find(k) == v
+
+
+def two_keys():
+    """A radix-10, width-2 trie holding 11 and 12: root slot 1 holds node
+    1, whose slots 1 and 2 hold the entries; root slots 2 to 9 thread to
+    None."""
+    t = ThreadedTrie(10, 2)
+    t.insert(11, "a")
+    t.insert(12, "b")
+    assert t.validate() == [] and t.slots[1] == 1
+    return t
+
+
+def one_key(t):
+    # root slot 0 holds key 5's entry; slot 1 is made valid by the caller
+    t.insert(5, "x")
+    t.valid[1] = 1
+    return t
+
+
+def extra_flag(t):
+    t.valid += b"\0"
+
+
+def node_in_bottom_slot(t):
+    t.slots[12] = 1
+
+
+def bad_ref(t):
+    one_key(t)
+    t.slots[1] = 7
+
+
+def entry_twice(t):
+    one_key(t)
+    t.slots[1] = t.slots[0]
+
+
+def wrong_up(t):
+    t.up[1] = 0
+
+
+def wrong_thread(t):
+    t.slots[5] = 1
+
+
+@pytest.mark.parametrize("make,corrupt,message", [
+    (two_keys, extra_flag, "columns disagree"),
+    (two_keys, node_in_bottom_slot, "bottom slot 12: not an entry"),
+    (lambda: ThreadedTrie(10, 3), bad_ref,
+     "slot for prefix 1 at depth 0: not a node or an entry"),
+    (lambda: ThreadedTrie(10, 2), entry_twice, "entry 0 reached twice"),
+    (two_keys, wrong_up, "node 1: up is 0, expected None"),
+    (two_keys, wrong_thread, "node 0: slot 5 threads to 1, expected None"),
+])
+def test_validate_reports_each_corruption(make, corrupt, message):
+    t = make()
+    corrupt(t)
+    assert any(message in v for v in t.validate()), t.validate()
