@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import random
 import statistics
 import sys
@@ -54,17 +55,31 @@ def _output(path: str):
         raise CliParseError(f"{path}: {e}") from None
 
 
-def write_points(path: str, k: int, bound: int, pts) -> None:
-    with _output(path) as f:
-        f.write(f"# k={k} bound={bound}\n")
-        for p in pts:
-            f.write(",".join(str(c) for c in p) + "\n")
+def _outputs(paths: Sequence[str]) -> list:
+    """Each of ``paths`` opened for writing, or none of them: when one
+    cannot be opened, the files opened before it are closed and removed,
+    so a command that fails there leaves no output behind."""
+    files: list = []
+    try:
+        for path in paths:
+            files.append(_output(path))
+    except CliParseError:
+        for f in files:
+            f.close()
+            os.remove(f.name)
+        raise
+    return files
 
 
-def write_windows(path: str, windows) -> None:
-    with _output(path) as f:
-        for w in windows:
-            f.write(",".join(f"{lo},{hi}" for lo, hi in w) + "\n")
+def write_points(f, k: int, bound: int, pts) -> None:
+    f.write(f"# k={k} bound={bound}\n")
+    for p in pts:
+        f.write(",".join(str(c) for c in p) + "\n")
+
+
+def write_windows(f, windows) -> None:
+    for w in windows:
+        f.write(",".join(f"{lo},{hi}" for lo, hi in w) + "\n")
 
 
 def _data_rows(path: str):
@@ -200,12 +215,17 @@ def cmd_generate(args) -> int:
     if args.n < 0:
         raise CliParseError("--n must be >= 0")
     pts = make_points(args.n, args.k, bound, args.dist, args.seed)
+    paths = [args.out]
     if args.queries:
-        # written first, so a --queries path that cannot be opened leaves
-        # no points file
         windows = random_windows(100, args.k, bound, args.seed + 1)
-        write_windows(args.queries, windows)
-    write_points(args.out, args.k, bound, pts)
+        paths.append(args.queries)
+    # both opened before either is written, so a path that cannot be
+    # opened leaves neither file
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(f) for f in _outputs(paths)]
+        write_points(files[0], args.k, bound, pts)
+        if args.queries:
+            write_windows(files[1], windows)
     print(f"wrote {len(pts)} points (k={args.k}, bound={bound}, "
           f"dist={args.dist}) to {args.out}")
     if args.queries:

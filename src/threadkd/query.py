@@ -11,6 +11,12 @@ group trie or, in a group of at most ``T`` members that keeps a count
 instead, from a walk over at most ``T`` threads.  The members on the
 last level are the answer.
 
+The walk makes no call per member.  It takes each inorder step itself
+from the tree's ``link`` and ``thread`` columns, as ``in_succ`` would:
+the right slot, then left slots down while the right slot is a child
+link.  It keeps what the caller uses: a member's cross link on an inner
+level, its key on the last one, so no level builds a second list.
+
 They come out in lexicographic order: a level's groups are walked in
 the order of the members above that chose them, each group's members in
 inorder, and a group holds exactly the keys that extend its parent's, so
@@ -21,8 +27,10 @@ node whose range test runs counts one tree visit (candidates plus the
 probe that ends a group walk); reading a group minimum through its
 cross link is part of the link follow, not a visit; successor lookups
 are tracked separately as trie work, one lookup each, whether a trie or
-a small group's walk answers it.  A query counts exactly what walking
-the groups one recursive call at a time would.
+a small group's walk answers it; every slot an inorder step follows
+counts one thread, as ``in_succ`` counts it.  Each level sums its counts
+in locals and adds them to the stats once.  A query counts exactly what
+walking the groups one recursive call at a time would.
 """
 
 from __future__ import annotations
@@ -75,25 +83,32 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     probe visit, or at the end of the level.  A group whose minimum
     exceeds hi is rejected on that probe alone, without a lookup.
     """
-    return _level_members(index, level, [group_first], lo, hi, stats)
+    # range(n)[h] is h itself: the walk reports the handles
+    handles = range(len(index.trees[level].key))
+    return _level_members(index, level, [group_first], lo, hi, handles,
+                          stats)
 
 
 def _level_members(index: KdPointIndex, level: int, groups: list[int],
-                   lo: int, hi: int,
-                   stats: Optional[VisitStats]) -> list[int]:
+                   lo: int, hi: int, column: Sequence,
+                   stats: Optional[VisitStats]) -> list:
     """``level_candidates`` over every group in ``groups``, given by their
-    first nodes: the members in [lo, hi], group after group."""
+    first nodes: ``column[h]`` for each member ``h`` in [lo, hi], group
+    after group.  Inorder steps are taken inline, from the tree's link
+    and thread columns; the counts are summed in locals and added to
+    ``stats`` once.
+    """
     tree = index.trees[level]
     key, tries = tree.key, tree.trie
-    # bound per call, not at import, so a wrapper set on the class applies
-    in_succ = tree.in_succ
-    out: list[int] = []
+    left, right = tree.link
+    lthread, rthread = tree.thread
+    out: list = []
     append = out.append
-    visited = lookups = 0
+    probes = lookups = descents = 0
     for first in groups:
         m = key[first][level]
         if m > hi:
-            visited += 1
+            probes += 1
             continue
         if m >= lo:
             start = first
@@ -106,14 +121,21 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
                 # None past the group maximum; no handle is DUMMY, 0
                 start = marker.succ_geq(lo, stats) or DUMMY
         h = start
-        while h != DUMMY:
-            visited += 1
+        while h:    # DUMMY, 0, ends the level
             if key[h][level] > hi or (tries[h] is not None and h != start):
+                probes += 1
                 break
-            append(h)
-            h = in_succ(h, stats)
+            append(column[h])
+            q = right[h]
+            if not rthread[h]:
+                while not lthread[q]:
+                    q = left[q]
+                    descents += 1
+            h = q
     if stats is not None:
-        stats.tree_nodes_visited += visited
+        members = len(out)
+        stats.tree_nodes_visited += members + probes
+        stats.threads_followed += members + descents
         stats.trie_lookups += lookups
     return out
 
@@ -136,12 +158,13 @@ def window_query(index: KdPointIndex, window: Sequence[Sequence[int]],
     groups = [index.above[0].cross[HEAD]]
     last = index.k - 1
     for level, (lo, hi) in enumerate(w):
-        hs = _level_members(index, level, groups, lo, hi, st)
-        cands[level] += len(hs)
         tree = index.trees[level]
+        # the last level's members are the answer; each inner member's
+        # cross link is the first node of a group one level down
+        column = tree.key if level == last else tree.cross
+        got = _level_members(index, level, groups, lo, hi, column, st)
+        cands[level] += len(got)
         if level == last:
-            key = tree.key
-            return [key[h] for h in hs], st
-        st.cross_links_followed += len(hs)
-        cross = tree.cross
-        groups = [cross[h] for h in hs]
+            return got, st
+        st.cross_links_followed += len(got)
+        groups = got

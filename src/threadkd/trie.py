@@ -352,39 +352,53 @@ class ThreadedTrie:
         thread lands on the subtree holding the answer, or the first
         entry, which answers itself if its key is large enough and
         otherwise leaves the answer to the ref after its slot.  What
-        the descent lands on is resolved by smallest valid slots.  Keys
-        past the capacity have no successor; negative keys clamp to
-        zero.  A probe is never stored: one in [0, capacity) that is
-        not an integer raises ValueError when the descent reads its
-        first digit.
+        the descent lands on is resolved by smallest valid slots, in the
+        same frame.  Keys past the capacity have no successor; negative
+        keys clamp to zero.  A probe is never stored, and one that is not
+        an integer raises ValueError: on an empty trie or outside
+        [0, capacity) before it is answered, and inside that range when
+        the descent reads its first digit.
         """
-        if stats is not None:
-            stats.trie_lookups += 1
+        visited = 0
         try:
             if self.size == 0 or key >= self.capacity:
-                return None
-            key = max(key, 0)
-            r, slots, valid = self.radix, self.slots, self.valid
-            node = 0
-            for p in self._pow:
-                if stats is not None:
-                    stats.trie_nodes_visited += 1
-                d = key // p % r
-                i = node * r + d
-                if not valid[i]:
-                    return self._result(self._resolve(slots[i], stats))
-                ref = slots[i]
-                if ref < 0:
-                    if self.key[~ref] >= key:
-                        return self._result(ref)
-                    nxt = slots[i + 1] if d < r - 1 else self.up[node]
-                    return self._result(self._resolve(nxt, stats))
-                node = ref
+                as_coordinate(key, "key")
+                ref = None
+            else:
+                if key < 0:
+                    as_coordinate(key, "key")
+                    key = 0
+                r, slots, valid = self.radix, self.slots, self.valid
+                node = 0
+                for p in self._pow:
+                    visited += 1
+                    d = key // p % r
+                    i = node * r + d
+                    ref = slots[i]
+                    if not valid[i]:
+                        break
+                    if ref < 0:
+                        # the only key under this prefix
+                        if self.key[~ref] < key:
+                            ref = slots[i + 1] if d < r - 1 else self.up[node]
+                        break
+                    node = ref
+                # the bottom level holds only entries, so the loop broke;
+                # a node's slot 0 holds its smallest valid ref or threads
+                # to it
+                if ref is not None:
+                    while ref >= 0:
+                        visited += 1
+                        ref = slots[ref * r]
         except TypeError:
-            # only a failed lookup checks its probe, so the lookups that
+            # only a failed descent checks its probe, so the lookups that
             # succeed pay nothing for the check
             as_coordinate(key, "key")
             raise
+        if stats is not None:
+            stats.trie_lookups += 1
+            stats.trie_nodes_visited += visited
+        return self._result(ref)
 
     def _resolve(self, ref, stats: Optional[VisitStats]):
         # follow smallest valid slots down to the entry the thread promises;

@@ -268,6 +268,16 @@ def test_generate_queries_that_cannot_be_opened_write_no_points(tmp_path,
     assert not p.exists()
 
 
+def test_generate_points_that_cannot_be_opened_write_no_queries(tmp_path,
+                                                                capsys):
+    missing = tmp_path / "missing" / "p.csv"
+    q = tmp_path / "q.csv"
+    assert run(["generate", "--n", "5", "--out", str(missing),
+                "--queries", str(q)]) == 2
+    assert f"error: {missing}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_header_after_blank_lines(tmp_path, capsys):
     p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
     p.write_text("\n  \n" + FIVE_CSV.replace("\n", "\n# note\n", 1),

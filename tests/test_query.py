@@ -11,6 +11,8 @@ from threadkd.index import HEAD, KdPointIndex
 from threadkd.query import (WindowError, check_window, level_candidates,
                             window_query)
 from threadkd.stats import VisitStats
+from threadkd.tree import DUMMY, ThreadedAvlTree
+from threadkd.trie import ThreadedTrie, ValueTrie
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
@@ -305,3 +307,131 @@ def test_emptied_index_window_counts_nothing():
         assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
         assert st_.total_touches() == 0
         assert st_.per_level_candidates == [0, 0, 0]
+
+
+def reference_members(idx, level, first, lo, hi, st_):
+    """One group's members in [lo, hi], stepped with ``tree.in_succ`` and
+    looked up with the trie's ``succ_geq``; a group that keeps a count is
+    searched member by member, one trie node and at most ``T`` threads per
+    read, as the index documents it."""
+    tree = idx.trees[level]
+    key, marker = tree.key, tree.trie[first]
+    if key[first][level] > hi:
+        st_.tree_nodes_visited += 1
+        return []
+    if key[first][level] >= lo:
+        start = first
+    elif type(marker) is int:
+        st_.trie_lookups += 1
+        start, left = first, marker
+        while True:
+            st_.trie_nodes_visited += 1
+            if key[start][level] >= lo:
+                break
+            left -= 1
+            if left == 0:
+                start = DUMMY
+                break
+            start = tree.in_succ(start, st_)
+    else:
+        start = marker.succ_geq(lo, st_) or DUMMY
+    out, h = [], start
+    while h != DUMMY:
+        st_.tree_nodes_visited += 1
+        if key[h][level] > hi or (h != start and tree.trie[h] is not None):
+            break
+        out.append(h)
+        h = tree.in_succ(h, st_)
+    return out
+
+
+def reference_query(idx, w, st_):
+    cands = st_.per_level_candidates
+    cands.extend([0] * (idx.k - len(cands)))
+    if not len(idx):
+        return []
+    groups = [idx.above[0].cross[HEAD]]
+    for level, (lo, hi) in enumerate(w):
+        hs = [h for first in groups
+              for h in reference_members(idx, level, first, lo, hi, st_)]
+        cands[level] += len(hs)
+        if level == idx.k - 1:
+            return [idx.trees[level].key[h] for h in hs]
+        st_.cross_links_followed += len(hs)
+        groups = [idx.trees[level].cross[h] for h in hs]
+
+
+def assert_same_as_reference(idx, rng, windows=30):
+    for _ in range(windows):
+        w = random_window(rng, idx.k, idx.bound)
+        ref = VisitStats()
+        got, st_ = window_query(idx, w)
+        assert got == reference_query(idx, w, ref)
+        assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
+    # every group of every level, alone, through level_candidates
+    firsts = [[idx.above[0].cross[HEAD]]] if len(idx) else []
+    for level in range(idx.k - 1):
+        if firsts:
+            above = idx.trees[level]
+            firsts.append(sorted({above.cross[h] for h in above.inorder()}))
+    for level, groups in enumerate(firsts):
+        for first in groups:
+            a, b = sorted(rng.randrange(idx.bound) for _ in range(2))
+            ref, st_ = VisitStats(), VisitStats()
+            assert (level_candidates(idx, level, first, a, b, st_)
+                    == reference_members(idx, level, first, a, b, ref))
+            assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
+
+
+@pytest.mark.parametrize("k,bound", [(1, 32), (2, 24), (3, 12), (4, 16)])
+def test_level_walk_matches_in_succ_reference(k, bound):
+    rng = random.Random(7919 * k + bound)
+    pts = {tuple(rng.randrange(bound) for _ in range(k))
+           for _ in range(min(bound ** k // 2, 600))}
+    idx = KdPointIndex.from_points(k, bound, pts, radix=4)
+    assert_same_as_reference(idx, rng)
+    # updates move groups across T both ways, and finally empty the index
+    live = sorted(pts)
+    kinds = group_markers(idx)
+    for step in range(400):
+        if live and rng.random() < 0.5:
+            idx.delete(live.pop(rng.randrange(len(live))))
+        else:
+            p = tuple(rng.randrange(bound) for _ in range(k))
+            if idx.insert(p):
+                live.append(p)
+        if step % 50 == 0:
+            kinds |= group_markers(idx)
+            assert_same_as_reference(idx, rng, windows=8)
+    assert len(kinds) == 2
+    for p in live:
+        idx.delete(p)
+    assert len(idx) == 0
+    assert_same_as_reference(idx, rng, windows=5)
+
+
+def test_query_steps_without_in_succ(monkeypatch):
+    # every group, level 0's and each level-1 group, has more than T
+    # members, so each keeps a trie
+    pts = [(x, y) for x in range(0, 64, 4) for y in range(0, 64, 2)]
+    idx = KdPointIndex.from_points(2, 64, pts)
+    assert group_markers(idx) == {ValueTrie}
+    calls = {"in_succ": 0, "succ_geq": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ThreadedAvlTree, "in_succ",
+                        counted("in_succ", ThreadedAvlTree.in_succ))
+    monkeypatch.setattr(ThreadedTrie, "succ_geq",
+                        counted("succ_geq", ThreadedTrie.succ_geq))
+    st_ = VisitStats()
+    for w in ([(5, 40), (3, 50)], [(0, 63), (1, 62)], [(17, 17), (9, 9)]):
+        got, _ = window_query(idx, w, st_)
+        assert got == [p for p in pts if all(lo <= c <= hi for c, (lo, hi)
+                                             in zip(p, w))]
+    assert st_.trie_lookups > 0 and st_.threads_followed > 0
+    assert calls == {"in_succ": 0, "succ_geq": st_.trie_lookups}

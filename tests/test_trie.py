@@ -380,6 +380,43 @@ def test_bad_keys_raise_value_error_and_are_not_stored(bad):
     assert t.validate() == [] and list(t.items()) == [(3, "a")]
 
 
+def holding_three():
+    t = ThreadedTrie(16, 2)
+    t.insert(3, "a")
+    return t
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, "5", None])
+def test_empty_trie_rejects_a_non_integer_probe(bad):
+    t = ThreadedTrie(16, 2)
+    with pytest.raises(ValueError):
+        t.succ_geq(bad)
+    s = VisitStats()
+    assert t.succ_geq(7, s) is None
+    assert (s.trie_lookups, s.trie_nodes_visited) == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [256.0, 300.5, float("inf")])
+def test_probe_past_capacity_must_be_an_integer(bad):
+    t = holding_three()
+    with pytest.raises(ValueError):
+        t.succ_geq(bad)
+    s = VisitStats()
+    assert t.succ_geq(256, s) is None and t.succ_geq(np.int64(300), s) is None
+    assert (s.trie_lookups, s.trie_nodes_visited) == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [-0.5, -3.0, float("-inf")])
+def test_negative_probe_must_be_an_integer(bad):
+    t = holding_three()
+    with pytest.raises(ValueError):
+        t.succ_geq(bad)
+    s = VisitStats()
+    assert t.succ_geq(-5, s).key == 3 and t.succ_geq(np.int64(-1)).key == 3
+    assert s.trie_lookups == 1
+    assert t.validate() == [] and list(t.items()) == [(3, "a")]
+
+
 def test_int_like_keys_and_shape_are_stored_as_ints():
     t = ThreadedTrie(np.int64(16), np.int64(2))
     assert type(t.radix) is int and type(t.width) is int
