@@ -37,7 +37,11 @@ re-aiming cross links and markers when a group minimum goes away.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .stats import VisitStats
 from .tree import DUMMY, ThreadedAvlTree
@@ -63,22 +67,37 @@ def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
     Returns the group's last member whose level coordinate is below
     ``c`` (None when ``first``'s is not) and its first member at ``c``
     or above (DUMMY when none is).  Walks at most the count, so at most
-    ``T`` inorder threads; counted as trie work, one ``trie_nodes_visited``
-    per member read, as ``ThreadedTrie.find`` counts.  A caller that
-    stands in for ``succ_geq`` counts the ``trie_lookups`` itself.
+    ``T`` inorder threads, stepping as ``_level_members`` does, with no
+    call per member; counted as trie work, one ``trie_nodes_visited``
+    per member read, as ``ThreadedTrie.find`` counts, and each step's
+    threads as ``in_succ`` counts them.  A caller that stands in for
+    ``succ_geq`` counts the ``trie_lookups`` itself.
     """
     key = tree.key
     n = tree.trie[first]
     prev, h = None, first
-    while True:
-        if stats is not None:
-            stats.trie_nodes_visited += 1
-        if key[h][i] >= c:
-            return prev, h
+    visited, threads = 1, 0
+    while key[h][i] < c:
         n -= 1
         if n == 0:
-            return h, DUMMY
-        prev, h = h, tree.in_succ(h, stats)
+            prev, h = h, DUMMY
+            break
+        # the columns are read per step, not bound up front: most walks,
+        # in groups of one member, end before their first step
+        q = tree.link[1][h]
+        threads += 1
+        if not tree.thread[1][h]:
+            left, lthread = tree.link[0], tree.thread[0]
+            while not lthread[q]:
+                q = left[q]
+                threads += 1
+        prev, h = h, q
+        visited += 1
+    if stats is not None:
+        stats.trie_nodes_visited += visited
+        if threads:
+            stats.threads_followed += threads
+    return prev, h
 
 
 class KdPointIndex:
@@ -129,55 +148,71 @@ class KdPointIndex:
                     radix: int = 16, width: Optional[int] = None) -> "KdPointIndex":
         """Index holding ``points``; duplicates are dropped.
 
-        Bulk load: the checked points are sorted once, one pass derives
-        every level's distinct prefixes and group starts, and each level's
-        tree and group markers are then built directly from sorted runs:
-        a run of ``T`` or fewer members gets its count, a longer one a trie.
-        Level i's g-th group (from 1) hangs under handle g one level up:
-        level i-1's g-th key or, for level 0's one group, the header's
-        ``HEAD``.  The trees come out perfectly balanced, so the
-        shape-dependent counters (``threads_followed``; for later updates also
-        ``rotations`` and ``tree_nodes_visited``) can differ from an index
-        built by ``insert``; points, markers, cross links, query results and
-        the other query counters are the same.
+        Bulk load, a column at a time.  The checked points go into one
+        numpy array, ``int64`` when ``bound <= 2**63`` and ``object``
+        above (lexsort and ``!=`` work on either), which one ``lexsort``
+        orders; a row equal to the one before it is dropped, so the first
+        of equal points stays, as a set would keep it.  The first
+        coordinate ``j`` where each point differs from the previous one
+        (-1 for the first point) gives every level: level i's keys are the
+        (i+1)-prefixes of the points with ``j <= i``, and its groups start
+        at those with ``j < i``.  The last level holds the checked tuples
+        themselves and each inner level slices them, so the levels share
+        their coordinate ints.  Each level's tree comes from
+        ``ThreadedAvlTree.from_sorted`` and its group markers are written
+        as one column: a group of ``T`` or fewer members gets its count,
+        a longer one a trie.  Level i's g-th group (from 1) hangs under
+        handle g one level up: level i-1's g-th key or, for level 0's one
+        group, the header's ``HEAD``.  The trees come out perfectly
+        balanced, so the shape-dependent counters (``threads_followed``;
+        for later updates also ``rotations`` and ``tree_nodes_visited``)
+        can differ from an index built by ``insert``; points, markers,
+        cross links, query results and the other query counters are the
+        same.
         """
         idx = cls(k, bound, radix, width)
-        pts = sorted({idx._check_point(p) for p in points})
+        pts = [idx._check_point(p) for p in points]
         if not pts:
             return idx
-        # keys[i]: level i's distinct prefixes in order; starts[i]: the key
-        # index of each level-i group's first member, one group per level
-        # i-1 key.  p opens a group on every level below the first
-        # coordinate where it differs from the previous point.
-        keys: list[list[tuple]] = [[] for _ in range(k)]
-        starts: list[list[int]] = [[0]] + [[] for _ in range(k - 1)]
-        prev = (-1,) * k
-        for p in pts:
-            j = 0
-            while p[j] == prev[j]:
-                j += 1
-            keys[j].append(p[:j + 1])
-            for i in range(j + 1, k):
-                starts[i].append(len(keys[i]))
-                keys[i].append(p[:i + 1])
-            prev = p
+        n = len(pts)
+        dtype = np.int64 if bound <= 2 ** 63 else object
+        rows = np.fromiter(chain.from_iterable(pts), dtype, n * k)
+        rows = rows.reshape(n, k)
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        # j: the first coordinate where a sorted row differs from the one
+        # before it; -1 for the first row, k for a repeat
+        differs = rows[1:] != rows[:-1]
+        j = np.concatenate(([-1], np.where(differs.any(1),
+                                          differs.argmax(1), k)))
+        keep = j < k
+        j = j[keep]
+        pts = list(map(pts.__getitem__, order[keep].tolist()))
         handles = list(range(len(pts) + 2))
-        idx.trees = [ThreadedAvlTree.from_sorted(level, handles)
-                     for level in keys]
+        above = idx.above[0]
+        for i in range(k):
+            opens = j <= i
+            level = (pts if i == k - 1 else
+                     list(map(itemgetter(slice(0, i + 1)),
+                              compress(pts, opens.tolist()))))
+            tree = ThreadedAvlTree.from_sorted(level, handles)
+            idx.trees[i] = tree
+            starts = np.flatnonzero(j[opens] < i)
+            sizes = np.diff(starts, append=len(level))
+            markers = np.full(len(level) + 1, None, object)
+            markers[starts + 1] = sizes
+            # a trie keeps its two columns as given, so they are slices,
+            # made at their final length
+            coords = list(map(itemgetter(i), level))
+            long = sizes > T
+            for s, e in zip(starts[long].tolist(),
+                            (starts + sizes)[long].tolist()):
+                markers[s + 1] = ValueTrie.from_columns(
+                    idx.radix, idx.width, coords[s:e], handles[s + 1:e + 1])
+            tree.trie[:] = markers.tolist()
+            above.cross[1:] = map(handles.__getitem__, (starts + 1).tolist())
+            above = tree
         idx.above[1:] = idx.trees[:-1]
-        for i, tree in enumerate(idx.trees):
-            above = idx.above[i].cross
-            coords = [key[i] for key in keys[i]]
-            ends = starts[i][1:] + [len(coords)]
-            for g, (s, e) in enumerate(zip(starts[i], ends), 1):
-                first = handles[s + 1]
-                if e - s > T:
-                    tree.trie[first] = ValueTrie.from_columns(
-                        idx.radix, idx.width, coords[s:e],
-                        handles[s + 1:e + 1])
-                else:
-                    tree.trie[first] = e - s
-                above[g] = first
         return idx
 
     def __len__(self) -> int:
@@ -241,10 +276,21 @@ class KdPointIndex:
         spare list capacity."""
         tree = self.trees[i]
         key = tree.key
+        left, right = tree.link
+        lthread, rthread = tree.thread
         coords, handles = [key[first][i]] * n, [first] * n
+        h = first
+        descents = 0
         for a in range(1, n):
-            h = handles[a] = tree.in_succ(handles[a - 1], stats)
+            q = right[h]
+            if not rthread[h]:
+                while not lthread[q]:
+                    q = left[q]
+                    descents += 1
+            h = handles[a] = q
             coords[a] = key[h][i]
+        if stats is not None:
+            stats.threads_followed += n - 1 + descents
         return ValueTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple,

@@ -22,13 +22,15 @@ searching by key; callers locate positions through external structures.
 Deletion relocates the inorder successor into the removed node's place
 instead of copying keys, so surviving handles stay valid for any outside
 references held to them.  ``from_sorted`` builds a perfectly balanced
-tree from sorted keys in one pass.
+tree from sorted keys, linking one depth at a time on numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .stats import VisitStats
 
@@ -86,29 +88,6 @@ class TreeNode:
     trie = _cell("trie")
 
 
-def _link_balanced(t: "ThreadedAvlTree", handles: Sequence[int], lo: int,
-                   hi: int, up: int) -> tuple[int, int]:
-    """Link the cells of keys[lo:hi] (handles lo+1 .. hi) as a perfectly
-    balanced subtree under ``up``; returns its root and height."""
-    mid = (lo + hi) >> 1
-    h = handles[mid + 1]
-    t.parent[h] = up
-    left, right = t.link
-    hl = hr = 0
-    if lo < mid:
-        left[h], hl = _link_balanced(t, handles, lo, mid, h)
-        t.thread[0][h] = 0
-    else:
-        left[h] = handles[mid]
-    if mid + 1 < hi:
-        right[h], hr = _link_balanced(t, handles, mid + 1, hi, h)
-        t.thread[1][h] = 0
-    else:
-        right[h] = handles[mid + 2]
-    t.balance[h] = hr - hl
-    return h, max(hl, hr) + 1
-
-
 class ThreadedAvlTree:
     """AVL tree over tuple keys with threads replacing empty child slots.
 
@@ -141,10 +120,15 @@ class ThreadedAvlTree:
                     handles: Optional[Sequence[int]] = None) -> "ThreadedAvlTree":
         """Perfectly balanced tree over strictly increasing ``keys``, in O(n).
 
-        ``keys[j]`` gets handle ``j + 1``.  Midpoint recursion links the
-        children; an empty left slot threads to handle ``j``, an empty
-        right slot to ``j + 2`` (DUMMY after the last key).  Key order is
-        not checked here; ``validate()`` reports a violation.
+        ``keys[j]`` gets handle ``j + 1``.  The subtree over keys[lo:hi]
+        has its root at the midpoint, handle ``(lo + hi) // 2 + 1``; an
+        empty left slot threads to handle ``j``, an empty right slot to
+        ``j + 2`` (DUMMY after the last key).  The links are set one depth
+        at a time, on numpy arrays of every (lo, hi) range at that depth,
+        with no call per node.  A range of s keys is bit_length(s) high,
+        so a node's balance is the difference of its two sides' bit
+        lengths.  Key order is not checked here; ``validate()`` reports a
+        violation.
 
         Every link is taken from ``handles``, where ``handles[j] == j`` for
         each j up to ``len(keys) + 1``, so each handle is one int object;
@@ -157,9 +141,38 @@ class ThreadedAvlTree:
         if handles is None:
             handles = list(range(n + 2))
         tree._grow(keys)
-        tree.link[0][DUMMY], _ = _link_balanced(tree, handles, 0, n, DUMMY)
+        # columns indexed by handle; row 0, the dummy's, is not written
+        link = np.zeros((2, n + 1), np.int64)
+        thread = np.zeros((2, n + 1), np.uint8)
+        parent = np.zeros(n + 1, np.int64)
+        balance = np.zeros(n + 1, np.int64)
+        lo = np.zeros(1, np.int64)
+        hi = np.full(1, n, np.int64)
+        up = np.zeros(1, np.int64)
+        while lo.size:
+            mid = (lo + hi) >> 1
+            h = mid + 1
+            parent[h] = up
+            # side d's subtree is keys[a:b]; an empty one leaves a thread
+            # to the inorder neighbour, handle mid or mid + 2
+            below = []
+            for d, (a, b) in enumerate(((lo, mid), (h, hi))):
+                has = a < b
+                link[d, h] = np.where(has, ((a + b) >> 1) + 1, mid + 2 * d)
+                thread[d, h] = ~has
+                below.append((a[has], b[has], h[has]))
+            # frexp's exponent of a size is its bit length
+            balance[h] = np.frexp(hi - h)[1] - np.frexp(mid - lo)[1]
+            lo, hi, up = map(np.concatenate, zip(*below))
+        link[1, n] = DUMMY
+        get = handles.__getitem__
+        for d in (0, 1):
+            tree.link[d][1:] = map(get, link[d, 1:].tolist())
+            tree.thread[d][1:] = thread[d, 1:].tobytes()
+        tree.parent[1:] = map(get, parent[1:].tolist())
+        tree.balance[1:] = balance[1:].tolist()
+        tree.link[0][DUMMY] = get((n >> 1) + 1)
         tree.thread[0][DUMMY] = 0
-        tree.link[1][n] = DUMMY
         tree.size = n
         return tree
 

@@ -355,13 +355,13 @@ class ThreadedTrie:
         the descent lands on is resolved by smallest valid slots, in the
         same frame.  Keys past the capacity have no successor; negative
         keys clamp to zero.  A probe is never stored, and one that is not
-        an integer raises ValueError: on an empty trie or outside
-        [0, capacity) before it is answered, and inside that range when
-        the descent reads its first digit.
+        an integer raises ValueError: a bool, or any probe on an empty
+        trie or outside [0, capacity), before it is answered, and inside
+        that range when the descent reads its first digit.
         """
         visited = 0
         try:
-            if self.size == 0 or key >= self.capacity:
+            if self.size == 0 or key >= self.capacity or type(key) is bool:
                 as_coordinate(key, "key")
                 ref = None
             else:

@@ -422,6 +422,75 @@ def test_from_points_drops_duplicates():
     assert idx.validate() == []
 
 
+def insert_built(k, bound, pts):
+    idx = KdPointIndex(k, bound)
+    for p in pts:
+        idx.insert(p)
+    return idx
+
+
+def test_from_points_past_int64_matches_inserts():
+    # coordinates past 2**63 sort as an object array, on the same path
+    bound = 2 ** 70
+    rng = random.Random(70)
+    big = [bound - 1 - rng.randrange(2 ** 66) for _ in range(6)]
+    coords = big + [0, 5, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 1]
+    pts = [(rng.choice(coords), rng.choice(coords)) for _ in range(300)]
+    bulk = KdPointIndex.from_points(2, bound, pts)
+    built = insert_built(2, bound, pts)
+    assert list(bulk.points()) == list(built.points()) == sorted(set(pts))
+    assert snapshot(bulk) == snapshot(built)
+    assert bulk.validate() == []
+    for _ in range(20):
+        w = [tuple(sorted((rng.choice(coords), rng.choice(coords))))
+             for _ in range(2)]
+        assert window_query(bulk, w)[0] == window_query(built, w)[0]
+
+
+def test_from_points_one_dimension():
+    rng = random.Random(1)
+    pts = [(rng.randrange(300),) for _ in range(200)]
+    bulk = KdPointIndex.from_points(1, 300, pts)
+    assert list(bulk.points()) == sorted(set(pts))
+    assert snapshot(bulk) == snapshot(insert_built(1, 300, pts))
+    assert bulk.validate() == []
+
+
+@pytest.mark.parametrize("form", ["tuples", "lists", "array"])
+def test_from_points_shuffled_with_duplicates(form):
+    rng = random.Random(3)
+    pts = [tuple(rng.randrange(12) for _ in range(3)) for _ in range(400)]
+    pts += pts[::3]
+    rng.shuffle(pts)
+    given_pts = {"tuples": pts, "lists": [list(p) for p in pts],
+                 "array": np.array(pts, dtype=np.int64)}[form]
+    bulk = KdPointIndex.from_points(3, 12, given_pts)
+    assert list(bulk.points()) == sorted(set(pts))
+    assert snapshot(bulk) == snapshot(insert_built(3, 12, pts))
+    assert bulk.validate() == []
+    assert all(type(c) is int for t in bulk.trees for key in t.key[1:]
+               for c in key)
+
+
+def test_from_points_stores_the_callers_tuples():
+    # the last level keeps the first of equal tuples, as a set would, and
+    # the inner levels' prefixes share its coordinate ints
+    rng = random.Random(4)
+    pts = [(rng.randrange(1000, 1064), rng.randrange(4096))
+           for _ in range(2000)]
+    pts += [tuple(list(p)) for p in pts[:500]]
+    first = {}
+    for p in pts:
+        first.setdefault(p, p)
+    idx = KdPointIndex.from_points(2, 4096, pts)
+    t0, t1 = idx.trees
+    stored = [t1.key[h] for h in t1.inorder()]
+    assert stored == sorted(first)
+    assert all(p is first[p] for p in stored)
+    for h in t0.inorder():
+        assert t0.key[h][0] is t1.key[t0.cross[h]][0]
+
+
 def test_points_raises_when_the_index_changes():
     idx = KdPointIndex.from_points(2, 16, [(x, y) for x in range(8)
                                            for y in range(8)])
@@ -462,6 +531,18 @@ def test_group_trie_columns_have_no_spare_capacity():
     exact = sys.getsizeof([0] * len(trie.key))
     assert sys.getsizeof(trie.key) == exact
     assert sys.getsizeof(trie.value) == exact
+
+
+def test_bulk_loaded_trie_columns_have_no_spare_capacity():
+    # groups of T + 1 to 40 members, each with a trie
+    pts = [(x, y) for x in range(32) for y in range(T + 1 + x)]
+    idx = KdPointIndex.from_points(2, 64, pts)
+    tries = [m for m in idx.trees[1].trie if isinstance(m, ThreadedTrie)]
+    assert len(tries) == 32
+    for trie in tries:
+        exact = sys.getsizeof([0] * len(trie.key))
+        assert sys.getsizeof(trie.key) == exact
+        assert sys.getsizeof(trie.value) == exact
 
 
 def level_one_size(idx):

@@ -435,3 +435,55 @@ def test_query_steps_without_in_succ(monkeypatch):
                                              in zip(p, w))]
     assert st_.trie_lookups > 0 and st_.threads_followed > 0
     assert calls == {"in_succ": 0, "succ_geq": st_.trie_lookups}
+
+
+def test_count_groups_step_without_in_succ(monkeypatch):
+    # level 0 and every level-1 group have T = 8 members, so each keeps a
+    # count, and its lookups walk the members
+    pts = [(x, y) for x in range(0, 64, 8) for y in range(0, 64, 8)]
+    idx = KdPointIndex.from_points(2, 64, pts)
+    assert group_markers(idx) == {int}
+    t0, t1 = idx.trees
+    g = t0.cross[next(h for h in t0.inorder() if t0.key[h] == (16,))]
+    calls = {"in_succ": 0, "succ_geq": 0}
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            # the tree's own successor step in insert_after is not a walk
+            # of the index's
+            if not inside:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def marked(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(ThreadedAvlTree, "in_succ",
+                        counted("in_succ", ThreadedAvlTree.in_succ))
+    monkeypatch.setattr(ThreadedTrie, "succ_geq",
+                        counted("succ_geq", ThreadedTrie.succ_geq))
+    monkeypatch.setattr(ThreadedAvlTree, "insert_after",
+                        marked(ThreadedAvlTree.insert_after))
+    st_ = VisitStats()
+    for w in ([(5, 40), (3, 50)], [(0, 63), (1, 62)], [(17, 17), (9, 9)]):
+        got, _ = window_query(idx, w, st_)
+        assert got == [p for p in pts if all(lo <= c <= hi for c, (lo, hi)
+                                             in zip(p, w))]
+    assert st_.trie_lookups > 0 and st_.threads_followed > 0
+    assert calls == {"in_succ": 0, "succ_geq": 0}
+    # the ninth member of (16, *)'s group: its lookups walk the count, and
+    # the walk over the nine members builds the group's trie
+    st_ = VisitStats()
+    assert idx.insert((16, 5), st_)
+    assert isinstance(t1.trie[g], ValueTrie) and t1.trie[g].size == 9
+    assert st_.threads_followed > 0
+    assert calls == {"in_succ": 0, "succ_geq": 0}
+    assert idx.validate() == []

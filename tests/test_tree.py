@@ -267,6 +267,59 @@ def test_from_sorted_is_balanced(n):
     assert height(t) <= math.ceil(math.log2(n + 1))
 
 
+def midpoint_reference(n):
+    """Columns of the tree over n sorted keys by midpoint recursion, one
+    call per node: link, thread, parent and balance, indexed by handle."""
+    link = ([DUMMY] * (n + 1), [DUMMY] * (n + 1))
+    thread = ([1] * (n + 1), [1] * (n + 1))
+    parent = [DUMMY] * (n + 1)
+    balance = [0] * (n + 1)
+
+    def build(lo, hi, up):
+        """Link keys[lo:hi] under ``up``; returns its root and height."""
+        mid = (lo + hi) // 2
+        h = mid + 1
+        parent[h] = up
+        heights = [0, 0]
+        for d, (a, b) in enumerate(((lo, mid), (h, hi))):
+            if a < b:
+                link[d][h], heights[d] = build(a, b, h)
+                thread[d][h] = 0
+            else:
+                # a thread to the inorder neighbour
+                link[d][h] = mid + 2 * d
+        balance[h] = heights[1] - heights[0]
+        return h, max(heights) + 1
+
+    thread[1][DUMMY] = 0
+    if n:
+        link[0][DUMMY] = build(0, n, DUMMY)[0]
+        thread[0][DUMMY] = 0
+        link[1][n] = DUMMY
+    return link, thread, parent, balance
+
+
+def test_from_sorted_matches_midpoint_recursion():
+    for n in range(301):
+        handles = list(range(n + 2))
+        t = ThreadedAvlTree.from_sorted([(v,) for v in range(n)], handles)
+        link, thread, parent, balance = midpoint_reference(n)
+        for d in (0, 1):
+            assert t.link[d] == link[d], (n, d)
+            assert list(t.thread[d]) == thread[d], (n, d)
+        assert t.parent == parent, n
+        assert t.balance == balance, n
+        if n:
+            assert t.link[0][DUMMY] == t.root == (n >> 1) + 1
+            assert not t.thread[0][DUMMY]
+            assert t.link[1][n] == DUMMY and t.thread[1][n]
+        else:
+            assert t.root == DUMMY and t.thread[0][DUMMY]
+        # every link and parent is the caller's handle object
+        for col in (*t.link, t.parent):
+            assert all(h is handles[h] for h in col), n
+
+
 def test_from_sorted_tree_takes_updates():
     t = ThreadedAvlTree.from_sorted([(v,) for v in range(0, 40, 2)])
     for v in range(1, 40, 4):

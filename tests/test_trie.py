@@ -380,6 +380,19 @@ def test_bad_keys_raise_value_error_and_are_not_stored(bad):
     assert t.validate() == [] and list(t.items()) == [(3, "a")]
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_succ_geq_rejects_a_bool_probe(bad):
+    # on a trie holding keys, where the descent could index with it
+    t = ThreadedTrie(16, 2)
+    for key in (0, 1, 3, 200):
+        t.insert(key, key)
+    s = VisitStats()
+    with pytest.raises(ValueError, match="bool"):
+        t.succ_geq(bad, s)
+    assert (s.trie_lookups, s.trie_nodes_visited) == (0, 0)
+    assert t.succ_geq(int(bad)).key == int(bad)
+
+
 def holding_three():
     t = ThreadedTrie(16, 2)
     t.insert(3, "a")
