@@ -17,12 +17,24 @@ import numpy as np
 from .stats import VisitStats
 
 
+def points_array(points: Sequence[Sequence[int]]) -> np.ndarray:
+    """``points`` as an array: ``int64`` when every coordinate fits, and
+    ``object``, whose cells are Python ints, when one does not.  Points
+    in [0, bound) fit whenever ``bound <= 2**63``, the split
+    ``KdPointIndex.from_points`` makes."""
+    try:
+        return np.asarray(points, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(points, dtype=object)
+
+
 def brute_force_query(points: Sequence[Sequence[int]],
                       window: Sequence[Sequence[int]]) -> list[tuple]:
-    """Componentwise inclusive filter; returns sorted tuples."""
+    """Componentwise inclusive filter; returns sorted tuples.  ``points``
+    is a sequence of points or an array from ``points_array``."""
     if len(points) == 0:
         return []
-    arr = np.asarray(points, dtype=np.int64)
+    arr = points_array(points)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     mask = np.ones(len(arr), dtype=bool)

@@ -30,9 +30,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .baseline import NaiveKdTree, brute_force_query
+from .baseline import NaiveKdTree, brute_force_query, points_array
 from .index import KdPointIndex
 from .query import WindowError, check_window, window_query
 from .stats import VisitStats
@@ -100,6 +98,17 @@ def _data_rows(path: str):
             yield no, s
 
 
+def _number(field: str):
+    """A points file's field: the int it spells, kept exact, when its
+    float is finite, and otherwise its float; ValueError for a field
+    that is no number."""
+    x = float(field)
+    if math.isfinite(x):
+        with contextlib.suppress(ValueError):
+            return int(field)
+    return x
+
+
 def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
     """Returns (k, bound, points, mapping notes).
 
@@ -127,20 +136,21 @@ def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
     if k < 1 or bound < 1:
         raise CliParseError(f"{path}:{no}: k and bound must be positive")
 
-    raw: list[list[float]] = []
+    raw: list[list] = []
     for no, s in rows:
         parts = s.split(",")
         if len(parts) != k:
             raise CliParseError(f"{path}:{no}: expected {k} fields, got {len(parts)}")
         try:
-            row = [float(x) for x in parts]
+            row = [_number(x) for x in parts]
         except ValueError:
             raise CliParseError(f"{path}:{no}: non-numeric value") from None
         if not all(map(math.isfinite, row)):
             raise CliParseError(f"{path}:{no}: non-finite value")
         raw.append(row)
 
-    exact = all(v.is_integer() and 0 <= v < bound for row in raw for v in row)
+    exact = all((type(v) is int or v.is_integer()) and 0 <= v < bound
+                for row in raw for v in row)
     notes: list[str] = []
     if exact:
         pts = [tuple(int(v) for v in row) for row in raw]
@@ -237,7 +247,7 @@ def cmd_verify(args) -> int:
     k, bound, pts, notes = load_points(args.points)
     idx = _index(k, bound, pts, args.radix, args.width or None)
     windows = load_windows(args.queries, idx)
-    arr = np.asarray(pts, dtype=np.int64)
+    arr = points_array(pts)
 
     with _report(args.out) as out:
         out.write(f"# verify points={args.points} queries={args.queries} "
@@ -332,7 +342,7 @@ def cmd_bench(args) -> int:
         out.write(_COLUMNS + "\n")
         for n, pts in zip(sizes, drawn):
             # built once, so the brute column times the filter alone
-            arr = np.asarray(pts, dtype=np.int64)
+            arr = points_array(pts)
 
             # the last w points are inserted singly for the insert summary
             w = min(INSERT_WINDOW, n)

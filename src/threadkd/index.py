@@ -233,11 +233,10 @@ class KdPointIndex:
         if len(p) != self.k:
             raise ValueError(f"point has {len(p)} coordinates, expected {self.k}")
         for c in p:
-            if type(c) is not int:
-                # bools, non-integers and int-likes such as numpy.int64
-                return self._check_point(map(as_coordinate, p))
-            if not 0 <= c < self.bound:
-                raise ValueError(f"coordinate {c} outside [0, {self.bound})")
+            if type(c) is not int or not 0 <= c < self.bound:
+                # bools, non-integers, int-likes such as numpy.int64, and
+                # the coordinate out of range
+                return tuple(as_coordinate(c, bound=self.bound) for c in p)
         return p
 
     # -- group navigation ------------------------------------------------

@@ -66,17 +66,23 @@ from typing import Any, Iterator, Optional, Sequence
 from .stats import VisitStats
 
 
-def as_coordinate(c, what: str = "coordinate") -> int:
-    """``c`` as a plain int; ValueError for bools and non-integers.
+def as_coordinate(c, what: str = "coordinate",
+                  bound: Optional[int] = None) -> int:
+    """``c`` as a plain int; ValueError for bools and non-integers and,
+    when ``bound`` is given, for a value outside [0, bound).
 
     Int-like values such as ``numpy.int64`` pass through ``__index__``.
     """
-    if isinstance(c, bool):
-        raise ValueError(f"{what} {c!r} is a bool, not an integer")
-    try:
-        return operator.index(c)
-    except TypeError:
-        raise ValueError(f"{what} {c!r} is not an integer") from None
+    if type(c) is not int:
+        if isinstance(c, bool):
+            raise ValueError(f"{what} {c!r} is a bool, not an integer")
+        try:
+            c = operator.index(c)
+        except TypeError:
+            raise ValueError(f"{what} {c!r} is not an integer") from None
+    if bound is not None and not 0 <= c < bound:
+        raise ValueError(f"{what} {c} outside [0, {bound})")
+    return c
 
 
 class Entry:
@@ -208,8 +214,8 @@ class ThreadedTrie:
         """
         trie = cls(radix, width)
         if keys:
-            trie._check_key(keys[0])
-            trie._check_key(keys[-1])
+            as_coordinate(keys[0], "key", trie.capacity)
+            as_coordinate(keys[-1], "key", trie.capacity)
             trie.key, trie.value = keys, values
             trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
             trie.size = len(keys)
@@ -247,14 +253,6 @@ class ThreadedTrie:
 
     def __len__(self) -> int:
         return self.size
-
-    def _check_key(self, key) -> int:
-        """``key`` as a plain int in [0, capacity); ValueError otherwise."""
-        if type(key) is not int:
-            key = as_coordinate(key, "key")
-        if not 0 <= key < self.capacity:
-            raise ValueError(f"key {key} outside [0, {self.capacity})")
-        return key
 
     # -- cells -----------------------------------------------------------
 
@@ -331,7 +329,7 @@ class ThreadedTrie:
     # -- lookups ---------------------------------------------------------
 
     def find(self, key: int, stats: Optional[VisitStats] = None):
-        key = self._check_key(key)
+        key = as_coordinate(key, "key", self.capacity)
         r, slots, valid = self.radix, self.slots, self.valid
         node = 0
         for p in self._pow:
@@ -354,68 +352,54 @@ class ThreadedTrie:
         otherwise leaves the answer to the ref after its slot.  What
         the descent lands on is resolved by smallest valid slots, in the
         same frame.  Keys past the capacity have no successor; negative
-        keys clamp to zero.  A probe is never stored, and one that is not
-        an integer raises ValueError: a bool, or any probe on an empty
-        trie or outside [0, capacity), before it is answered, and inside
-        that range when the descent reads its first digit.
+        keys clamp to zero.  A probe that ``as_coordinate`` rejects raises
+        ValueError before it is answered, and writes no counter.
         """
+        if type(key) is not int:
+            key = as_coordinate(key, "key")
         visited = 0
-        try:
-            if self.size == 0 or key >= self.capacity or type(key) is bool:
-                as_coordinate(key, "key")
-                ref = None
-            else:
-                if key < 0:
-                    as_coordinate(key, "key")
-                    key = 0
-                r, slots, valid = self.radix, self.slots, self.valid
-                node = 0
-                for p in self._pow:
+        if self.size == 0 or key >= self.capacity:
+            ref = None
+        else:
+            if key < 0:
+                key = 0
+            r, slots, valid = self.radix, self.slots, self.valid
+            node = 0
+            for p in self._pow:
+                visited += 1
+                d = key // p % r
+                i = node * r + d
+                ref = slots[i]
+                if not valid[i]:
+                    break
+                if ref < 0:
+                    # the only key under this prefix
+                    if self.key[~ref] < key:
+                        ref = slots[i + 1] if d < r - 1 else self.up[node]
+                    break
+                node = ref
+            # the bottom level holds only entries, so the loop broke;
+            # a node's slot 0 holds its smallest valid ref or threads to it
+            if ref is not None:
+                while ref >= 0:
                     visited += 1
-                    d = key // p % r
-                    i = node * r + d
-                    ref = slots[i]
-                    if not valid[i]:
-                        break
-                    if ref < 0:
-                        # the only key under this prefix
-                        if self.key[~ref] < key:
-                            ref = slots[i + 1] if d < r - 1 else self.up[node]
-                        break
-                    node = ref
-                # the bottom level holds only entries, so the loop broke;
-                # a node's slot 0 holds its smallest valid ref or threads
-                # to it
-                if ref is not None:
-                    while ref >= 0:
-                        visited += 1
-                        ref = slots[ref * r]
-        except TypeError:
-            # only a failed descent checks its probe, so the lookups that
-            # succeed pay nothing for the check
-            as_coordinate(key, "key")
-            raise
+                    ref = slots[ref * r]
         if stats is not None:
             stats.trie_lookups += 1
             stats.trie_nodes_visited += visited
         return self._result(ref)
 
-    def _resolve(self, ref, stats: Optional[VisitStats]):
-        # follow smallest valid slots down to the entry the thread promises;
-        # a node's slot 0 holds its smallest valid ref or threads to it
-        if ref is None:
+    def min_entry(self, stats: Optional[VisitStats] = None):
+        if self.size == 0:
             return None
-        r, slots = self.radix, self.slots
+        # follow smallest valid slots down from the root; a node's slot 0
+        # holds its smallest valid ref or threads to it
+        r, slots, ref = self.radix, self.slots, 0
         while ref >= 0:
             if stats is not None:
                 stats.trie_nodes_visited += 1
             ref = slots[ref * r]
-        return ref
-
-    def min_entry(self, stats: Optional[VisitStats] = None):
-        if self.size == 0:
-            return None
-        return self._result(self._resolve(0, stats))
+        return self._result(ref)
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All (key, value) pairs in increasing key order.
@@ -450,7 +434,7 @@ class ThreadedTrie:
     def insert(self, key: int, value: Any,
                stats: Optional[VisitStats] = None):
         """Store ``key`` -> ``value``; raises on duplicates."""
-        key = self._check_key(key)
+        key = as_coordinate(key, "key", self.capacity)
         r, slots, valid, key_of = self.radix, self.slots, self.valid, self.key
         node = 0
         for depth, p in enumerate(self._pow):
@@ -489,7 +473,7 @@ class ThreadedTrie:
 
     def delete(self, key: int, stats: Optional[VisitStats] = None):
         """Remove ``key``; returns its entry.  Raises KeyError if absent."""
-        key = self._check_key(key)
+        key = as_coordinate(key, "key", self.capacity)
         r, slots, valid, up = self.radix, self.slots, self.valid, self.up
         last = r - 1
         node = 0

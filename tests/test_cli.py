@@ -312,3 +312,92 @@ def test_bench_reads_its_windows_from_a_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{q}:2:" in err and "outside" in err
     assert not out.exists()
+
+
+def point_windows(pts):
+    """One window per point, holding exactly that point."""
+    return "".join(",".join(f"{c},{c}" for c in p) + "\n" for p in pts)
+
+
+def test_verify_keeps_integers_past_2_53_exact(tmp_path):
+    p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    assert run(["generate", "--n", "1000", "--k", "2", "--radix", "16",
+                "--width", "15", "--out", str(p)]) == 0
+    written = [tuple(map(int, ln.split(","))) for ln in read(p).splitlines()[1:]]
+    k, bound, pts, notes = cli.load_points(str(p))
+    assert (k, bound) == (2, 2 ** 60)
+    assert pts == written and notes == ["quantization: identity"]
+    # each point's own window finds it in the index and the brute force
+    q.write_text(point_windows(written[:20]), encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 0
+    body = read(rep).splitlines()
+    assert all(f"{i},1,1,1" in body for i in range(20))
+    # two ints that one float stands for are two points, and an integral
+    # float is still an integer
+    p.write_text("# k=1 bound=18014398509481984\n9007199254740993\n"
+                 "9007199254740992\n2.0\n", encoding="ascii")
+    assert cli.load_points(str(p))[2:] == (
+        [(9007199254740993,), (9007199254740992,), (2,)],
+        ["quantization: identity"])
+
+
+def test_generate_verify_and_bench_past_2_63(tmp_path):
+    p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    shape = ["--k", "2", "--radix", "16", "--width", "17"]
+    assert run(["generate", "--n", "300", *shape, "--out", str(p)]) == 0
+    _, bound, pts, _ = cli.load_points(str(p))
+    assert bound == 16 ** 17 and max(max(pt) for pt in pts) >= 2 ** 63
+    q.write_text(point_windows(pts[:10]) + f"0,{bound - 1},0,{bound - 1}\n",
+                 encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 0
+    body = read(rep).splitlines()
+    assert all(f"{i},1,1,1" in body for i in range(10))
+    assert "10,300,300,1" in body
+    assert run(["bench", "--n", "200", *shape, "--out", str(rep)]) == 0
+
+
+def test_verify_writes_each_violation_and_exits_1(tmp_path, monkeypatch,
+                                                  capsys):
+    p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    p.write_text(FIVE_CSV, encoding="ascii")
+    q.write_text("1,8,5,7\n", encoding="ascii")
+    build = cli._index
+
+    def corrupted(*args):
+        # a cross link on the last level, which no query reads
+        idx = build(*args)
+        last = idx.trees[-1]
+        last.cross[last.first()] = 1
+        return idx
+
+    monkeypatch.setattr(cli, "_index", corrupted)
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 1
+    body = read(rep).splitlines()
+    assert "# violation: last level: node (2, 2) has a cross link" in body
+    assert "# mismatches=0 violations=1" in body
+    assert "0 mismatches, 1 violations -> FAIL" in capsys.readouterr().out
+
+
+def test_verify_notes_dropped_duplicates(tmp_path):
+    p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    p.write_text(FIVE_CSV + "2,6\n8,10\n2,6\n", encoding="ascii")
+    q.write_text("0,15,0,15\n", encoding="ascii")
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 0
+    body = read(rep).splitlines()
+    assert "# dropped 3 duplicate points" in body and "0,5,5,1" in body
+
+
+def test_bench_engine_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "b.csv"
+    q = tmp_path / "q.csv"
+    q.write_text("0,255,0,255\n0,0,0,0\n0,127,0,255\n", encoding="ascii")
+    monkeypatch.setattr(cli, "brute_force_query", lambda arr, w: [])
+    assert run(["bench", "--n", "50", "--width", "2", "--queries", str(q),
+                "--out", str(out)]) == 1
+    # the full and the half window hold points; the brute force says none
+    assert "# engine mismatches: 2" in read(out).splitlines()
+    assert "bench: 2 engine mismatches" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from threadkd.baseline import brute_force_query
 from threadkd.index import HEAD, T, KdPointIndex
 from threadkd.query import window_query
+from threadkd.stats import VisitStats
 from threadkd.tree import DUMMY
 from threadkd.trie import ThreadedTrie
 
@@ -593,3 +594,18 @@ def test_validate_reports_a_group_trie_violation():
     assert any(v.startswith(f"level 1: group (0,) of {T + 1} trie: ")
                and v.endswith("node 0: up is 5, expected None")
                for v in idx.validate()), idx.validate()
+
+
+@pytest.mark.parametrize("log_m", [6, 10, 14, 18])
+def test_worst_case_insert_follows_log_m_threads(log_m):
+    # k = 1 over m even keys: the bulk-loaded tree is perfectly balanced,
+    # and the key just below the root's goes right after the root's
+    # inorder predecessor, the last node of its left subtree, so finding
+    # the position walks down the tree's height in threads
+    m = 1 << log_m
+    idx = KdPointIndex.from_points(1, 2 * m, [(2 * x,) for x in range(m)])
+    tree = idx.trees[0]
+    s = VisitStats()
+    assert idx.insert((tree.key[tree.root][0] - 1,), s)
+    assert s.threads_followed == log_m and s.rotations == 0
+    assert len(idx) == m + 1

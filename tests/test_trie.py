@@ -1,5 +1,6 @@
 import bisect
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -428,6 +429,37 @@ def test_negative_probe_must_be_an_integer(bad):
     assert t.succ_geq(-5, s).key == 3 and t.succ_geq(np.int64(-1)).key == 3
     assert s.trie_lookups == 1
     assert t.validate() == [] and list(t.items()) == [(3, "a")]
+
+
+def test_fraction_probe_is_rejected_as_find_rejects_it():
+    # Fraction's // and % give ints, so a descent alone would answer it
+    t = holding_three()
+    t.insert(5, "b")
+    s = VisitStats()
+    for lookup in (t.find, t.succ_geq):
+        with pytest.raises(ValueError, match="not an integer"):
+            lookup(Fraction(7, 2), s)
+    assert (s.trie_lookups, s.trie_nodes_visited) == (0, 0)
+
+
+class IndexOnly:
+    """An int-like that has ``__index__`` and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_index_only_probe_gets_the_plain_int_answer():
+    t = holding_three()
+    t.insert(5, "b")
+    for probe in (-7, 0, 3, 4, 5, 6, 255, 256, 10 ** 30):
+        got, want = VisitStats(), VisitStats()
+        a, b = t.succ_geq(IndexOnly(probe), got), t.succ_geq(probe, want)
+        assert (a and a.key) == (b and b.key) and got == want
+    assert t.find(IndexOnly(5)).value == "b"
 
 
 def test_int_like_keys_and_shape_are_stored_as_ints():
