@@ -28,6 +28,7 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .baseline import NaiveKdTree, brute_force_query, points_array
@@ -156,14 +157,17 @@ def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
         pts = [tuple(int(v) for v in row) for row in raw]
         notes.append("quantization: identity")
     else:
-        los = [min(row[j] for row in raw) for j in range(k)]
-        his = [max(row[j] for row in raw) for j in range(k)]
-        spans = [hi - lo or 1.0 for lo, hi in zip(los, his)]
-        pts = [tuple(round((row[j] - los[j]) * (bound - 1) / spans[j])
+        # exact rationals: the minimum maps to 0 and the maximum to
+        # bound - 1 at any bound, with no float overflow or rounding
+        los = [Fraction(min(row[j] for row in raw)) for j in range(k)]
+        spans = [Fraction(max(row[j] for row in raw)) - lo or 1
+                 for j, lo in enumerate(los)]
+        pts = [tuple(round((Fraction(row[j]) - los[j]) * (bound - 1) / spans[j])
                      for j in range(k)) for row in raw]
         for j in range(k):
-            notes.append(f"quantization dim {j}: x -> round((x - {los[j]:g}) "
-                         f"* {bound - 1} / {spans[j]:g})")
+            notes.append(f"quantization dim {j}: x -> round((x - "
+                         f"{float(los[j]):g}) * {bound - 1} / "
+                         f"{float(spans[j]):g})")
     distinct = list(dict.fromkeys(pts))
     if len(distinct) != len(pts):
         notes.append(f"dropped {len(pts) - len(distinct)} duplicate points")

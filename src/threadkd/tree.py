@@ -10,8 +10,12 @@ Storage is flat: one list (or bytearray) per field, indexed by handle,
 and no object per node.  ``link[d]`` and ``thread[d]`` are the child
 slot and its thread flag on side ``d`` (0 = left, 1 = right), so every
 structural routine is written once for a side ``d`` and its mirror
-``1 - d``; ``balance`` is height(right) - height(left), so a subtree
-growing on side ``d`` moves it by ``2*d - 1``.  A node's child ``c`` is
+``1 - d``: ``_step`` takes one inorder step toward either side, and
+``in_succ``/``in_pred`` are its two sides.  ``balance`` is
+height(right) - height(left), so a subtree growing on side ``d`` moves it
+by ``2*d - 1`` and one shrinking there by ``1 - 2*d``; ``_retrace`` walks
+either change up from the node that took it, after an insert or a
+delete alike.  A node's child ``c`` is
 on side 0 exactly when ``link[0]`` holds ``c``: a thread never targets
 the node's own child, only an ancestor or the dummy.  ``cross`` and
 ``trie`` are payload columns owned by the multi-level index; the tree
@@ -236,35 +240,29 @@ class ThreadedAvlTree:
 
     # -- ordered navigation ---------------------------------------------
 
+    def _step(self, h: int, d: int, stats: Optional[VisitStats] = None) -> int:
+        """Inorder neighbour of ``h`` on side ``d``: the successor for
+        d = 1, the predecessor for d = 0, DUMMY past either end.  One slot
+        on side ``d``, then, below a child link, the far side's links down
+        to a thread; each slot read counts as one thread followed."""
+        q = self.link[d][h]
+        n = 1
+        if not self.thread[d][h]:
+            far, far_thread = self.link[1 - d], self.thread[1 - d]
+            while not far_thread[q]:
+                q = far[q]
+                n += 1
+        if stats is not None:
+            stats.threads_followed += n
+        return q
+
     def in_succ(self, h: int, stats: Optional[VisitStats] = None) -> int:
         """Inorder successor handle; DUMMY after the last node."""
-        q = self.link[1][h]
-        if stats is not None:
-            stats.threads_followed += 1
-        if self.thread[1][h]:
-            return q
-        left = self.link[0]
-        lthread = self.thread[0]
-        while not lthread[q]:
-            q = left[q]
-            if stats is not None:
-                stats.threads_followed += 1
-        return q
+        return self._step(h, 1, stats)
 
     def in_pred(self, h: int, stats: Optional[VisitStats] = None) -> int:
         """Inorder predecessor handle; DUMMY before the first node."""
-        q = self.link[0][h]
-        if stats is not None:
-            stats.threads_followed += 1
-        if self.thread[0][h]:
-            return q
-        right = self.link[1]
-        rthread = self.thread[1]
-        while not rthread[q]:
-            q = right[q]
-            if stats is not None:
-                stats.threads_followed += 1
-        return q
+        return self._step(h, 0, stats)
 
     def first(self, stats: Optional[VisitStats] = None) -> int:
         """Handle of the inorder-minimum node, or DUMMY when empty."""
@@ -317,43 +315,20 @@ class ThreadedAvlTree:
         self.mutations += 1
         if stats is not None:
             stats.tree_nodes_visited += 2
-        left, right = self.link
-        left[h] = pos
-        right[h] = succ
-        # the new node hangs in pos's free right slot or, when pos has a
-        # right subtree (or is the dummy), in succ's free left slot; succ
-        # is the dummy itself when the tree is empty
-        if self.thread[1][pos]:
-            self.parent[h] = pos
-            right[pos] = h
-            self.thread[1][pos] = 0
-        else:
-            self.parent[h] = succ
-            left[succ] = h
-            self.thread[0][succ] = 0
+        link = self.link
+        link[0][h] = pos
+        link[1][h] = succ
+        # the new node hangs in pos's free right slot (d = 1) or, when pos
+        # has a right subtree (or is the dummy), in succ's free left slot
+        # (d = 0); succ is the dummy itself when the tree is empty
+        d = 1 if self.thread[1][pos] else 0
+        p = pos if d else succ
+        self.parent[h] = p
+        link[d][p] = h
+        self.thread[d][p] = 0
         self.size += 1
-        self._rebalance_insert(h, stats)
+        self._retrace(p, d, True, stats)
         return h
-
-    def _rebalance_insert(self, h: int, stats: Optional[VisitStats]) -> None:
-        left, parent, balance = self.link[0], self.parent, self.balance
-        child = h
-        x = parent[child]
-        while x != DUMMY:
-            if stats is not None:
-                stats.tree_nodes_visited += 1
-            d = 0 if left[x] == child else 1
-            s = 2 * d - 1
-            b = balance[x]
-            if b == s:
-                self._fix_heavy(x, d, stats)
-                return
-            if b:
-                balance[x] = 0
-                return
-            balance[x] = s
-            child = x
-            x = parent[x]
 
     # -- deletion --------------------------------------------------------
 
@@ -392,7 +367,7 @@ class ThreadedAvlTree:
         self.size -= 1
         self.mutations += 1
         self._release(h)
-        self._rebalance_delete(p, side, stats)
+        self._retrace(p, side, False, stats)
 
     def _detach(self, h: int) -> tuple[int, int]:
         """Unlink a node with at most one child; returns (parent, shrunk side)."""
@@ -413,29 +388,30 @@ class ThreadedAvlTree:
         link[1 - d][sub] = link[1 - d][h]
         return p, side
 
-    def _rebalance_delete(self, x: int, side: int,
-                          stats: Optional[VisitStats]) -> None:
-        """Walk up from ``x``, whose subtree on ``side`` lost one level."""
+    def _retrace(self, x: int, side: int, grew: bool,
+                 stats: Optional[VisitStats]) -> None:
+        """Walk up from ``x``, whose subtree on ``side`` grew (or shrank)
+        by one level.  The change moves a balance by ``s``, toward
+        ``side`` on growth and away from it on shrinkage.  Growth stops
+        once a balance lands on 0, shrinkage once it lands on +-1; a
+        balance already at ``s`` is fixed by a rotation, after which growth
+        always stops and shrinkage stops if the height was kept."""
         left, parent, balance = self.link[0], self.parent, self.balance
         while x != DUMMY:
             if stats is not None:
                 stats.tree_nodes_visited += 1
-            s = 2 * side - 1
+            s = 2 * side - 1 if grew else 1 - 2 * side
             b = balance[x]
-            if b == 0:
-                balance[x] = -s
-                return
             if b == s:
-                balance[x] = 0
-                sub = x
-            else:
-                sub, done = self._fix_heavy(x, 1 - side, stats)
-                if done:
+                x, kept = self._fix_heavy(x, side if grew else 1 - side, stats)
+                if grew or kept:
                     return
-            p = parent[sub]
-            if p == DUMMY:
-                return
-            side = 0 if left[p] == sub else 1
+            else:
+                balance[x] = b = b + s
+                if (b == 0) == grew:
+                    return
+            p = parent[x]
+            side = 0 if left[p] == x else 1
             x = p
 
     # -- rotations -------------------------------------------------------
@@ -552,13 +528,13 @@ class ThreadedAvlTree:
         # the successor and predecessor walks must reproduce the recursive
         # inorder node for node, forward and backward
         limit = self.size + 1
-        for step, expect, name in ((self.in_succ, order, "successor"),
-                                   (self.in_pred, order[::-1], "predecessor")):
+        for d, expect, name in ((1, order, "successor"),
+                                (0, order[::-1], "predecessor")):
             got = []
-            h = step(DUMMY)
+            h = self._step(DUMMY, d)
             while h != DUMMY and len(got) <= limit:
                 got.append(h)
-                h = step(h)
+                h = self._step(h, d)
             if got != expect:
                 out.append(f"threads: {name} walk disagrees with recursive "
                            f"inorder")

@@ -401,3 +401,47 @@ def test_bench_engine_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     # the full and the half window hold points; the brute force says none
     assert "# engine mismatches: 2" in read(out).splitlines()
     assert "bench: 2 engine mismatches" in capsys.readouterr().err
+
+
+def test_verify_rescales_exactly_at_any_bound(tmp_path):
+    p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
+    q.write_text("0,0\n", encoding="ascii")
+    # in floats, 10**199 * (bound - 1) overflows to infinity
+    p.write_text(f"# k=1 bound={10 ** 200}\n0.5\n{10 ** 199}\n",
+                 encoding="ascii")
+    assert cli.load_points(str(p))[2] == [(0,), (10 ** 200 - 1,)]
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 0
+    # in floats, the maximum lands on the bound itself
+    p.write_text(f"# k=1 bound={2 ** 54}\n0.5\n9007199254740993\n1.5\n",
+                 encoding="ascii")
+    assert cli.load_points(str(p))[2] == [(0,), (2 ** 54 - 1,), (2,)]
+    assert run(["verify", "--points", str(p), "--queries", str(q),
+                "--out", str(rep)]) == 0
+
+
+VERIFY = ["verify", "--points", "{p}", "--queries", "{q}"]
+
+
+@pytest.mark.parametrize("argv,points,queries,message", [
+    (VERIFY, "", "0,1,0,1\n", "p.csv: empty file"),
+    (VERIFY, "# k=x bound=16\n2,2\n", "0,1,0,1\n",
+     "p.csv:1: non-integer k or bound"),
+    (VERIFY, "# k=0 bound=16\n2,2\n", "0,1,0,1\n",
+     "p.csv:1: k and bound must be positive"),
+    (VERIFY, "# k=2 bound=16\n2,2,2\n", "0,1,0,1\n",
+     "p.csv:2: expected 2 fields, got 3"),
+    (VERIFY, FIVE_CSV, "0,1,0\n", "q.csv:1: expected 4 fields, got 3"),
+    (VERIFY, FIVE_CSV, "0,1,0,x\n", "q.csv:1: non-integer bound"),
+    (VERIFY, None, "0,1,0,1\n", "p.csv: [Errno 2]"),
+    (["generate", "--n", "-1", "--out", "{p}"], None, None,
+     "--n must be >= 0"),
+    (["bench", "--n", ","], None, None, "--n lists no sizes"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, points, queries, message):
+    p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+    for path, text in ((p, points), (q, queries)):
+        if text is not None:
+            path.write_text(text, encoding="ascii")
+    assert run([a.format(p=p, q=q) for a in argv]) == 2
+    assert message in capsys.readouterr().err

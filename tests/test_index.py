@@ -167,6 +167,11 @@ def test_domain_errors():
         KdPointIndex(0, 16)
 
 
+def test_empty_universe_rejected():
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        KdPointIndex(2, 0)
+
+
 @pytest.mark.parametrize("kwargs", [dict(radix=1), dict(radix=0),
                                     dict(radix=-3), dict(width=0),
                                     dict(width=-1)])

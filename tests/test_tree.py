@@ -392,6 +392,26 @@ def size_one(t, hs):
     t.size = 1
 
 
+def key_below_bound(t, hs):
+    # node 5 sits right of the root (4,), so its key must be above it
+    t.key[hs[5]] = (3,)
+
+
+def key_above_bound(t, hs):
+    # node 3 sits left of the root (4,), so its key must be below it
+    t.key[hs[3]] = (5,)
+
+
+def stale_balance(t, hs):
+    # node 2's two children are both leaves
+    t.balance[hs[2]] = 1
+
+
+def wrong_right_thread(t, hs):
+    # node 1's right thread should reach 2; the successor walk jumps to 3
+    t.link[1][hs[1]] = hs[3]
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (dummy_key, "dummy: key is not empty"),
     (dummy_right_thread, "dummy: right slot must be a child link to itself"),
@@ -403,6 +423,12 @@ def size_one(t, hs):
     (wrong_left_thread, "predecessor walk disagrees with recursive inorder"),
     (wrong_left_thread, "left thread ->"),
     (size_one, "exceeds balance bound"),
+    (key_below_bound, "not above subtree bound"),
+    (key_above_bound, "not below subtree bound"),
+    (key_above_bound, "ordering: key (5,) !< (4,)"),
+    (stale_balance, "balance 1 but child heights 1/1"),
+    (wrong_right_thread, "right thread -> 3, expected 2"),
+    (wrong_right_thread, "successor walk disagrees with recursive inorder"),
 ])
 def test_validate_reports_each_corruption(corrupt, message):
     t, hs = seven()

@@ -81,6 +81,12 @@ def test_key_bounds():
     assert t.succ_geq(-5).key == 99
 
 
+@pytest.mark.parametrize("radix,width", [(1, 3), (2, 0)])
+def test_degenerate_shape_rejected(radix, width):
+    with pytest.raises(ValueError, match="radix must be >= 2 and width >= 1"):
+        ThreadedTrie(radix, width)
+
+
 def test_duplicate_and_missing():
     t = ThreadedTrie(10, 2)
     t.insert(7, None)

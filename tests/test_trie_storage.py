@@ -220,6 +220,21 @@ def wrong_thread(t):
     t.slots[5] = 1
 
 
+def node_twice(t):
+    # root slot 2 holds node 1 as well as slot 1 does
+    t.valid[2] = 1
+    t.slots[2] = 1
+
+
+def misplaced_key(t):
+    # the entry in prefix 11's slot claims key 21
+    t.key[0] = 21
+
+
+def size_plus_one(t):
+    t.size += 1
+
+
 @pytest.mark.parametrize("make,corrupt,message", [
     (two_keys, extra_flag, "columns disagree"),
     (two_keys, node_in_bottom_slot, "bottom slot 12: not an entry"),
@@ -228,6 +243,9 @@ def wrong_thread(t):
     (lambda: ThreadedTrie(10, 2), entry_twice, "entry 0 reached twice"),
     (two_keys, wrong_up, "node 1: up is 0, expected None"),
     (two_keys, wrong_thread, "node 0: slot 5 threads to 1, expected None"),
+    (two_keys, node_twice, "node 1 reached twice"),
+    (two_keys, misplaced_key, "entry key 21 in the slot for prefix 11 at depth 1"),
+    (two_keys, size_plus_one, "size 3 but 2 entries reachable"),
 ])
 def test_validate_reports_each_corruption(make, corrupt, message):
     t = make()
