@@ -28,7 +28,6 @@ import random
 import statistics
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .baseline import NaiveKdTree, brute_force_query, points_array
@@ -110,6 +109,13 @@ def _number(field: str):
     return x
 
 
+def _round_half_even(num: int, den: int) -> int:
+    """``num / den`` rounded to the nearest int, ties to even, as
+    ``round`` rounds a ``Fraction``; ``den`` > 0."""
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q & 1))
+
+
 def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
     """Returns (k, bound, points, mapping notes).
 
@@ -157,17 +163,22 @@ def load_points(path: str) -> tuple[int, int, list[tuple], list[str]]:
         pts = [tuple(int(v) for v in row) for row in raw]
         notes.append("quantization: identity")
     else:
-        # exact rationals: the minimum maps to 0 and the maximum to
-        # bound - 1 at any bound, with no float overflow or rounding
-        los = [Fraction(min(row[j] for row in raw)) for j in range(k)]
-        spans = [Fraction(max(row[j] for row in raw)) - lo or 1
-                 for j, lo in enumerate(los)]
-        pts = [tuple(round((Fraction(row[j]) - los[j]) * (bound - 1) / spans[j])
-                     for j in range(k)) for row in raw]
+        # exact: a column's values are ints and floats, so each is an
+        # integer over one power-of-two denominator, and the minimum maps
+        # to 0 and the maximum to bound - 1 at any bound, with no float
+        # overflow or rounding
+        cols = []
         for j in range(k):
+            ratios = [v.as_integer_ratio() for v in (row[j] for row in raw)]
+            den = max(d for _, d in ratios)
+            nums = [n * (den // d) for n, d in ratios]
+            lo = min(nums)
+            span = max(nums) - lo or den
+            cols.append([_round_half_even((n - lo) * (bound - 1), span)
+                         for n in nums])
             notes.append(f"quantization dim {j}: x -> round((x - "
-                         f"{float(los[j]):g}) * {bound - 1} / "
-                         f"{float(spans[j]):g})")
+                         f"{lo / den:g}) * {bound - 1} / {span / den:g})")
+        pts = list(zip(*cols))
     distinct = list(dict.fromkeys(pts))
     if len(distinct) != len(pts):
         notes.append(f"dropped {len(pts) - len(distinct)} duplicate points")

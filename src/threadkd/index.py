@@ -37,6 +37,8 @@ re-aiming cross links and markers when a group minimum goes away.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from itertools import chain, compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -148,36 +150,67 @@ class KdPointIndex:
                     radix: int = 16, width: Optional[int] = None) -> "KdPointIndex":
         """Index holding ``points``; duplicates are dropped.
 
-        Bulk load, a column at a time.  The checked points go into one
-        numpy array, ``int64`` when ``bound <= 2**63`` and ``object``
-        above (lexsort and ``!=`` work on either), which one ``lexsort``
-        orders; a row equal to the one before it is dropped, so the first
-        of equal points stays, as a set would keep it.  The first
-        coordinate ``j`` where each point differs from the previous one
-        (-1 for the first point) gives every level: level i's keys are the
-        (i+1)-prefixes of the points with ``j <= i``, and its groups start
-        at those with ``j < i``.  The last level holds the checked tuples
-        themselves and each inner level slices them, so the levels share
-        their coordinate ints.  Each level's tree comes from
-        ``ThreadedAvlTree.from_sorted`` and its group markers are written
-        as one column: a group of ``T`` or fewer members gets its count,
-        a longer one a trie.  Level i's g-th group (from 1) hangs under
-        handle g one level up: level i-1's g-th key or, for level 0's one
-        group, the header's ``HEAD``.  The trees come out perfectly
-        balanced, so the shape-dependent counters (``threads_followed``;
-        for later updates also ``rotations`` and ``tree_nodes_visited``)
-        can differ from an index built by ``insert``; points, markers,
-        cross links, query results and the other query counters are the
-        same.
+        Bulk load, a column at a time.  The points are checked over the
+        whole input: each has k coordinates, each coordinate is a plain
+        int, and the numpy array made of them lies in [0, bound); when a
+        check fails they are checked one by one, so the first bad point
+        raises its own message.  The array is ``int64`` when
+        ``bound <= 2**63`` and ``object`` above (lexsort and ``!=`` work
+        on either), and one ``lexsort`` orders it; a row equal to the one
+        before it is dropped, so the first of equal points stays, as a
+        set would keep it.  The first coordinate ``j`` where each point
+        differs from the previous one (-1 for the first point) gives every
+        level: level i's keys are the (i+1)-prefixes of the points with
+        ``j <= i``, and its groups start at those with ``j < i``.  The
+        last level holds the checked tuples themselves and each inner
+        level slices them, so the levels share their coordinate ints.
+        Each level's tree comes from ``ThreadedAvlTree.from_sorted`` and
+        its group markers are written as one column: a group of ``T`` or
+        fewer members gets its count, and ``ValueTrie.level_tries`` builds
+        the longer ones' tries together.  Level i's g-th group (from 1)
+        hangs under handle g one level up: level i-1's g-th key or, for
+        level 0's one group, the header's ``HEAD``.  The trees come out
+        perfectly balanced, so the shape-dependent counters
+        (``threads_followed``; for later updates also ``rotations`` and
+        ``tree_nodes_visited``) can differ from an index built by
+        ``insert``; points, markers, cross links, query results and the
+        other query counters are the same.
+
+        The garbage collector is paused for the whole call, process-wide:
+        the build makes many container objects and no reference cycle, so
+        collections would find nothing to free.  A ``finally`` restores
+        the caller's setting, also when a point is rejected.
         """
         idx = cls(k, bound, radix, width)
-        pts = [idx._check_point(p) for p in points]
-        if not pts:
-            return idx
-        n = len(pts)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            idx._bulk_load(list(points))
+        finally:
+            if enabled:
+                gc.enable()
+        return idx
+
+    def _bulk_load(self, points: list) -> None:
+        # the body of from_points, on an empty index
+        k, bound = self.k, self.bound
         dtype = np.int64 if bound <= 2 ** 63 else object
-        rows = np.fromiter(chain.from_iterable(pts), dtype, n * k)
-        rows = rows.reshape(n, k)
+        pts = rows = None
+        with contextlib.suppress(TypeError, OverflowError):
+            # every point at once: plain int coordinates, k of them, in range
+            pts = list(map(tuple, points))
+            if (set(map(len, pts)) <= {k}
+                    and set(map(type, chain.from_iterable(pts))) <= {int}):
+                rows = np.fromiter(chain.from_iterable(pts), dtype, len(pts) * k)
+                if len(rows) and not (0 <= rows.min() and rows.max() < bound):
+                    rows = None
+        if rows is None:
+            # point by point, so the first bad point raises its message
+            pts = [self._check_point(p) for p in points]
+            rows = np.fromiter(chain.from_iterable(pts), dtype, len(pts) * k)
+        if not pts:
+            return
+        rows = rows.reshape(len(pts), k)
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
         # j: the first coordinate where a sorted row differs from the one
@@ -186,34 +219,36 @@ class KdPointIndex:
         j = np.concatenate(([-1], np.where(differs.any(1),
                                           differs.argmax(1), k)))
         keep = j < k
-        j = j[keep]
+        j, rows = j[keep], rows[keep]
         pts = list(map(pts.__getitem__, order[keep].tolist()))
         handles = list(range(len(pts) + 2))
-        above = idx.above[0]
+        above = self.above[0]
         for i in range(k):
             opens = j <= i
             level = (pts if i == k - 1 else
                      list(map(itemgetter(slice(0, i + 1)),
                               compress(pts, opens.tolist()))))
             tree = ThreadedAvlTree.from_sorted(level, handles)
-            idx.trees[i] = tree
+            self.trees[i] = tree
             starts = np.flatnonzero(j[opens] < i)
             sizes = np.diff(starts, append=len(level))
             markers = np.full(len(level) + 1, None, object)
             markers[starts + 1] = sizes
-            # a trie keeps its two columns as given, so they are slices,
-            # made at their final length
-            coords = list(map(itemgetter(i), level))
+            markers = markers.tolist()
             long = sizes > T
-            for s, e in zip(starts[long].tolist(),
-                            (starts + sizes)[long].tolist()):
-                markers[s + 1] = ValueTrie.from_columns(
-                    idx.radix, idx.width, coords[s:e], handles[s + 1:e + 1])
-            tree.trie[:] = markers.tolist()
+            if long.any():
+                # the keys and values are sliced from these lists, so the
+                # tries share the points' coordinate ints and the handles
+                tries = ValueTrie.level_tries(
+                    self.radix, self.width, rows[opens, i],
+                    list(map(itemgetter(i), level)), handles[1:],
+                    starts[long], (starts + sizes)[long])
+                for s, trie in zip(starts[long].tolist(), tries):
+                    markers[s + 1] = trie
+            tree.trie[:] = markers
             above.cross[1:] = map(handles.__getitem__, (starts + 1).tolist())
             above = tree
-        idx.above[1:] = idx.trees[:-1]
-        return idx
+        self.above[1:] = self.trees[:-1]
 
     def __len__(self) -> int:
         return self.trees[-1].size

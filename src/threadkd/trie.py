@@ -35,7 +35,8 @@ unless that leaves a non-root node with one key: then the node *folds*,
 together with each one-slot node above it, and the highest slot that
 survives takes the remaining entry.  Cost is bounded by radix * width
 slot writes.  ``from_columns`` builds the same trie from sorted key and
-value columns, each node once, and ``from_sorted`` from sorted pairs.
+value columns, each node once, ``from_sorted`` from sorted pairs, and
+``level_tries`` many tries at once, a depth at a time on numpy arrays.
 
 Storage is flat: each trie owns one column per field and there is no
 object per node or entry.  Node ``n`` has the slots
@@ -62,6 +63,8 @@ from __future__ import annotations
 import functools
 import operator
 from typing import Any, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .stats import VisitStats
 
@@ -150,6 +153,117 @@ def _entry_refs(n: int) -> list[int]:
     return _REFS
 
 
+def _level_codes(r: int, powers: tuple, column: np.ndarray,
+                 starts: np.ndarray, sizes: np.ndarray) -> tuple:
+    """The numpy half of ``ThreadedTrie.level_tries``: for the groups of
+    ``sizes[g]`` keys from ``column[starts[g]]``, the object table and,
+    trie after trie in node order, every node's slot codes, valid flags
+    and ``up`` code, with ``first_node[g]``, the row of group g's root.
+
+    A group's node at depth d >= 1 is a maximal run of neighbour pairs
+    that share at least d leading digits, and a key sits alone in a slot
+    of the node at depth max(lcp on its left, lcp on its right, 0), as a
+    suffix tree is built from a suffix array and its LCP array (Kasai et
+    al., CPM 2001).  Nodes are numbered as ``_fill`` numbers them, in
+    right-to-left preorder, which is the order (group, -end, depth).  The
+    rows are filled a depth at a time: a reverse running minimum over each
+    node's row, ``up`` standing as one more column, points every empty
+    slot at the next valid one, and a child's ``up`` is its parent's
+    filled slot at the child's digit + 1.  A code is entry e's ``e``, node
+    n's ``m + n`` or None's ``m + most_nodes``, where m is the largest
+    group, and the table maps it to ``_REFS``' own int, n or None.  Its
+    temporaries end with the call, before the lists are made.
+    """
+    w = len(powers)
+    # the groups' keys side by side: group g holds positions
+    # first[g]:first[g + 1] of this selection
+    total = int(sizes.sum())
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    pick = np.arange(total) + np.repeat(starts - first[:-1], sizes)
+    col = column[pick]
+    # digits, codes and column numbers take the smallest dtype that
+    # holds them, which keeps the build's peak memory down
+    digits = np.empty((total, w), np.min_scalar_type(r))
+    for d, p in enumerate(powers):
+        # object ints, past 2**63, are cast once they are digits; an
+        # int64 key has digit 0 at a place value past 2**63
+        digits[:, d] = (col // p % r if col.dtype == object or p < 2 ** 63
+                        else 0)
+    # lcp[a]: the digits key a - 1 and key a share; -1 across a group
+    # boundary and at both ends
+    lcp = np.full(total + 1, -1, np.int64)
+    same = digits[1:] == digits[:-1]
+    lcp[1:-1] = np.logical_and.accumulate(same, axis=1).sum(1)
+    lcp[first] = -1
+    depth_of = np.maximum(np.maximum(lcp[:-1], lcp[1:]), 0)
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+
+    # the nodes, depth by depth: the roots are the groups, deeper ones
+    # the runs of pairs sharing that many digits
+    node_lo, node_hi = [first[:-1]], [first[1:]]
+    for d in range(1, w):
+        edge = np.diff((lcp >= d).view(np.int8))
+        node_lo.append(np.flatnonzero(edge == 1))
+        node_hi.append(np.flatnonzero(edge == -1) + 1)
+    counts = [len(lo) for lo in node_lo]
+    lo_all, hi_all = np.concatenate(node_lo), np.concatenate(node_hi)
+    depth_all = np.repeat(np.arange(w), counts)
+    group_all = group_of[lo_all]
+    order = np.lexsort((depth_all, -hi_all, group_all))
+    per_group = np.bincount(group_all, minlength=len(sizes))
+    first_node = np.concatenate(([0], np.cumsum(per_group)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    local = rank - first_node[group_all]
+
+    m, most_nodes = int(sizes.max()), int(per_group.max())
+    table = np.empty(m + most_nodes + 1, object)
+    table[:m] = _entry_refs(m)[:m]
+    table[m:-1] = range(most_nodes)
+    table[-1] = None
+    none = m + most_nodes
+    entry_code = np.arange(total) - first[group_of]
+    code = np.min_scalar_type(none)
+    slot_codes = np.empty((len(order), r), code)
+    flags = np.empty((len(order), r), np.uint8)
+    up_codes = np.empty(len(order), code)
+    up = np.full(counts[0], none, code)
+    cols = np.arange(r + 1, dtype=np.min_scalar_type(r))
+    at = 0
+    for d, n_d in enumerate(counts):
+        lo = node_lo[d]
+        # only the valid cells of a row are ever read
+        row = np.empty((n_d, r + 1), code)
+        valid = np.zeros((n_d, r + 1), bool)
+        row[:, r] = up
+        valid[:, r] = True
+        # the entries at this depth, each in its node's row
+        keys_here = np.flatnonzero(depth_of == d)
+        where = np.searchsorted(lo, keys_here, "right") - 1
+        row[where, digits[keys_here, d]] = entry_code[keys_here]
+        valid[where, digits[keys_here, d]] = True
+        # the nodes one deeper, each in its parent's row
+        if d + 1 < w:
+            child_lo = node_lo[d + 1]
+            parent = np.searchsorted(lo, child_lo, "right") - 1
+            child_digit = digits[child_lo, d]
+            nxt = at + n_d
+            row[parent, child_digit] = m + local[nxt:nxt + len(child_lo)]
+            valid[parent, child_digit] = True
+        # every slot takes the next valid column's code, up included
+        reach = np.where(valid, cols, r)
+        reach = np.minimum.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
+        filled = np.take_along_axis(row, reach, axis=1)
+        here = rank[at:at + n_d]
+        slot_codes[here] = filled[:, :r]
+        flags[here] = valid[:, :r]
+        up_codes[here] = up
+        if d + 1 < w:
+            up = filled[parent, child_digit + 1]
+        at += n_d
+    return table, slot_codes, flags, up_codes, first_node
+
+
 class ThreadedTrie:
     """Successor-threaded radix trie mapping ints in [0, radix**width) to
     payloads.  Lookups and updates answer with an ``Entry``, or None.
@@ -220,6 +334,51 @@ class ThreadedTrie:
             trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
             trie.size = len(keys)
         return trie
+
+    @classmethod
+    def level_tries(cls, radix: int, width: int, column: np.ndarray,
+                    keys: list, values: list, starts: Sequence[int],
+                    ends: Sequence[int]) -> list:
+        """One trie per group ``keys[s:e]`` for ``s, e`` in ``starts``,
+        ``ends``, column for column the trie ``from_columns(radix, width,
+        keys[s:e], values[s:e])`` builds, from ``width`` numpy passes.
+
+        ``column`` is ``keys`` as a numpy array, ``int64`` or ``object``
+        (ints past 2**63); each group holds distinct keys in increasing
+        order, all in [0, radix**width), which is not checked here.
+        ``_level_codes`` computes every slot as a code; one object table
+        turns the codes into the slot and ``up`` lists, so an entry
+        reference is ``_REFS``' own int and no slot makes an object.  The
+        Python work per trie is the object and its column slices.
+        """
+        shape = cls(radix, width)
+        r = shape.radix
+        starts = np.asarray(starts, np.int64)
+        sizes = np.asarray(ends, np.int64) - starts
+        if not len(sizes):
+            return []
+        table, slot_codes, flags, up_codes, first_node = _level_codes(
+            r, shape._pow, column, starts, sizes)
+        slots = table[slot_codes.ravel()].tolist()
+        ups = table[up_codes].tolist()
+        flag_bytes = memoryview(flags.tobytes())
+        out = []
+        for s, e, a, b in zip(starts.tolist(), (starts + sizes).tolist(),
+                              first_node[:-1].tolist(),
+                              first_node[1:].tolist()):
+            # every slot of ThreadedTrie, set as __init__ sets it
+            trie = cls.__new__(cls)
+            trie.radix, trie.width = r, shape.width
+            trie.capacity, trie._pow = shape.capacity, shape._pow
+            trie.size = e - s
+            trie.slots = slots[a * r:b * r]
+            trie.valid = bytearray(flag_bytes[a * r:b * r])
+            trie.up = ups[a:b]
+            trie.key, trie.value = keys[s:e], values[s:e]
+            trie.free_node = trie.free_entry = trie._views = None
+            trie.mutations = 0
+            out.append(trie)
+        return out
 
     def _fill(self, n: int, keys: Sequence[int], refs: Sequence[int],
               lo: int, hi: int, depth: int,

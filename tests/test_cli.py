@@ -1,4 +1,6 @@
 import csv
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -418,6 +420,41 @@ def test_verify_rescales_exactly_at_any_bound(tmp_path):
     assert cli.load_points(str(p))[2] == [(0,), (2 ** 54 - 1,), (2,)]
     assert run(["verify", "--points", str(p), "--queries", str(q),
                 "--out", str(rep)]) == 0
+
+
+def fraction_rescale(rows, bound):
+    """The rescale in exact rationals, as ``round`` of a ``Fraction``
+    gives it: the reference that ``load_points``' integer path must
+    equal."""
+    cols = list(zip(*rows))
+    los = [Fraction(min(c)) for c in cols]
+    spans = [Fraction(max(c)) - lo or 1 for c, lo in zip(cols, los)]
+    return [tuple(round((Fraction(v) - lo) * (bound - 1) / span)
+                  for v, lo, span in zip(row, los, spans)) for row in rows]
+
+
+@pytest.mark.parametrize("bound", [16, 4096, 2 ** 54, 10 ** 30])
+def test_verify_rescale_equals_the_fraction_path(tmp_path, bound):
+    # floats of every scale, ints past 2**53, a column with one value, and
+    # one whose odd values scale to exact ties, x.5, on both sides of an
+    # even integer
+    rng = random.Random(bound)
+    ties = [0, 1, 3, 5, 7, 2 * (bound - 1)]
+    rows = [(rng.uniform(-1e3, 1e3), rng.choice([0.25, 0.5, 0.75, 1.0, 0.0]),
+             rng.choice([2 ** 60 + 1, -3, 1e-300, 7.5, 1e300]), 4.5,
+             rng.choice(ties)) for _ in range(300)]
+    rows += [(0.5, 0.0, 2 ** 60 + 3, 4.5, 0), (2.5, 1.0, -3, 4.5, ties[-1])]
+    p = tmp_path / "p.csv"
+    p.write_text(f"# k=5 bound={bound}\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows), encoding="ascii")
+    k, got_bound, pts, notes = cli.load_points(str(p))
+    want = list(dict.fromkeys(fraction_rescale(rows, bound)))
+    assert (k, got_bound, pts) == (5, bound, want)
+    for j in range(5):
+        lo = Fraction(min(row[j] for row in rows))
+        span = Fraction(max(row[j] for row in rows)) - lo or 1
+        assert notes[j] == (f"quantization dim {j}: x -> round((x - "
+                            f"{float(lo):g}) * {bound - 1} / {float(span):g})")
 
 
 VERIFY = ["verify", "--points", "{p}", "--queries", "{q}"]

@@ -614,3 +614,53 @@ def test_worst_case_insert_follows_log_m_threads(log_m):
     assert idx.insert((tree.key[tree.root][0] - 1,), s)
     assert s.threads_followed == log_m and s.rotations == 0
     assert len(idx) == m + 1
+
+
+@pytest.fixture
+def collector():
+    # restores the collector's setting whatever a test leaves it at
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+# 4,096 points: enough allocation for several automatic collections
+CUBE = [(x, y, x * y % 64) for x in range(64) for y in range(64)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("pts", [CUBE, CUBE[:2000] + [(3, 64, 0)] + CUBE],
+                         ids=["good", "bad point"])
+def test_from_points_leaves_the_collector_as_it_found_it(collector, enabled,
+                                                         pts):
+    (gc.enable if enabled else gc.disable)()
+    seen = []
+
+    def watch(phase, info):
+        seen.append(phase)
+
+    gc.callbacks.append(watch)
+    try:
+        if pts is CUBE:
+            assert len(KdPointIndex.from_points(3, 64, pts)) == 4096
+        else:
+            with pytest.raises(ValueError, match=r"64 outside \[0, 64\)"):
+                KdPointIndex.from_points(3, 64, pts)
+    finally:
+        gc.callbacks.remove(watch)
+    assert gc.isenabled() is enabled
+    assert seen == []       # no automatic collection ran inside the build
+
+
+@pytest.mark.parametrize("bad", [(True, 1), (1, 2.0), (16, 0), (3, -1),
+                                 (1, 2, 3), (7,), (np.int64(1), 2**64),
+                                 5, "ab"])
+def test_from_points_names_the_first_bad_point(bad):
+    # the whole-input check falls back to the point-by-point one, so the
+    # message is the one that point gets on its own
+    idx = KdPointIndex(2, 16)
+    with pytest.raises(ValueError) as alone:
+        idx._check_point(bad)
+    with pytest.raises(ValueError) as bulk:
+        KdPointIndex.from_points(2, 16, GRID[::-1] + [bad, (1, 17)] + GRID)
+    assert str(bulk.value) == str(alone.value)

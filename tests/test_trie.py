@@ -380,10 +380,8 @@ def test_bad_keys_raise_value_error_and_are_not_stored(bad):
                  lambda: t.delete(bad)):
         with pytest.raises(ValueError):
             call()
-    if bad is not True:
-        # a probe is only checked when the descent fails on it
-        with pytest.raises(ValueError):
-            t.succ_geq(bad)
+    with pytest.raises(ValueError):
+        t.succ_geq(bad)
     assert t.validate() == [] and list(t.items()) == [(3, "a")]
 
 
