@@ -384,8 +384,8 @@ def cmd_bench(args) -> int:
 
             sample = random.Random(args.seed + 7).sample(pts, min(500, n))
             _touch_rows(out, "delete", n, args, idx.delete, sample)
-            if mismatches:
-                out.write(f"# engine mismatches: {mismatches}\n")
+        if mismatches:
+            out.write(f"# engine mismatches: {mismatches}\n")
     if mismatches:
         print(f"bench: {mismatches} engine mismatches", file=sys.stderr)
         return 1

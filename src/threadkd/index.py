@@ -245,7 +245,7 @@ class KdPointIndex:
                     starts[long], (starts + sizes)[long])
                 for s, trie in zip(starts[long].tolist(), tries):
                     markers[s + 1] = trie
-            tree.trie[:] = markers
+            tree.trie = markers
             above.cross[1:] = map(handles.__getitem__, (starts + 1).tolist())
             above = tree
         self.above[1:] = self.trees[:-1]

@@ -82,7 +82,11 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     the start that carries a marker, count or trie), which costs one
     probe visit, or at the end of the level.  A group whose minimum
     exceeds hi is rejected on that probe alone, without a lookup.
+    DUMMY, which an empty index's header link and an empty tree's
+    ``first()`` give, heads no group: the answer is empty.
     """
+    if group_first == DUMMY:
+        return []
     # range(n)[h] is h itself: the walk reports the handles
     handles = range(len(index.trees[level].key))
     return _level_members(index, level, [group_first], lo, hi, handles,

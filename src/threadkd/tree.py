@@ -100,24 +100,29 @@ class ThreadedAvlTree:
     """
 
     def __init__(self):
-        self.key: list[Optional[tuple]] = []
-        self.link: tuple[list[int], list[int]] = ([], [])
-        self.thread = (bytearray(), bytearray())
-        self.parent: list[int] = []
-        self.balance: list[int] = []
-        self.cross: list[Optional[int]] = []
-        self.trie: list = []
+        # Dummy arrangement: left slot is the root link (thread to self when
+        # empty), right slot is a child link to itself so that succ/pred of
+        # the dummy resolve to the first/last real node.
+        self._columns([None], ([DUMMY], [DUMMY]),
+                      (bytearray(b"\x01"), bytearray(1)), [DUMMY], [0], 0)
+
+    def _columns(self, key: list, link: tuple, thread: tuple, parent: list,
+                 balance: list, size: int) -> None:
+        """Set every field: the given columns, one cell per handle, no
+        payload, no free cell and zeroed counters."""
+        self.key: list[Optional[tuple]] = key
+        self.link: tuple[list[int], list[int]] = link
+        self.thread: tuple[bytearray, bytearray] = thread
+        self.parent: list[int] = parent
+        self.balance: list[int] = balance
+        self.cross: list[Optional[int]] = [None] * len(key)
+        self.trie: list = [None] * len(key)
         self.free: list[int] = []
-        self.size = 0
+        self.size = size
         self.rotations = 0
         # bumped by every insert and delete, so an inorder walk can tell
         # that the tree changed under it
         self.mutations = 0
-        # Dummy arrangement: left slot is the root link (thread to self when
-        # empty), right slot is a child link to itself so that succ/pred of
-        # the dummy resolve to the first/last real node.
-        self._grow([None])
-        self.thread[1][DUMMY] = 0
 
     @classmethod
     def from_sorted(cls, keys: Sequence[tuple],
@@ -137,19 +142,21 @@ class ThreadedAvlTree:
         Every link is taken from ``handles``, where ``handles[j] == j`` for
         each j up to ``len(keys) + 1``, so each handle is one int object;
         callers that build several trees pass one list to all of them.
+        An object array of those ints turns the link and parent arrays
+        into the columns, one fancy index each.
         """
-        tree = cls()
         n = len(keys)
         if n == 0:
-            return tree
+            return cls()
         if handles is None:
             handles = list(range(n + 2))
-        tree._grow(keys)
-        # columns indexed by handle; row 0, the dummy's, is not written
+        # columns indexed by handle; row 0 is the dummy's: its left slot
+        # links to the root, its right slot to itself
         link = np.zeros((2, n + 1), np.int64)
         thread = np.zeros((2, n + 1), np.uint8)
         parent = np.zeros(n + 1, np.int64)
         balance = np.zeros(n + 1, np.int64)
+        link[0, DUMMY] = (n >> 1) + 1
         lo = np.zeros(1, np.int64)
         hi = np.full(1, n, np.int64)
         up = np.zeros(1, np.int64)
@@ -169,15 +176,11 @@ class ThreadedAvlTree:
             balance[h] = np.frexp(hi - h)[1] - np.frexp(mid - lo)[1]
             lo, hi, up = map(np.concatenate, zip(*below))
         link[1, n] = DUMMY
-        get = handles.__getitem__
-        for d in (0, 1):
-            tree.link[d][1:] = map(get, link[d, 1:].tolist())
-            tree.thread[d][1:] = thread[d, 1:].tobytes()
-        tree.parent[1:] = map(get, parent[1:].tolist())
-        tree.balance[1:] = balance[1:].tolist()
-        tree.link[0][DUMMY] = get((n >> 1) + 1)
-        tree.thread[0][DUMMY] = 0
-        tree.size = n
+        table = np.array(handles[:n + 1], object)
+        tree = cls.__new__(cls)
+        tree._columns([None, *keys], tuple(table[link].tolist()),
+                      tuple(map(bytearray, thread)), table[parent].tolist(),
+                      balance.tolist(), n)
         return tree
 
     # -- handle helpers -------------------------------------------------
@@ -195,19 +198,6 @@ class ThreadedAvlTree:
             return False
         return h == DUMMY or self.key[h] is not None
 
-    def _grow(self, keys: Sequence[Optional[tuple]]) -> None:
-        """Append one fresh cell per key: both slots threads to DUMMY,
-        balance 0, no payload."""
-        m = len(keys)
-        self.key.extend(keys)
-        for col in (*self.link, self.parent):
-            col.extend([DUMMY] * m)
-        for flags in self.thread:
-            flags.extend(b"\x01" * m)
-        self.balance.extend([0] * m)
-        self.cross.extend([None] * m)
-        self.trie.extend([None] * m)
-
     def _alloc(self, key: tuple) -> int:
         """A cell holding ``key`` with both slots threads, balance 0 and
         no payload; the caller sets its links and parent."""
@@ -217,7 +207,14 @@ class ThreadedAvlTree:
             self.thread[0][h] = self.thread[1][h] = 1
             self.balance[h] = 0
             return h
-        self._grow([key])
+        self.key.append(key)
+        for col in (*self.link, self.parent):
+            col.append(DUMMY)
+        for flags in self.thread:
+            flags.append(1)
+        self.balance.append(0)
+        self.cross.append(None)
+        self.trie.append(None)
         return len(self.key) - 1
 
     def _release(self, h: int) -> None:

@@ -134,10 +134,11 @@ class TrieNode:
 
 
 @functools.cache
-def _powers(radix: int, width: int) -> tuple[int, ...]:
-    """Place values of a key's digits, most significant first; one tuple
-    per trie shape, shared by every trie of that shape."""
-    return tuple(radix ** (width - 1 - i) for i in range(width))
+def _shape(radix: int, width: int) -> tuple[int, tuple[int, ...]]:
+    """The capacity, radix**width, and the place values of a key's digits,
+    most significant first; one pair per trie shape, shared by every trie
+    of that shape, so no trie holds an int of its own for them."""
+    return radix ** width, tuple(radix ** (width - 1 - i) for i in range(width))
 
 
 # _REFS[e] == ~e, the slot reference of entry e.  Every trie takes its
@@ -280,17 +281,23 @@ class ThreadedTrie:
         width = as_coordinate(width, "width")
         if radix < 2 or width < 1:
             raise ValueError("radix must be >= 2 and width >= 1")
+        # the root, empty: every slot threads to what follows, nothing
+        self._columns(radix, width, [None] * radix, bytearray(radix), [None],
+                      [], [])
+
+    def _columns(self, radix: int, width: int, slots: list,
+                 valid: bytearray, up: list, key: list, value: list) -> None:
+        """Set every field: the shape, the given columns, one entry per
+        key, no free cell, no view and the counter zeroed."""
         self.radix = radix
         self.width = width
-        self.capacity = radix ** width
-        self.size = 0
-        self._pow = _powers(radix, width)
-        # the root, empty: every slot threads to what follows, nothing
-        self.slots: list = [None] * radix
-        self.valid = bytearray(radix)
-        self.up: list = [None]
-        self.key: list = []
-        self.value: list = []
+        self.capacity, self._pow = _shape(radix, width)
+        self.size = len(key)
+        self.slots = slots
+        self.valid = valid
+        self.up = up
+        self.key = key
+        self.value = value
         self.free_node: Optional[int] = None
         self.free_entry: Optional[int] = None
         # bumped by every insert and delete, so items() can tell that the
@@ -330,9 +337,9 @@ class ThreadedTrie:
         if keys:
             as_coordinate(keys[0], "key", trie.capacity)
             as_coordinate(keys[-1], "key", trie.capacity)
-            trie.key, trie.value = keys, values
+            trie._columns(trie.radix, trie.width, trie.slots, trie.valid,
+                          trie.up, keys, values)
             trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
-            trie.size = len(keys)
         return trie
 
     @classmethod
@@ -347,36 +354,26 @@ class ThreadedTrie:
         (ints past 2**63); each group holds distinct keys in increasing
         order, all in [0, radix**width), which is not checked here.
         ``_level_codes`` computes every slot as a code; one object table
-        turns the codes into the slot and ``up`` lists, so an entry
-        reference is ``_REFS``' own int and no slot makes an object.  The
-        Python work per trie is the object and its column slices.
+        turns each trie's own rows of codes into its slot and ``up``
+        lists, so an entry reference is ``_REFS``' own int and no slot
+        makes an object.
         """
         shape = cls(radix, width)
-        r = shape.radix
+        r, w = shape.radix, shape.width
         starts = np.asarray(starts, np.int64)
         sizes = np.asarray(ends, np.int64) - starts
         if not len(sizes):
             return []
         table, slot_codes, flags, up_codes, first_node = _level_codes(
             r, shape._pow, column, starts, sizes)
-        slots = table[slot_codes.ravel()].tolist()
-        ups = table[up_codes].tolist()
-        flag_bytes = memoryview(flags.tobytes())
         out = []
         for s, e, a, b in zip(starts.tolist(), (starts + sizes).tolist(),
                               first_node[:-1].tolist(),
                               first_node[1:].tolist()):
-            # every slot of ThreadedTrie, set as __init__ sets it
             trie = cls.__new__(cls)
-            trie.radix, trie.width = r, shape.width
-            trie.capacity, trie._pow = shape.capacity, shape._pow
-            trie.size = e - s
-            trie.slots = slots[a * r:b * r]
-            trie.valid = bytearray(flag_bytes[a * r:b * r])
-            trie.up = ups[a:b]
-            trie.key, trie.value = keys[s:e], values[s:e]
-            trie.free_node = trie.free_entry = trie._views = None
-            trie.mutations = 0
+            trie._columns(r, w, table[slot_codes[a:b]].ravel().tolist(),
+                          bytearray(flags[a:b]), table[up_codes[a:b]].tolist(),
+                          keys[s:e], values[s:e])
             out.append(trie)
         return out
 

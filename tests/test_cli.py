@@ -405,6 +405,22 @@ def test_bench_engine_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     assert "bench: 2 engine mismatches" in capsys.readouterr().err
 
 
+def test_bench_writes_its_mismatch_count_once(tmp_path, monkeypatch):
+    out = tmp_path / "b.csv"
+    q = tmp_path / "q.csv"
+    q.write_text("0,255,0,255\n0,0,0,0\n0,127,0,255\n", encoding="ascii")
+    brute = cli.brute_force_query
+    # wrong at the first size only: two mismatches at n=50, none at n=60
+    monkeypatch.setattr(cli, "brute_force_query",
+                        lambda arr, w: [] if len(arr) == 50 else brute(arr, w))
+    assert run(["bench", "--n", "50,60", "--width", "2", "--queries", str(q),
+                "--out", str(out)]) == 1
+    lines = read(out).splitlines()
+    assert [x for x in lines if "mismatches" in x] == [
+        "# engine mismatches: 2"]
+    assert lines[-1] == "# engine mismatches: 2"
+
+
 def test_verify_rescales_exactly_at_any_bound(tmp_path):
     p, q, rep = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "r.csv"
     q.write_text("0,0\n", encoding="ascii")

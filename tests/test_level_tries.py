@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from threadkd.index import T
-from threadkd.trie import _REFS, ValueTrie
+from threadkd.trie import _REFS, ThreadedTrie, ValueTrie
 
 COLUMNS = ("size", "slots", "valid", "up", "key", "value", "free_node",
            "free_entry", "mutations", "capacity", "_pow")
@@ -106,3 +106,16 @@ def test_level_tries_share_the_callers_keys_and_values():
     assert all(a is b for a, b in zip(trie.key, keys[3:30]))
     assert all(a is b for a, b in zip(trie.value, values[3:30]))
     assert trie.find(310) is values[10]
+
+
+def test_level_tries_set_every_field_as_from_columns():
+    rng = random.Random(19)
+    for radix, width in ((2, 9), (16, 3), (256, 2)):
+        got, want = build_both(radix, width, groups_for(rng, radix, width))
+        for g, w in zip(got, want):
+            for name in ThreadedTrie.__slots__:
+                assert getattr(g, name) == getattr(w, name), name
+            assert (type(g.slots), type(g.valid), type(g.up)) == (
+                list, bytearray, list)
+            # every trie of one shape shares its capacity and place values
+            assert g.capacity is w.capacity and g._pow is w._pow

@@ -66,6 +66,23 @@ def test_reused_stats_accumulate_candidates():
     assert st_.cross_links_followed == 2 * once.cross_links_followed
 
 
+def test_level_candidates_of_dummy_are_empty():
+    # an empty index's header link and an empty tree's first() are DUMMY
+    idx = KdPointIndex(2, 16, radix=4, width=2)
+    for _ in range(2):
+        st_ = VisitStats()
+        assert idx.above[0].cross[HEAD] == DUMMY
+        assert idx.trees[0].first() == DUMMY
+        assert level_candidates(idx, 0, idx.above[0].cross[HEAD], 0, 15,
+                                st_) == []
+        assert level_candidates(idx, 1, idx.trees[1].first(), 0, 15) == []
+        assert st_.tree_nodes_visited == st_.trie_lookups == 0
+        # the same after a point comes and goes
+        idx.insert((3, 5))
+        assert level_candidates(idx, 0, idx.above[0].cross[HEAD], 0, 15)
+        idx.delete((3, 5))
+
+
 def test_empty_index_window():
     idx = KdPointIndex(2, 16)
     res, st_ = window_query(idx, [(0, 15), (0, 15)])

@@ -320,6 +320,25 @@ def test_from_sorted_matches_midpoint_recursion():
             assert all(h is handles[h] for h in col), n
 
 
+TREE_FIELDS = ("key", "link", "thread", "parent", "balance", "cross", "trie",
+               "free", "size", "rotations", "mutations")
+
+
+def test_from_sorted_columns_have_one_cell_per_handle():
+    for n in range(65):
+        t = ThreadedAvlTree.from_sorted([(v,) for v in range(n)])
+        columns = (t.key, *t.link, *t.thread, t.parent, t.balance, t.cross,
+                   t.trie)
+        assert [len(c) for c in columns] == [n + 1] * 9, n
+        assert t.cross == t.trie == [None] * (n + 1), n
+        assert t.free == [] and t.size == n
+        assert t.rotations == t.mutations == 0
+        assert all(type(flags) is bytearray for flags in t.thread)
+    empty, fresh = ThreadedAvlTree.from_sorted([]), ThreadedAvlTree()
+    for name in TREE_FIELDS:
+        assert getattr(empty, name) == getattr(fresh, name), name
+
+
 def test_from_sorted_tree_takes_updates():
     t = ThreadedAvlTree.from_sorted([(v,) for v in range(0, 40, 2)])
     for v in range(1, 40, 4):
