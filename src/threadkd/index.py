@@ -47,7 +47,7 @@ import numpy as np
 
 from .stats import VisitStats
 from .tree import DUMMY, ThreadedAvlTree
-from .trie import ThreadedTrie, ValueTrie, as_coordinate
+from .trie import ThreadedTrie, ValueTrie, _trie_shape, as_coordinate
 
 
 HEAD = 1    # the header's one node, the empty prefix
@@ -69,36 +69,24 @@ def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
     Returns the group's last member whose level coordinate is below
     ``c`` (None when ``first``'s is not) and its first member at ``c``
     or above (DUMMY when none is).  Walks at most the count, so at most
-    ``T`` inorder threads, stepping as ``_level_members`` does, with no
-    call per member; counted as trie work, one ``trie_nodes_visited``
-    per member read, as ``ThreadedTrie.find`` counts, and each step's
-    threads as ``in_succ`` counts them.  A caller that stands in for
-    ``succ_geq`` counts the ``trie_lookups`` itself.
+    ``T`` members, one ``in_succ`` step each; counted as trie work, one
+    ``trie_nodes_visited`` per member read, as ``ThreadedTrie.find``
+    counts, and each step's threads by ``in_succ``.  A caller that
+    stands in for ``succ_geq`` counts the ``trie_lookups`` itself.
     """
     key = tree.key
     n = tree.trie[first]
     prev, h = None, first
-    visited, threads = 1, 0
+    visited = 1
     while key[h][i] < c:
         n -= 1
         if n == 0:
             prev, h = h, DUMMY
             break
-        # the columns are read per step, not bound up front: most walks,
-        # in groups of one member, end before their first step
-        q = tree.link[1][h]
-        threads += 1
-        if not tree.thread[1][h]:
-            left, lthread = tree.link[0], tree.thread[0]
-            while not lthread[q]:
-                q = left[q]
-                threads += 1
-        prev, h = h, q
+        prev, h = h, tree.in_succ(h, stats)
         visited += 1
     if stats is not None:
         stats.trie_nodes_visited += visited
-        if threads:
-            stats.threads_followed += threads
     return prev, h
 
 
@@ -117,22 +105,15 @@ class KdPointIndex:
 
     def __init__(self, k: int, bound: int, radix: int = 16,
                  width: Optional[int] = None):
-        k, bound, radix = (as_coordinate(v, name) for v, name in
-                           ((k, "k"), (bound, "bound"), (radix, "radix")))
-        if width is not None:
-            width = as_coordinate(width, "width")
+        k, bound = as_coordinate(k, "k"), as_coordinate(bound, "bound")
         if k < 1:
             raise ValueError("k must be >= 1")
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        if radix < 2:
-            raise ValueError("radix must be >= 2")
-        if width is not None and width < 1:
-            raise ValueError("width must be >= 1")
-        if width is None:
-            width = 1
-            while radix ** width < bound:
-                width += 1
+        derive = width is None
+        radix, width = _trie_shape(radix, 1 if derive else width)
+        while derive and radix ** width < bound:
+            width += 1
         if radix ** width < bound:
             raise ValueError(f"radix**width = {radix ** width} cannot cover "
                              f"bound {bound}")
@@ -181,10 +162,10 @@ class KdPointIndex:
         collections would find nothing to free.  A ``finally`` restores
         the caller's setting, also when a point is rejected.
         """
-        idx = cls(k, bound, radix, width)
         enabled = gc.isenabled()
         gc.disable()
         try:
+            idx = cls(k, bound, radix, width)
             idx._bulk_load(list(points))
         finally:
             if enabled:
@@ -222,14 +203,14 @@ class KdPointIndex:
         j, rows = j[keep], rows[keep]
         pts = list(map(pts.__getitem__, order[keep].tolist()))
         handles = list(range(len(pts) + 2))
-        above = self.above[0]
         for i in range(k):
             opens = j <= i
             level = (pts if i == k - 1 else
                      list(map(itemgetter(slice(0, i + 1)),
                               compress(pts, opens.tolist()))))
-            tree = ThreadedAvlTree.from_sorted(level, handles)
-            self.trees[i] = tree
+            tree = self.trees[i] = ThreadedAvlTree.from_sorted(level, handles)
+            if i < k - 1:
+                self.above[i + 1] = tree
             starts = np.flatnonzero(j[opens] < i)
             sizes = np.diff(starts, append=len(level))
             markers = np.full(len(level) + 1, None, object)
@@ -246,9 +227,8 @@ class KdPointIndex:
                 for s, trie in zip(starts[long].tolist(), tries):
                     markers[s + 1] = trie
             tree.trie = markers
-            above.cross[1:] = map(handles.__getitem__, (starts + 1).tolist())
-            above = tree
-        self.above[1:] = self.trees[:-1]
+            self.above[i].cross = [None, *map(handles.__getitem__,
+                                              (starts + 1).tolist())]
 
     def __len__(self) -> int:
         return self.trees[-1].size
@@ -310,21 +290,11 @@ class KdPointIndex:
         spare list capacity."""
         tree = self.trees[i]
         key = tree.key
-        left, right = tree.link
-        lthread, rthread = tree.thread
         coords, handles = [key[first][i]] * n, [first] * n
         h = first
-        descents = 0
         for a in range(1, n):
-            q = right[h]
-            if not rthread[h]:
-                while not lthread[q]:
-                    q = left[q]
-                    descents += 1
-            h = handles[a] = q
+            h = handles[a] = tree.in_succ(h, stats)
             coords[a] = key[h][i]
-        if stats is not None:
-            stats.threads_followed += n - 1 + descents
         return ValueTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple,

@@ -133,6 +133,16 @@ class TrieNode:
         return f"TrieNode({self.n})"
 
 
+def _trie_shape(radix, width) -> tuple[int, int]:
+    """``radix`` and ``width`` as plain ints under ``as_coordinate``;
+    ValueError unless radix >= 2 and width >= 1."""
+    radix = as_coordinate(radix, "radix")
+    width = as_coordinate(width, "width")
+    if radix < 2 or width < 1:
+        raise ValueError("radix must be >= 2 and width >= 1")
+    return radix, width
+
+
 @functools.cache
 def _shape(radix: int, width: int) -> tuple[int, tuple[int, ...]]:
     """The capacity, radix**width, and the place values of a key's digits,
@@ -277,10 +287,7 @@ class ThreadedTrie:
                  "mutations", "_views")
 
     def __init__(self, radix: int, width: int):
-        radix = as_coordinate(radix, "radix")
-        width = as_coordinate(width, "width")
-        if radix < 2 or width < 1:
-            raise ValueError("radix must be >= 2 and width >= 1")
+        radix, width = _trie_shape(radix, width)
         # the root, empty: every slot threads to what follows, nothing
         self._columns(radix, width, [None] * radix, bytearray(radix), [None],
                       [], [])
@@ -358,14 +365,13 @@ class ThreadedTrie:
         lists, so an entry reference is ``_REFS``' own int and no slot
         makes an object.
         """
-        shape = cls(radix, width)
-        r, w = shape.radix, shape.width
+        r, w = _trie_shape(radix, width)
         starts = np.asarray(starts, np.int64)
         sizes = np.asarray(ends, np.int64) - starts
         if not len(sizes):
             return []
         table, slot_codes, flags, up_codes, first_node = _level_codes(
-            r, shape._pow, column, starts, sizes)
+            r, _shape(r, w)[1], column, starts, sizes)
         out = []
         for s, e, a, b in zip(starts.tolist(), (starts + sizes).tolist(),
                               first_node[:-1].tolist(),
@@ -598,15 +604,14 @@ class ThreadedTrie:
             i = node * r + d
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            if not valid[i]:
-                # the thread's slot takes the entry, and so do the threads
-                # before it that aimed at the same next ref
-                entry = self._new_entry(key, value)
-                self._rethread(node, d, entry, stats)
-                valid[i] = 1
-                break
             other = slots[i]
-            if other < 0:
+            if not valid[i]:
+                # the thread's slot takes the entry
+                ref = entry = self._new_entry(key, value)
+            elif other >= 0:
+                node = other
+                continue
+            else:
                 # split: the two keys' nodes replace the other's entry
                 g = key_of[~other]
                 if g == key:
@@ -614,15 +619,17 @@ class ThreadedTrie:
                 entry = self._new_entry(key, value)
                 keys, refs = (((g, key), (other, entry)) if g < key
                               else ((key, g), (entry, other)))
-                top = self._new_node(slots[i + 1] if d < r - 1
+                ref = self._new_node(slots[i + 1] if d < r - 1
                                      else self.up[node])
                 if stats is not None:
                     stats.trie_nodes_visited += 1
-                self._fill(top, keys, refs, 0, 2, depth + 1, stats)
-                slots[i] = top
-                self._rethread(node, d - 1, top, stats)
-                break
-            node = other
+                self._fill(ref, keys, refs, 0, 2, depth + 1, stats)
+            # the slot takes the new ref, and so do the threads before it,
+            # which led where the slot did
+            slots[i] = ref
+            valid[i] = 1
+            self._rethread(node, d - 1, ref, stats)
+            break
         self.size += 1
         self.mutations += 1
         return self._result(entry)

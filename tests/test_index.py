@@ -1,4 +1,5 @@
 import gc
+import os
 import random
 import sys
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import threadkd
 from threadkd.baseline import brute_force_query
 from threadkd.index import HEAD, T, KdPointIndex
 from threadkd.query import window_query
 from threadkd.stats import VisitStats
 from threadkd.tree import DUMMY
-from threadkd.trie import ThreadedTrie
+from threadkd.trie import ThreadedTrie, ValueTrie
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
@@ -165,6 +167,18 @@ def test_domain_errors():
         KdPointIndex(2, 300, radix=16, width=1)
     with pytest.raises(ValueError):
         KdPointIndex(0, 16)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KdPointIndex(2, 100, radix=1),
+    lambda: KdPointIndex(2, 100, width=0),
+    lambda: ThreadedTrie(1, 2),
+    lambda: ValueTrie.level_tries(1, 2, np.array([], np.int64), [], [],
+                                  [], []),
+], ids=["index radix", "index width", "trie", "level tries"])
+def test_bad_trie_shape_has_one_message(make):
+    with pytest.raises(ValueError, match="radix must be >= 2 and width >= 1"):
+        make()
 
 
 def test_empty_universe_rejected():
@@ -650,6 +664,34 @@ def test_from_points_leaves_the_collector_as_it_found_it(collector, enabled,
         gc.callbacks.remove(watch)
     assert gc.isenabled() is enabled
     assert seen == []       # no automatic collection ran inside the build
+
+
+def test_from_points_pauses_the_collector_for_construction_too(collector):
+    # at threshold 1 a collection starts on nearly every allocation while
+    # the collector runs, so any part of the call outside the pause shows
+    package = os.path.dirname(threadkd.__file__) + os.sep
+    inside = []
+
+    def watch(phase, info):
+        if phase == "start":
+            f = sys._getframe(1)
+            while f and not f.f_code.co_filename.startswith(package):
+                f = f.f_back
+            if f:
+                inside.append(f.f_code.co_name)
+
+    gc.enable()
+    threshold = gc.get_threshold()
+    gc.callbacks.append(watch)
+    gc.set_threshold(1)
+    try:
+        assert len(KdPointIndex.from_points(2, 16, FIVE)) == 5
+        with pytest.raises(ValueError, match=r"16 outside \[0, 16\)"):
+            KdPointIndex.from_points(2, 16, FIVE + [(3, 16)])
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(watch)
+    assert inside == []
 
 
 @pytest.mark.parametrize("bad", [(True, 1), (1, 2.0), (16, 0), (3, -1),
