@@ -90,6 +90,40 @@ def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
     return prev, h
 
 
+def _lex_order(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order of the rows of ``rows`` (n by k, coordinates in
+    [0, bound)) sorted lexicographically, equal rows in their input
+    order, and the first coordinate ``j`` where each row in that order
+    differs from the one before it (-1 for the first row, k for a repeat).
+
+    With ``b = (bound - 1).bit_length()`` bits per coordinate, a universe
+    that fits ``b * k`` bits beside the ``s`` bits of a row index packs
+    each row into one int64, coordinate 0 highest and the row index
+    lowest.  The packed keys are distinct, so one plain sort orders them
+    stably; its low bits are the order, and the top set bit of a
+    neighbour pair's XOR names ``j``, with no float in the way.  Rows
+    that do not fit, ``object`` ones past 2**63 among them (``b`` is 64
+    or more there), take ``lexsort`` and a comparison of neighbours
+    instead.  The temporaries end with the call.
+    """
+    n, k = rows.shape
+    b, s = (bound - 1).bit_length(), (n - 1).bit_length()
+    if b * k + s > 63:
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        differs = rows[1:] != rows[:-1]
+        j = np.where(differs.any(1), differs.argmax(1), k)
+    else:
+        key = np.arange(n, dtype=np.int64)
+        for c in range(k):
+            key |= rows[:, c] << (b * (k - 1 - c) + s)
+        key.sort()
+        order = key & ((1 << s) - 1)
+        x = (key[1:] ^ key[:-1]) >> s
+        j = k - sum((x >> (b * c)) != 0 for c in range(k))
+    return order, np.concatenate(([-1], j))
+
+
 class KdPointIndex:
     """Dynamic set of distinct k-tuples with windowed retrieval support.
 
@@ -105,6 +139,12 @@ class KdPointIndex:
 
     def __init__(self, k: int, bound: int, radix: int = 16,
                  width: Optional[int] = None):
+        self._shape(k, bound, radix, width)
+        self._hang([ThreadedAvlTree() for _ in range(self.k)])
+
+    def _shape(self, k: int, bound: int, radix: int,
+               width: Optional[int]) -> None:
+        # the checked arguments of __init__, with width derived when None
         k, bound = as_coordinate(k, "k"), as_coordinate(bound, "bound")
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -121,10 +161,14 @@ class KdPointIndex:
         self.bound = bound
         self.radix = radix
         self.width = width
-        self.trees = [ThreadedAvlTree() for _ in range(k)]
+
+    def _hang(self, trees: list) -> None:
+        """Take ``trees`` as the k levels, under a new header linked to
+        level 0's first node (DUMMY when level 0 is empty)."""
         head = ThreadedAvlTree.from_sorted([()])
-        head.cross[HEAD] = DUMMY
-        self.above = [head, *self.trees[:-1]]
+        head.cross[HEAD] = trees[0].first()
+        self.trees = trees
+        self.above = [head, *trees[:-1]]
 
     @classmethod
     def from_points(cls, k: int, bound: int, points: Iterable[Sequence[int]],
@@ -136,21 +180,26 @@ class KdPointIndex:
         int, and the numpy array made of them lies in [0, bound); when a
         check fails they are checked one by one, so the first bad point
         raises its own message.  The array is ``int64`` when
-        ``bound <= 2**63`` and ``object`` above (lexsort and ``!=`` work
-        on either), and one ``lexsort`` orders it; a row equal to the one
-        before it is dropped, so the first of equal points stays, as a
-        set would keep it.  The first coordinate ``j`` where each point
-        differs from the previous one (-1 for the first point) gives every
-        level: level i's keys are the (i+1)-prefixes of the points with
-        ``j <= i``, and its groups start at those with ``j < i``.  The
-        last level holds the checked tuples themselves and each inner
-        level slices them, so the levels share their coordinate ints.
-        Each level's tree comes from ``ThreadedAvlTree.from_sorted`` and
-        its group markers are written as one column: a group of ``T`` or
-        fewer members gets its count, and ``ValueTrie.level_tries`` builds
-        the longer ones' tries together.  Level i's g-th group (from 1)
-        hangs under handle g one level up: level i-1's g-th key or, for
-        level 0's one group, the header's ``HEAD``.  The trees come out
+        ``bound <= 2**63`` and ``object`` above.  It is sorted as one
+        packed int64 key per point, the point's coordinates above its
+        index, when those fit 63 bits, and by ``lexsort`` when they do
+        not (``_lex_order``); either way equal points keep their input
+        order, and a row equal to the one before it is dropped, so the
+        first of equal points stays, as a set would keep it.  The first
+        coordinate ``j`` where each point differs from the previous one
+        (-1 for the first point; the top set bit of the packed keys' XOR)
+        gives every level: level i's keys are the (i+1)-prefixes of the
+        points with ``j <= i``, and its groups start at those with
+        ``j < i``.  The last level holds the checked tuples themselves
+        and each inner level slices them, so the levels share their
+        coordinate ints.  Each level's tree comes from
+        ``ThreadedAvlTree.from_sorted`` and its group markers are written
+        as one column: a group of ``T`` or fewer members gets its count,
+        and ``ValueTrie.level_tries`` builds the longer ones' tries
+        together.  Level i's g-th group (from 1) hangs under handle g one
+        level up: level i-1's g-th key or, for level 0's one group, the
+        header's ``HEAD``.  No level is made before its points are
+        sorted, so a non-empty load makes no empty tree.  The trees come out
         perfectly balanced, so the shape-dependent counters
         (``threads_followed``; for later updates also ``rotations`` and
         ``tree_nodes_visited``) can differ from an index built by
@@ -165,7 +214,8 @@ class KdPointIndex:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            idx = cls(k, bound, radix, width)
+            idx = cls.__new__(cls)
+            idx._shape(k, bound, radix, width)
             idx._bulk_load(list(points))
         finally:
             if enabled:
@@ -173,7 +223,7 @@ class KdPointIndex:
         return idx
 
     def _bulk_load(self, points: list) -> None:
-        # the body of from_points, on an empty index
+        # the body of from_points, on an index with its shape and no levels
         k, bound = self.k, self.bound
         dtype = np.int64 if bound <= 2 ** 63 else object
         pts = rows = None
@@ -190,27 +240,25 @@ class KdPointIndex:
             pts = [self._check_point(p) for p in points]
             rows = np.fromiter(chain.from_iterable(pts), dtype, len(pts) * k)
         if not pts:
+            self._hang([ThreadedAvlTree() for _ in range(k)])
             return
+        # rows: the points' coordinates, a point per row in input order;
+        # order lists the distinct points' rows in sorted order
         rows = rows.reshape(len(pts), k)
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        # j: the first coordinate where a sorted row differs from the one
-        # before it; -1 for the first row, k for a repeat
-        differs = rows[1:] != rows[:-1]
-        j = np.concatenate(([-1], np.where(differs.any(1),
-                                          differs.argmax(1), k)))
+        order, j = _lex_order(rows, bound)
         keep = j < k
-        j, rows = j[keep], rows[keep]
-        pts = list(map(pts.__getitem__, order[keep].tolist()))
+        order, j = order[keep], j[keep]
+        # one take on an object array, about half the time of a Python
+        # lookup per point
+        pts = np.fromiter(pts, object, len(pts))[order].tolist()
         handles = list(range(len(pts) + 2))
+        trees = []
         for i in range(k):
             opens = j <= i
             level = (pts if i == k - 1 else
                      list(map(itemgetter(slice(0, i + 1)),
                               compress(pts, opens.tolist()))))
-            tree = self.trees[i] = ThreadedAvlTree.from_sorted(level, handles)
-            if i < k - 1:
-                self.above[i + 1] = tree
+            tree = ThreadedAvlTree.from_sorted(level, handles)
             starts = np.flatnonzero(j[opens] < i)
             sizes = np.diff(starts, append=len(level))
             markers = np.full(len(level) + 1, None, object)
@@ -221,14 +269,17 @@ class KdPointIndex:
                 # the keys and values are sliced from these lists, so the
                 # tries share the points' coordinate ints and the handles
                 tries = ValueTrie.level_tries(
-                    self.radix, self.width, rows[opens, i],
+                    self.radix, self.width, rows[order[opens], i],
                     list(map(itemgetter(i), level)), handles[1:],
                     starts[long], (starts + sizes)[long])
                 for s, trie in zip(starts[long].tolist(), tries):
                     markers[s + 1] = trie
             tree.trie = markers
-            self.above[i].cross = [None, *map(handles.__getitem__,
+            if trees:
+                trees[-1].cross = [None, *map(handles.__getitem__,
                                               (starts + 1).tolist())]
+            trees.append(tree)
+        self._hang(trees)
 
     def __len__(self) -> int:
         return self.trees[-1].size

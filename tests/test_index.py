@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import threadkd
 from threadkd.baseline import brute_force_query
-from threadkd.index import HEAD, T, KdPointIndex
+from threadkd.index import HEAD, T, KdPointIndex, _lex_order
 from threadkd.query import window_query
 from threadkd.stats import VisitStats
-from threadkd.tree import DUMMY
+from threadkd.tree import DUMMY, ThreadedAvlTree
 from threadkd.trie import ThreadedTrie, ValueTrie
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
@@ -511,6 +511,73 @@ def test_from_points_stores_the_callers_tuples():
         assert t0.key[h][0] is t1.key[t0.cross[h]][0]
 
 
+def packed_fits(k, bound, n):
+    # the packed sort key's condition in _lex_order
+    return (bound - 1).bit_length() * k + (n - 1).bit_length() <= 63
+
+
+def edge_coords(bound):
+    """Coordinates in [0, bound) that differ from another only in their
+    lowest bit, or only in their top bit, with 0 and bound - 1."""
+    b = (bound - 1).bit_length()
+    top = 1 << (b - 1)
+    low = [0, 1, 6, 7, bound - 2, bound - 1]
+    high = [v for c in (0, 5, bound - 1 - top) for v in (c, c | top)]
+    return sorted({c for c in low + high if 0 <= c < bound})
+
+
+def edge_points(rng, k, bound, n):
+    """n points on ``edge_coords`` with about a quarter repeated, some as
+    equal tuples that are not the first one, shuffled."""
+    coords = edge_coords(bound)
+    pts = [tuple(rng.choice(coords) for _ in range(k))
+           for _ in range(n - n // 4)]
+    pts += [tuple(list(p)) for p in rng.sample(pts, n // 4)]
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("k,packed,unpacked", [
+    (3, 2 ** 16, 2 ** 20), (3, 40_000, 1_000_003), (2, 2 ** 26, 2 ** 30),
+    (1, 2 ** 50, 3 * 2 ** 60)])
+def test_from_points_packed_and_lexsort_build_alike(k, packed, unpacked):
+    # the same points under a bound whose packed key fits 63 bits and one
+    # whose key does not: both match inserts, and the first of equal
+    # tuples is the one stored
+    rng = random.Random(k * packed)
+    pts = edge_points(rng, k, packed, 600)
+    assert packed_fits(k, packed, len(pts))
+    assert not packed_fits(k, unpacked, len(pts))
+    first = {}
+    for p in pts:
+        first.setdefault(p, p)
+    for bound in (packed, unpacked):
+        bulk = KdPointIndex.from_points(k, bound, pts)
+        assert snapshot(bulk) == snapshot(insert_built(k, bound, pts))
+        assert bulk.validate() == []
+        stored = list(bulk.points())
+        assert stored == sorted(first)
+        assert all(p is first[p] for p in stored)
+
+
+@pytest.mark.parametrize("k,bound,n", [
+    # b * k + s at 63 and at 64, with the row index's s bits
+    (3, 2 ** 20, 8), (3, 2 ** 20, 9), (2, 2 ** 31, 2), (2, 2 ** 31, 3),
+    (1, 2 ** 63, 1), (1, 2 ** 63, 2), (3, 2 ** 20 - 3, 8),
+    (1, 1, 5), (2, 2, 40), (3, 1000, 300), (4, 2 ** 15 + 1, 500)])
+def test_lex_order_is_a_stable_sort(k, bound, n):
+    rng = random.Random(n * k + bound)
+    pts = edge_points(rng, k, bound, n) if bound > 1 else [
+        tuple(rng.randrange(bound) for _ in range(k)) for _ in range(n)]
+    order, j = _lex_order(np.array(pts, np.int64).reshape(n, k), bound)
+    want = sorted(range(n), key=pts.__getitem__)
+    assert order.tolist() == want
+    first_diff = [-1] + [
+        next((c for c in range(k) if pts[a][c] != pts[b][c]), k)
+        for a, b in zip(want, want[1:])]
+    assert j.tolist() == first_diff
+
+
 def test_points_raises_when_the_index_changes():
     idx = KdPointIndex.from_points(2, 16, [(x, y) for x in range(8)
                                            for y in range(8)])
@@ -537,6 +604,29 @@ def test_bulk_load_keeps_objects_per_trie_not_per_point():
     tries = sum(isinstance(m, ThreadedTrie) for t in idx.trees for m in t.trie)
     assert tries > 1000
     assert grown <= 8 * tries + 100, (grown, tries)
+
+
+def test_bulk_load_makes_no_tree_it_throws_away(monkeypatch):
+    # a non-empty load makes each level from its points, none through
+    # ThreadedAvlTree.__init__; the empty index still has k empty levels
+    made = []
+    init = ThreadedAvlTree.__init__
+
+    def counted(tree):
+        made.append(tree)
+        init(tree)
+
+    monkeypatch.setattr(ThreadedAvlTree, "__init__", counted)
+    assert len(KdPointIndex.from_points(2, 16, FIVE)) == 5
+    assert made == []
+    for make in (lambda: KdPointIndex.from_points(3, 16, []),
+                 lambda: KdPointIndex(3, 16)):
+        idx = make()
+        assert len(made) == 3 and made == idx.trees
+        assert [t.size for t in idx.trees] == [0, 0, 0]
+        assert idx.above[0].cross[HEAD] == DUMMY
+        assert idx.validate() == []
+        made.clear()
 
 
 def test_group_trie_columns_have_no_spare_capacity():

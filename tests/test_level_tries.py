@@ -4,12 +4,13 @@ node by node: the two give the same columns, entry references from the
 shared ``_REFS`` list, and the same tries after an insert and a delete."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from threadkd.index import T
-from threadkd.trie import _REFS, ThreadedTrie, ValueTrie
+from threadkd.trie import _BATCH, _REFS, ThreadedTrie, ValueTrie
 
 COLUMNS = ("size", "slots", "valid", "up", "key", "value", "free_node",
            "free_entry", "mutations", "capacity", "_pow")
@@ -119,3 +120,21 @@ def test_level_tries_set_every_field_as_from_columns():
                 list, bytearray, list)
             # every trie of one shape shares its capacity and place values
             assert g.capacity is w.capacity and g._pow is w._pow
+
+
+@pytest.mark.parametrize("radix,width", [(2, 12), (16, 3)])
+def test_level_tries_across_batches_equal_from_columns(radix, width):
+    # 700 groups span several batches of tries; each trie's slices of its
+    # batch's lists are exact-size, as fresh lists are
+    rng = random.Random(700 + radix)
+    groups = [sorted(rng.sample(range(radix ** width), rng.randint(T + 1, 40)))
+              for _ in range(700)]
+    assert len(groups) > 2 * _BATCH
+    got, want = build_both(radix, width, groups)
+    assert len(got) == len(want) == 700
+    for g, w in zip(got, want):
+        for name in ThreadedTrie.__slots__:
+            assert getattr(g, name) == getattr(w, name), name
+        for column in (g.slots, g.up, g.key, g.value):
+            assert sys.getsizeof(column) == sys.getsizeof([None] * len(column))
+    check(got[::97], want[::97], rng)

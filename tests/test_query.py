@@ -463,33 +463,16 @@ def test_count_groups_answer_without_a_trie_until_the_ninth_member(
     assert group_markers(idx) == {int}
     t0, t1 = idx.trees
     g = t0.cross[next(h for h in t0.inorder() if t0.key[h] == (16,))]
-    calls = {"in_succ": 0, "succ_geq": 0}
-    inside = []
+    calls = {"succ_geq": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            # the tree's own successor step in insert_after is not a walk
-            # of the index's
-            if not inside:
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    def marked(fn):
-        def wrapper(*args, **kwargs):
-            inside.append(fn)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
-        return wrapper
-
-    monkeypatch.setattr(ThreadedAvlTree, "in_succ",
-                        counted("in_succ", ThreadedAvlTree.in_succ))
     monkeypatch.setattr(ThreadedTrie, "succ_geq",
                         counted("succ_geq", ThreadedTrie.succ_geq))
-    monkeypatch.setattr(ThreadedAvlTree, "insert_after",
-                        marked(ThreadedAvlTree.insert_after))
     st_ = VisitStats()
     for w in ([(5, 40), (3, 50)], [(0, 63), (1, 62)], [(17, 17), (9, 9)]):
         got, _ = window_query(idx, w, st_)
