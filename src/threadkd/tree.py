@@ -352,12 +352,8 @@ class ThreadedAvlTree:
                 flags[s] = flags[h]
                 if not flags[h]:
                     parent[c] = s
-                    # the subtree's extreme node on the far side threaded to h
-                    far, far_flags = link[1 - d], thread[1 - d]
-                    q = c
-                    while not far_flags[q]:
-                        q = far[q]
-                    far[q] = s
+                    # h's neighbour on side d, below c, threaded to h
+                    link[1 - d][self._step(h, d)] = s
             self.balance[s] = self.balance[h]
             parent[s] = parent[h]
             self._replace_child(parent[h], h, s)
