@@ -11,8 +11,9 @@ holds the next node.  Either way the slot is valid.  Every other slot
 holds a thread: a direct reference to the next valid node or entry in
 key order (the next valid ref inside the same node, or the node's
 ``up`` target when nothing follows locally).  ``up`` is the next valid
-ref after the node's whole subtree.  The shape depends only on the
-stored keys, never on the order they came in.
+ref after the node's whole subtree, so it is the thread one slot past
+the last.  The shape depends only on the stored keys, never on the
+order they came in.
 
 Threads make ``succ_geq`` a single root-to-entry descent: the first
 invalid slot on the search path jumps straight to the subtree holding
@@ -39,16 +40,18 @@ value columns, each node once, ``from_sorted`` from sorted pairs, and
 ``level_tries`` many tries at once, a depth at a time on numpy arrays.
 
 Storage is flat: each trie owns one column per field and there is no
-object per node or entry.  Node ``n`` has the slots
-``slots[n * radix:(n + 1) * radix]``, their valid flags at the same
-positions of the bytearray ``valid``, and ``up[n]``; the root is node 0.
-Entry ``e`` maps ``key[e]`` to ``value[e]``.  A slot or ``up`` holds a
-node id (>= 0), entry ``e`` encoded as ``~e`` (-e - 1, so always < 0),
-or None where nothing follows.  Every trie takes its ``~e`` from one
-shared list, so an entry reference is not an int object of its own.  A
-delete puts the cells it drops on free lists, reused before a column
-grows: freed nodes chain through ``up`` from ``free_node``, freed
-entries through ``key`` from ``free_entry``, each chain ending in None.
+object per node or entry.  Node ``n`` is the row of ``radix + 1`` cells
+from ``n * (radix + 1)`` in ``slots``: its slots, then its ``up`` in
+cell ``radix``, so the ref after any slot is the next cell.  The
+bytearray ``valid`` holds their flags at the same positions, and the up
+cell's flag is always 0; the root is node 0.  Entry ``e`` maps
+``key[e]`` to ``value[e]``.  A cell holds a node id (>= 0), entry ``e``
+encoded as ``~e`` (-e - 1, so always < 0), or None where nothing
+follows.  Every trie takes its ``~e`` from one shared list, so an entry
+reference is not an int object of its own.  A delete puts the cells it
+drops on free lists, reused before a column grows: freed nodes chain
+through their up cell from ``free_node``, freed entries through ``key``
+from ``free_entry``, each chain ending in None.
 
 ``TrieNode`` and ``Entry`` are read-only views for callers that look at
 the structure: ``root``, a node view's ``slots`` and ``up``, and what
@@ -117,17 +120,20 @@ class TrieNode:
 
     @property
     def slots(self) -> list:
-        t, b = self.trie, self.n * self.trie.radix
-        return [t._view(ref) for ref in t.slots[b:b + t.radix]]
+        t, r = self.trie, self.trie.radix
+        b = self.n * (r + 1)
+        return [t._view(ref) for ref in t.slots[b:b + r]]
 
     @property
     def valid(self) -> bytearray:
-        b = self.n * self.trie.radix
-        return self.trie.valid[b:b + self.trie.radix]
+        r = self.trie.radix
+        b = self.n * (r + 1)
+        return self.trie.valid[b:b + r]
 
     @property
     def up(self):
-        return self.trie._view(self.trie.up[self.n])
+        r = self.trie.radix
+        return self.trie._view(self.trie.slots[self.n * (r + 1) + r])
 
     def __repr__(self):
         return f"TrieNode({self.n})"
@@ -164,7 +170,7 @@ def _entry_refs(n: int) -> list[int]:
     return _REFS
 
 
-# Tries whose slot and ``up`` lists ``level_tries`` makes with one fancy
+# Tries whose slot lists ``level_tries`` makes with one fancy
 # index and one ``tolist`` each, before each trie slices its own.  On
 # lead-narrow's build (4,097 tries), 16 to 1,024 build alike and 7 to 15%
 # faster than one trie at a time; a whole level at once is slower again
@@ -176,8 +182,9 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
                  starts: np.ndarray, sizes: np.ndarray) -> tuple:
     """The numpy half of ``ThreadedTrie.level_tries``: for the groups of
     ``sizes[g]`` keys from ``column[starts[g]]``, the object table and,
-    trie after trie in node order, every node's slot codes, valid flags
-    and ``up`` code, with ``first_node[g]``, the row of group g's root.
+    trie after trie in node order, every node's row of ``r + 1`` codes
+    and valid flags, ``up`` last with flag 0, and ``first_node[g]``, the
+    row of group g's root.
 
     A group's node at depth d >= 1 is a maximal run of neighbour pairs
     that share at least d leading digits, and a key sits alone in a slot
@@ -186,9 +193,9 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     al., CPM 2001).  Nodes are numbered as ``_fill`` numbers them, in
     right-to-left preorder, which is the order (group, -end, depth).  The
     rows are filled a depth at a time: one pass over the columns from the
-    right, ``up`` standing as one more column, points every empty slot of
+    right, ``up`` standing as the last column, points every empty slot of
     every node's row at the next valid one, and a child's ``up`` is its
-    parent's filled slot at the child's digit + 1.  A code is entry e's
+    parent's filled cell at the child's digit + 1.  A code is entry e's
     ``e``, node n's ``m + n`` or None's ``m + most_nodes``, where m is the
     largest group, and the table maps it to ``_REFS``' own int, n or None.
     Its temporaries end with the call, before the lists are made.
@@ -246,9 +253,8 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     none = m + most_nodes
     entry_code = np.arange(total) - first[group_of]
     code = np.min_scalar_type(none)
-    slot_codes = np.empty((len(order), r), code)
-    flags = np.empty((len(order), r), np.uint8)
-    up_codes = np.empty(len(order), code)
+    slot_codes = np.empty((len(order), r + 1), code)
+    flags = np.empty((len(order), r + 1), np.uint8)
     up = np.full(counts[0], none, code)
     at = 0
     for d, n_d in enumerate(counts):
@@ -276,14 +282,14 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         # a column at a time from the right
         for c in range(r - 1, -1, -1):
             row[:, c] = np.where(valid[:, c], row[:, c], row[:, c + 1])
+        valid[:, r] = False
         here = rank[at:at + n_d]
-        slot_codes[here] = row[:, :r]
-        flags[here] = valid[:, :r]
-        up_codes[here] = up
+        slot_codes[here] = row
+        flags[here] = valid
         if d + 1 < w:
             up = row[parent, child_digit + 1]
         at += n_d
-    return table, slot_codes, flags, up_codes, first_node
+    return table, slot_codes, flags, first_node
 
 
 class ThreadedTrie:
@@ -294,17 +300,17 @@ class ThreadedTrie:
     are stored as plain ints, bools and non-integers raise ValueError."""
 
     __slots__ = ("radix", "width", "capacity", "size", "_pow", "slots",
-                 "valid", "up", "key", "value", "free_node", "free_entry",
+                 "valid", "key", "value", "free_node", "free_entry",
                  "mutations", "_views")
 
     def __init__(self, radix: int, width: int):
         radix, width = _trie_shape(radix, width)
         # the root, empty: every slot threads to what follows, nothing
-        self._columns(radix, width, [None] * radix, bytearray(radix), [None],
-                      [], [])
+        self._columns(radix, width, [None] * (radix + 1),
+                      bytearray(radix + 1), [], [])
 
     def _columns(self, radix: int, width: int, slots: list,
-                 valid: bytearray, up: list, key: list, value: list) -> None:
+                 valid: bytearray, key: list, value: list) -> None:
         """Set every field: the shape, the given columns, one entry per
         key, no free cell, no view and the counter zeroed."""
         self.radix = radix
@@ -313,7 +319,6 @@ class ThreadedTrie:
         self.size = len(key)
         self.slots = slots
         self.valid = valid
-        self.up = up
         self.key = key
         self.value = value
         self.free_node: Optional[int] = None
@@ -356,7 +361,7 @@ class ThreadedTrie:
             as_coordinate(keys[0], "key", trie.capacity)
             as_coordinate(keys[-1], "key", trie.capacity)
             trie._columns(trie.radix, trie.width, trie.slots, trie.valid,
-                          trie.up, keys, values)
+                          keys, values)
             trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
         return trie
 
@@ -371,19 +376,19 @@ class ThreadedTrie:
         ``column`` is ``keys`` as a numpy array, ``int64`` or ``object``
         (ints past 2**63); each group holds distinct keys in increasing
         order, all in [0, radix**width), which is not checked here.
-        ``_level_codes`` computes every slot as a code; one object table
-        turns the rows of codes into slot and ``up`` lists, so an entry
-        reference is ``_REFS``' own int and no slot makes an object.  The
-        lists are made for ``_BATCH`` tries at a time, and each trie takes
-        exact-size slices of its batch's, so at most one batch's lists are
-        held beside the tries' own.
+        ``_level_codes`` computes every cell as a code; one object table
+        turns its rows, ``up`` cells included, into a slot list, so an
+        entry reference is ``_REFS``' own int and no cell makes an object.
+        The lists are made for ``_BATCH`` tries at a time, and each trie
+        takes exact-size slices of its batch's, so at most one batch's
+        lists are held beside the tries' own.
         """
         r, w = _trie_shape(radix, width)
         starts = np.asarray(starts, np.int64)
         sizes = np.asarray(ends, np.int64) - starts
         if not len(sizes):
             return []
-        table, slot_codes, flags, up_codes, first_node = _level_codes(
+        table, slot_codes, flags, first_node = _level_codes(
             r, _shape(r, w)[1], column, starts, sizes)
         ends = (starts + sizes).tolist()
         starts, first_node = starts.tolist(), first_node.tolist()
@@ -393,13 +398,13 @@ class ThreadedTrie:
             lo, hi = first_node[g0], first_node[g1]
             slots = table[slot_codes[lo:hi]].ravel().tolist()
             valid = bytearray(flags[lo:hi])
-            up = table[up_codes[lo:hi]].tolist()
             for g in range(g0, g1):
-                a, b = first_node[g] - lo, first_node[g + 1] - lo
+                a = (first_node[g] - lo) * (r + 1)
+                b = (first_node[g + 1] - lo) * (r + 1)
                 s, e = starts[g], ends[g]
                 trie = cls.__new__(cls)
-                trie._columns(r, w, slots[a * r:b * r], valid[a * r:b * r],
-                              up[a:b], keys[s:e], values[s:e])
+                trie._columns(r, w, slots[a:b], valid[a:b], keys[s:e],
+                              values[s:e])
                 out.append(trie)
         return out
 
@@ -413,8 +418,8 @@ class ThreadedTrie:
         r = self.radix
         p = self._pow[depth]
         slots, valid = self.slots, self.valid
-        base = n * r
-        nxt, end, b = self.up[n], r, hi
+        base = n * (r + 1)
+        nxt, end, b = slots[base + r], r, hi
         while b > lo:
             d = keys[b - 1] // p % r
             a = b - 1
@@ -440,19 +445,17 @@ class ThreadedTrie:
 
     def _new_node(self, up) -> int:
         """A node with no valid slot, every slot threaded to ``up``."""
-        r = self.radix
+        s = self.radix + 1
         n = self.free_node
         if n is None:
-            n = len(self.up)
-            self.up.append(up)
-            self.slots += [up] * r
-            self.valid += bytes(r)
+            n = len(self.slots) // s
+            self.slots += [up] * s
+            self.valid += bytes(s)
         else:
-            self.free_node = self.up[n]
-            self.up[n] = up
-            b = n * r
-            self.slots[b:b + r] = [up] * r
-            self.valid[b:b + r] = bytes(r)
+            b = n * s
+            self.free_node = self.slots[b + s - 1]
+            self.slots[b:b + s] = [up] * s
+            self.valid[b:b + s] = bytes(s)
         return n
 
     def _new_entry(self, key: int, value: Any) -> int:
@@ -473,7 +476,7 @@ class ThreadedTrie:
         if self._views:
             self._views.pop(ref, None)
         if ref >= 0:
-            self.up[ref] = self.free_node
+            self.slots[ref * (self.radix + 1) + self.radix] = self.free_node
             self.free_node = ref
         else:
             e = ~ref
@@ -517,7 +520,7 @@ class ThreadedTrie:
         for p in self._pow:
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            i = node * r + key // p % r
+            i = node * (r + 1) + key // p % r
             if not valid[i]:
                 return None
             node = slots[i]
@@ -546,26 +549,25 @@ class ThreadedTrie:
             if key < 0:
                 key = 0
             r, slots, valid = self.radix, self.slots, self.valid
-            node = 0
+            s = r + 1
+            ref = 0
             for p in self._pow:
                 visited += 1
-                d = key // p % r
-                i = node * r + d
+                i = ref * s + key // p % r
                 ref = slots[i]
                 if not valid[i]:
                     break
                 if ref < 0:
                     # the only key under this prefix
                     if self.key[~ref] < key:
-                        ref = slots[i + 1] if d < r - 1 else self.up[node]
+                        ref = slots[i + 1]
                     break
-                node = ref
             # the bottom level holds only entries, so the loop broke;
             # a node's slot 0 holds its smallest valid ref or threads to it
             if ref is not None:
                 while ref >= 0:
                     visited += 1
-                    ref = slots[ref * r]
+                    ref = slots[ref * s]
         if stats is not None:
             stats.trie_lookups += 1
             stats.trie_nodes_visited += visited
@@ -576,11 +578,11 @@ class ThreadedTrie:
             return None
         # follow smallest valid slots down from the root; a node's slot 0
         # holds its smallest valid ref or threads to it
-        r, slots, ref = self.radix, self.slots, 0
+        s, slots, ref = self.radix + 1, self.slots, 0
         while ref >= 0:
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            ref = slots[ref * r]
+            ref = slots[ref * s]
         return self._result(ref)
 
     def items(self) -> Iterator[tuple[int, Any]]:
@@ -593,7 +595,7 @@ class ThreadedTrie:
         slots, valid, key, value = self.slots, self.valid, self.key, self.value
 
         def walk(n):
-            for i in range(n * r, n * r + r):
+            for i in range(n * (r + 1), n * (r + 1) + r):
                 if valid[i]:
                     ref = slots[i]
                     if ref < 0:
@@ -621,7 +623,7 @@ class ThreadedTrie:
         node = 0
         for depth, p in enumerate(self._pow):
             d = key // p % r
-            i = node * r + d
+            i = node * (r + 1) + d
             if stats is not None:
                 stats.trie_nodes_visited += 1
             other = slots[i]
@@ -639,8 +641,7 @@ class ThreadedTrie:
                 entry = self._new_entry(key, value)
                 keys, refs = (((g, key), (other, entry)) if g < key
                               else ((key, g), (entry, other)))
-                ref = self._new_node(slots[i + 1] if d < r - 1
-                                     else self.up[node])
+                ref = self._new_node(slots[i + 1])
                 if stats is not None:
                     stats.trie_nodes_visited += 1
                 self._fill(ref, keys, refs, 0, 2, depth + 1, stats)
@@ -657,14 +658,14 @@ class ThreadedTrie:
     def delete(self, key: int, stats: Optional[VisitStats] = None):
         """Remove ``key``; returns its entry.  Raises KeyError if absent."""
         key = as_coordinate(key, "key", self.capacity)
-        r, slots, valid, up = self.radix, self.slots, self.valid, self.up
-        last = r - 1
+        r, slots, valid = self.radix, self.slots, self.valid
         node = 0
         for p in self._pow:
             d = key // p % r
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            i = node * r + d
+            b = node * (r + 1)
+            i = b + d
             if not valid[i]:
                 raise KeyError(key)
             ref = slots[i]
@@ -673,15 +674,14 @@ class ThreadedTrie:
             # the fold would stop here: the deepest node above the entry
             # that is the root or keeps another slot; a slot is alone in
             # its node only if the threads on both sides reach past it:
-            # slot 0 to it, slot d + 1 to up
-            if (node == 0 or slots[i - d] != ref
-                    or (d < last and slots[i + 1] != up[node])):
+            # slot 0 to it, the cell after it to up
+            if node == 0 or slots[b] != ref or slots[i + 1] != slots[b + r]:
                 cut, cut_d, cut_i = node, d, i
             node = ref
         if self.key[~ref] != key:
             raise KeyError(key)
         result = self._result(ref)
-        b, other = node * r, None
+        other = None
         if node and valid.count(1, b, b + r) == 2:
             # the other valid slot's ref: the first after slot d if slot 0
             # reaches d, and slot 0's otherwise
@@ -693,14 +693,13 @@ class ThreadedTrie:
             slots[cut_i] = other
             self._rethread(cut, cut_d - 1, other, stats)
             while dropped != node:
-                below = slots[dropped * r]
+                below = slots[dropped * (r + 1)]
                 self._free(dropped)
                 dropped = below
             self._free(node)
         else:
-            nxt = slots[i + 1] if d < last else up[node]
             valid[i] = 0
-            self._rethread(node, d, nxt, stats)
+            self._rethread(node, d, slots[i + 1], stats)
         self._free(ref)
         self.size -= 1
         self.mutations += 1
@@ -712,11 +711,12 @@ class ThreadedTrie:
 
         The first valid slot left of them holds the subtree that now ends
         right before ``target``, and so does its largest-valid chain:
-        each node on it gets ``target`` as its ``up`` and trailing threads.
+        each node on it gets ``target`` in its trailing threads and its
+        up cell, cells up to ``j = radix``, whose flag is never set.
         """
-        r, slots, valid, up = self.radix, self.slots, self.valid, self.up
+        r, slots, valid = self.radix, self.slots, self.valid
         while True:
-            b = node * r
+            b = node * (r + 1)
             i = valid.rfind(1, b, b + j + 1)
             if i < 0:
                 slots[b:b + j + 1] = [target] * (j + 1)
@@ -727,8 +727,7 @@ class ThreadedTrie:
                 return
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            up[node] = target
-            j = r - 1
+            j = r
 
     # -- verification ----------------------------------------------------
 
@@ -737,21 +736,26 @@ class ThreadedTrie:
         lists; list violations."""
         out: list[str] = []
         R, W, pw = self.radix, self.width, self._pow
-        slots, valid, up, key = self.slots, self.valid, self.up, self.key
-        nodes, entries = len(up), len(key)
-        if not len(slots) == len(valid) == nodes * R or len(self.value) != entries:
+        S = R + 1
+        slots, valid, key = self.slots, self.valid, self.key
+        nodes, entries = len(slots) // S, len(key)
+        if not len(slots) == len(valid) == nodes * S or len(self.value) != entries:
             return [f"columns disagree: {len(slots)} slots and {len(valid)} "
                     f"flags for {nodes} nodes, {entries} keys and "
                     f"{len(self.value)} values"]
+        up = slots[R::S]
+        for n, flag in enumerate(valid[R::S]):
+            if flag:
+                out.append(f"node {n}: up cell flagged valid")
         live_nodes, live_entries = {0}, set()
 
         def walk(n: int, depth: int, prefix: int) -> int:
             # the number of keys under node n, whose digits so far are prefix
             held = 0
             for d in range(R):
-                if not valid[n * R + d]:
+                if not valid[n * S + d]:
                     continue
-                ref = slots[n * R + d]
+                ref = slots[n * S + d]
                 at = prefix * R + d
                 if type(ref) is int and -entries <= ref < 0:
                     if ~ref in live_entries:
@@ -809,8 +813,8 @@ class ThreadedTrie:
                 out.append(f"node {n}: up is {up[n]!r}, expected {up_expect!r}")
             nxt = up_expect
             for d in range(R - 1, -1, -1):
-                ref = slots[n * R + d]
-                if valid[n * R + d]:
+                ref = slots[n * S + d]
+                if valid[n * S + d]:
                     if ref >= 0:
                         check_threads(ref, nxt)
                     nxt = ref

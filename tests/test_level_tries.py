@@ -12,7 +12,7 @@ import pytest
 from threadkd.index import T
 from threadkd.trie import _BATCH, _REFS, ThreadedTrie, ValueTrie
 
-COLUMNS = ("size", "slots", "valid", "up", "key", "value", "free_node",
+COLUMNS = ("size", "slots", "valid", "key", "value", "free_node",
            "free_entry", "mutations", "capacity", "_pow")
 
 
@@ -55,7 +55,7 @@ def check(got, want, rng):
         assert type(g) is ValueTrie
         same_columns(g, w)
         assert g.validate() == []
-        for ref in g.slots + g.up:
+        for ref in g.slots:
             if ref is not None and ref < 0:
                 assert ref is _REFS[~ref]
         # the same trie after an insert and a delete as its twin's
@@ -116,8 +116,7 @@ def test_level_tries_set_every_field_as_from_columns():
         for g, w in zip(got, want):
             for name in ThreadedTrie.__slots__:
                 assert getattr(g, name) == getattr(w, name), name
-            assert (type(g.slots), type(g.valid), type(g.up)) == (
-                list, bytearray, list)
+            assert (type(g.slots), type(g.valid)) == (list, bytearray)
             # every trie of one shape shares its capacity and place values
             assert g.capacity is w.capacity and g._pow is w._pow
 
@@ -135,6 +134,6 @@ def test_level_tries_across_batches_equal_from_columns(radix, width):
     for g, w in zip(got, want):
         for name in ThreadedTrie.__slots__:
             assert getattr(g, name) == getattr(w, name), name
-        for column in (g.slots, g.up, g.key, g.value):
+        for column in (g.slots, g.key, g.value):
             assert sys.getsizeof(column) == sys.getsizeof([None] * len(column))
     check(got[::97], want[::97], rng)

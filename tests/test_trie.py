@@ -44,7 +44,7 @@ def test_two_keys_structure():
     for d in range(5, 10):
         assert not root.valid[d]
         assert root.slots[d] is None
-    assert len(t.up) == 1      # the root is the only node
+    assert len(t.slots) == 11  # the root is the only node
     assert t.validate() == []
 
 
@@ -136,12 +136,13 @@ def test_delete_folds_a_chain_into_the_highest_surviving_slot():
     t = ThreadedTrie(10, 3)
     e420 = t.insert(420, None)
     t.insert(421, None)
-    assert len(t.up) == 3
+    assert len(t.slots) == 3 * 11
     t.delete(421)
     assert t.root.slots[4] is e420
-    assert [len(t.up), t.validate()] == [3, []]
-    free = [t.free_node, t.up[t.free_node]]
-    assert sorted(free) == [1, 2] and t.up[free[1]] is None
+    assert [len(t.slots), t.validate()] == [3 * 11, []]
+    up = t.slots[10::11]       # each node's up cell
+    free = [t.free_node, up[t.free_node]]
+    assert sorted(free) == [1, 2] and up[free[1]] is None
     # with 400 beside them, the node for 4 keeps two keys and takes 420
     t.insert(400, None)
     t.insert(421, None)

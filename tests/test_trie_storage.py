@@ -21,11 +21,20 @@ def nodes_needed(trie, keys):
         for j in range(1, W))
 
 
+def node_count(trie):
+    return len(trie.slots) // (trie.radix + 1)
+
+
+def up_cell(trie, n):
+    """Where node ``n``'s up is: the cell after its last slot."""
+    return n * (trie.radix + 1) + trie.radix
+
+
 def live_nodes(trie):
     free, n = 0, trie.free_node
     while n is not None:
-        free, n = free + 1, trie.up[n]
-    return len(trie.up) - free
+        free, n = free + 1, trie.slots[up_cell(trie, n)]
+    return node_count(trie) - free
 
 
 def check_succ(trie, keys, rng, probes=8):
@@ -61,20 +70,20 @@ def test_churn_reuses_freed_cells():
         if step % 1000 == 0:
             assert t.validate() == [], f"step {step}"
             assert live_nodes(t) == n
-    assert len(t.up) <= peak_nodes
+    assert node_count(t) <= peak_nodes
     assert len(t.key) <= peak_entries
 
     # down to empty: every cell but the root goes back on a free list
     for k in rng.sample(keys, len(keys)):
         t.delete(k)
     assert len(t) == 0 and t.validate() == []
-    columns = len(t.up), len(t.key)
+    columns = node_count(t), len(t.key)
 
     # refilled with the keys of the node peak, the columns stay as they are
     for k in rng.sample(peak_keys, len(peak_keys)):
         t.insert(k, -k)
-    assert (len(t.up), len(t.key)) == columns
-    assert len(t.up) <= peak_nodes
+    assert (node_count(t), len(t.key)) == columns
+    assert node_count(t) <= peak_nodes
     assert t.validate() == []
     assert list(t.items()) == [(k, -k) for k in peak_keys]
     check_succ(t, peak_keys, rng, probes=200)
@@ -96,7 +105,7 @@ def built():
 def push_live_node(t):
     # a reachable node is put on the free list
     n = next(s for s in t.root.slots if isinstance(s, TrieNode)).n
-    t.up[n], t.free_node = t.free_node, n
+    t.slots[up_cell(t, n)], t.free_node = t.free_node, n
 
 
 def push_live_entry(t):
@@ -114,11 +123,11 @@ def reach_freed_node(t):
 
 def drop_free_head(t):
     # a freed node falls off its free list: it leaks
-    t.free_node = t.up[t.free_node]
+    t.free_node = t.slots[up_cell(t, t.free_node)]
 
 
 def loop_free_list(t):
-    t.up[t.free_node] = t.free_node
+    t.slots[up_cell(t, t.free_node)] = t.free_node
 
 
 def test_validate_catches_a_node_with_one_key():
@@ -128,13 +137,12 @@ def test_validate_catches_a_node_with_one_key():
     t.insert(8, None)
     e = t.slots[0]
     assert e < 0
-    t.up.append(None)
-    t.slots += [e] * 9 + [None]
-    t.valid += bytes(8) + b"\1" + bytes(1)
+    t.slots += [e] * 9 + [None, None]
+    t.valid += bytes(8) + b"\1" + bytes(2)
     t.slots[0] = 1
     assert t.validate() == [
         "node 1 at depth 1 holds 1 key; only the root may hold fewer than two"]
-    t.valid[18] = 0
+    t.valid[19] = 0
     assert "node 1 at depth 1 holds 0 keys" in t.validate()[0]
 
 
@@ -151,7 +159,7 @@ def test_validate_catches_free_list_corruption(corrupt, message):
     assert any(message in v for v in t.validate()), t.validate()
 
 
-COLUMNS = ("size", "slots", "valid", "up", "key", "value", "free_node",
+COLUMNS = ("size", "slots", "valid", "key", "value", "free_node",
            "free_entry")
 
 
@@ -179,7 +187,7 @@ def test_column_build_matches_pair_build(radix, width):
 def two_keys():
     """A radix-10, width-2 trie holding 11 and 12: root slot 1 holds node
     1, whose slots 1 and 2 hold the entries; root slots 2 to 9 thread to
-    None."""
+    None.  Node 1's cells are 11 to 21, its up cell last."""
     t = ThreadedTrie(10, 2)
     t.insert(11, "a")
     t.insert(12, "b")
@@ -199,7 +207,7 @@ def extra_flag(t):
 
 
 def node_in_bottom_slot(t):
-    t.slots[12] = 1
+    t.slots[13] = 1
 
 
 def bad_ref(t):
@@ -213,7 +221,11 @@ def entry_twice(t):
 
 
 def wrong_up(t):
-    t.up[1] = 0
+    t.slots[21] = 0
+
+
+def up_flagged(t):
+    t.valid[21] = 1
 
 
 def wrong_thread(t):
@@ -242,6 +254,7 @@ def size_plus_one(t):
      "slot for prefix 1 at depth 0: not a node or an entry"),
     (lambda: ThreadedTrie(10, 2), entry_twice, "entry 0 reached twice"),
     (two_keys, wrong_up, "node 1: up is 0, expected None"),
+    (two_keys, up_flagged, "node 1: up cell flagged valid"),
     (two_keys, wrong_thread, "node 0: slot 5 threads to 1, expected None"),
     (two_keys, node_twice, "node 1 reached twice"),
     (two_keys, misplaced_key, "entry key 21 in the slot for prefix 11 at depth 1"),
