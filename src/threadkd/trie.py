@@ -120,20 +120,18 @@ class TrieNode:
 
     @property
     def slots(self) -> list:
-        t, r = self.trie, self.trie.radix
-        b = self.n * (r + 1)
-        return [t._view(ref) for ref in t.slots[b:b + r]]
+        t, b = self.trie, self.n * (self.trie.radix + 1)
+        return [t._view(ref) for ref in t.slots[b:b + t.radix]]
 
     @property
     def valid(self) -> bytearray:
-        r = self.trie.radix
-        b = self.n * (r + 1)
-        return self.trie.valid[b:b + r]
+        b = self.n * (self.trie.radix + 1)
+        return self.trie.valid[b:b + self.trie.radix]
 
     @property
     def up(self):
-        r = self.trie.radix
-        return self.trie._view(self.trie.slots[self.n * (r + 1) + r])
+        t = self.trie
+        return t._view(t.slots[(self.n + 1) * (t.radix + 1) - 1])
 
     def __repr__(self):
         return f"TrieNode({self.n})"
@@ -744,9 +742,8 @@ class ThreadedTrie:
                     f"flags for {nodes} nodes, {entries} keys and "
                     f"{len(self.value)} values"]
         up = slots[R::S]
-        for n, flag in enumerate(valid[R::S]):
-            if flag:
-                out.append(f"node {n}: up cell flagged valid")
+        out += [f"node {n}: up cell flagged valid"
+                for n, flag in enumerate(valid[R::S]) if flag]
         live_nodes, live_entries = {0}, set()
 
         def walk(n: int, depth: int, prefix: int) -> int:
