@@ -180,9 +180,8 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
                  starts: np.ndarray, sizes: np.ndarray) -> tuple:
     """The numpy half of ``ThreadedTrie.level_tries``: for the groups of
     ``sizes[g]`` keys from ``column[starts[g]]``, the object table and,
-    trie after trie in node order, every node's row of ``r + 1`` codes
-    and valid flags, ``up`` last with flag 0, and ``first_node[g]``, the
-    row of group g's root.
+    trie after trie in node order, every node's row of ``r + 1`` codes,
+    ``up`` last, with ``first_node[g]``, the row of group g's root.
 
     A group's node at depth d >= 1 is a maximal run of neighbour pairs
     that share at least d leading digits, and a key sits alone in a slot
@@ -252,7 +251,6 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     entry_code = np.arange(total) - first[group_of]
     code = np.min_scalar_type(none)
     slot_codes = np.empty((len(order), r + 1), code)
-    flags = np.empty((len(order), r + 1), np.uint8)
     up = np.full(counts[0], none, code)
     at = 0
     for d, n_d in enumerate(counts):
@@ -260,9 +258,8 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         # left unset: each empty cell is overwritten below, from the
         # right; column-major, so each column of the fill is contiguous
         row = np.empty((n_d, r + 1), code, order="F")
-        valid = np.zeros((n_d, r + 1), bool, order="F")
+        valid = np.zeros((n_d, r), bool, order="F")
         row[:, r] = up
-        valid[:, r] = True
         # the entries at this depth, each in its node's row
         keys_here = np.flatnonzero(depth_of == d)
         where = np.searchsorted(lo, keys_here, "right") - 1
@@ -280,14 +277,11 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         # a column at a time from the right
         for c in range(r - 1, -1, -1):
             row[:, c] = np.where(valid[:, c], row[:, c], row[:, c + 1])
-        valid[:, r] = False
-        here = rank[at:at + n_d]
-        slot_codes[here] = row
-        flags[here] = valid
+        slot_codes[rank[at:at + n_d]] = row
         if d + 1 < w:
             up = row[parent, child_digit + 1]
         at += n_d
-    return table, slot_codes, flags, first_node
+    return table, slot_codes, first_node
 
 
 class ThreadedTrie:
@@ -376,7 +370,9 @@ class ThreadedTrie:
         order, all in [0, radix**width), which is not checked here.
         ``_level_codes`` computes every cell as a code; one object table
         turns its rows, ``up`` cells included, into a slot list, so an
-        entry reference is ``_REFS``' own int and no cell makes an object.
+        entry reference is ``_REFS``' own int and no cell makes an object,
+        and a cell's valid flag is whether its code differs from the next
+        cell's.
         The lists are made for ``_BATCH`` tries at a time, and each trie
         takes exact-size slices of its batch's, so at most one batch's
         lists are held beside the tries' own.
@@ -386,7 +382,7 @@ class ThreadedTrie:
         sizes = np.asarray(ends, np.int64) - starts
         if not len(sizes):
             return []
-        table, slot_codes, flags, first_node = _level_codes(
+        table, slot_codes, first_node = _level_codes(
             r, _shape(r, w)[1], column, starts, sizes)
         ends = (starts + sizes).tolist()
         starts, first_node = starts.tolist(), first_node.tolist()
@@ -394,8 +390,12 @@ class ThreadedTrie:
         for g0 in range(0, len(starts), _BATCH):
             g1 = min(g0 + _BATCH, len(starts))
             lo, hi = first_node[g0], first_node[g1]
-            slots = table[slot_codes[lo:hi]].ravel().tolist()
-            valid = bytearray(flags[lo:hi])
+            codes = slot_codes[lo:hi]
+            slots = table[codes].ravel().tolist()
+            # a cell is a valid slot where its ref differs from the next
+            # cell's: a thread repeats the ref after it, a trie holds no
+            # ref in two slots, and the up cell, last, is never valid
+            valid = bytearray(np.diff(codes, append=codes[:, -1:]) != 0)
             for g in range(g0, g1):
                 a = (first_node[g] - lo) * (r + 1)
                 b = (first_node[g + 1] - lo) * (r + 1)
