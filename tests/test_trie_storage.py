@@ -264,3 +264,49 @@ def test_validate_reports_each_corruption(make, corrupt, message):
     t = make()
     corrupt(t)
     assert any(message in v for v in t.validate()), t.validate()
+
+
+def freed_tries():
+    """Tries of radix 2, 4, 10 and 16, each built by inserts and one
+    delete that folds a node, so that each holds a freed node and a
+    freed entry beside at least three live nodes."""
+    for radix, width, keys, gone in [
+            (2, 6, (3, 9, 10, 11, 40, 41, 63), 41),
+            (4, 3, (5, 6, 7, 20, 40, 41, 57, 63), 41),
+            (10, 3, (12, 13, 150, 155, 421, 428, 999), 428),
+            (16, 2, (17, 18, 33, 34, 200, 201, 255), 201)]:
+        t = ThreadedTrie(radix, width)
+        for k in keys:
+            t.insert(k, k)
+        t.delete(gone)
+        assert t.validate() == [] and t.free_node is not None
+        yield t
+
+
+@pytest.mark.parametrize("t", freed_tries(), ids=lambda t: f"radix{t.radix}")
+def test_validate_reports_every_overwrite_of_a_live_cell(t):
+    # each cell of each live row, up cell included, takes in turn None,
+    # node 0, another live node, a live entry and a node id past the
+    # last; validate() reports every one of them and raises on none
+    s = t.radix + 1
+    free, n = set(), t.free_node
+    while n is not None:
+        free.add(n)
+        n = t.slots[up_cell(t, n)]
+    live = [n for n in range(node_count(t)) if n not in free]
+    assert len(live) >= 3
+    entry = min(ref for n in live for ref in t.slots[n * s:(n + 1) * s]
+                if ref is not None and ref < 0)
+    checked = 0
+    for n in live:
+        other = max(set(live) - {0, n})
+        for i in range(n * s, (n + 1) * s):
+            old = t.slots[i]
+            for ref in (None, 0, other, entry, node_count(t)):
+                if ref == old:
+                    continue
+                t.slots[i] = ref
+                assert t.validate(), (n, i - n * s, ref)
+                checked += 1
+            t.slots[i] = old
+    assert t.validate() == [] and checked >= 5 * len(live)
