@@ -506,10 +506,13 @@ class KdPointIndex:
                     out.append(f"{where}: first node carries {marker!r}, "
                                f"not a count or a trie")
                     continue
-                for v in marker.validate():
-                    out.append(f"{where} trie: {v}")
+                faults = marker.validate()
+                out += [f"{where} trie: {v}" for v in faults]
                 if marker.size <= T:
                     out.append(f"{where} keeps a trie (T = {T})")
+                if faults:
+                    # items() walks only a sound trie
+                    continue
                 want = [(keys[h][i], h) for h in members]
                 got = list(marker.items())
                 if got != want:

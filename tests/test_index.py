@@ -706,6 +706,18 @@ def test_validate_reports_a_group_trie_violation():
                for v in idx.validate()), idx.validate()
 
 
+def test_validate_reports_a_broken_group_trie_without_raising():
+    # slot 0 of the group trie's one node, which held y = 0's entry,
+    # holds nothing: the trie's own report stands and items() is not
+    # walked over the hole
+    idx = KdPointIndex.from_points(2, 16, [(0, y) for y in range(T + 1)])
+    t1 = idx.trees[1]
+    t1.trie[t1.first()].slots[0] = None
+    out = idx.validate()
+    assert f"level 1: group (0,) of {T + 1} trie: bottom slot 0: not an entry" \
+        in out, out
+
+
 @pytest.mark.parametrize("log_m", [6, 10, 14, 18])
 def test_worst_case_insert_follows_log_m_threads(log_m):
     # k = 1 over m even keys: the bulk-loaded tree is perfectly balanced,
