@@ -204,8 +204,8 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     first = np.concatenate(([0], np.cumsum(sizes)))
     pick = np.arange(total) + np.repeat(starts - first[:-1], sizes)
     col = column[pick]
-    # digits, codes and column numbers take the smallest dtype that
-    # holds them, which keeps the build's peak memory down
+    # digits, lcps, group numbers, codes and column numbers take the
+    # smallest dtype that holds them, which keeps the build's peak down
     digits = np.empty((total, w), np.min_scalar_type(r))
     for d, p in enumerate(powers):
         # object ints, past 2**63, are cast once they are digits; an
@@ -214,7 +214,7 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
                         else 0)
     # lcp[a]: the digits key a - 1 and key a share; -1 across a group
     # boundary and at both ends
-    lcp = np.full(total + 1, -1, np.int64)
+    lcp = np.full(total + 1, -1, np.min_scalar_type(~w))
     lcp[1:-1] = 0
     same = np.ones(total - 1, bool)
     for d in range(w):
@@ -222,7 +222,8 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         lcp[1:-1] += same
     lcp[first] = -1
     depth_of = np.maximum(np.maximum(lcp[:-1], lcp[1:]), 0)
-    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    group_of = np.repeat(
+        np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
 
     # the nodes, depth by depth: the roots are the groups, deeper ones
     # the runs of pairs sharing that many digits
@@ -248,7 +249,8 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     table[m:-1] = range(most_nodes)
     table[-1] = None
     none = m + most_nodes
-    entry_code = np.arange(total) - first[group_of]
+    entry_code = (np.arange(total) - first[group_of]).astype(
+        np.min_scalar_type(m))
     code = np.min_scalar_type(none)
     slot_codes = np.empty((len(order), r + 1), code)
     up = np.full(counts[0], none, code)
