@@ -42,9 +42,10 @@ value columns, each node once, ``from_sorted`` from sorted pairs, and
 Storage is flat: each trie owns one column per field and there is no
 object per node or entry.  Node ``n`` is the row of ``radix + 1`` cells
 from ``n * (radix + 1)`` in ``slots``: its slots, then its ``up`` in
-cell ``radix``, so the ref after any slot is the next cell.  The
-bytearray ``valid`` holds their flags at the same positions, and the up
-cell's flag is always 0; the root is node 0.  Entry ``e`` maps
+cell ``radix``, so the ref after any slot is the next cell.  No flag
+is stored: a slot is valid exactly when its ref differs from the next
+cell's, as a thread repeats the ref after it and no ref is in two
+slots.  The root is node 0.  Entry ``e`` maps
 ``key[e]`` to ``value[e]``.  A cell holds a node id (>= 0), entry ``e``
 encoded as ``~e`` (-e - 1, so always < 0), or None where nothing
 follows.  Every trie takes its ``~e`` from one shared list, so an entry
@@ -108,9 +109,9 @@ class Entry:
 
 class TrieNode:
     """Read-only view of node ``n`` of ``trie``: ``slots`` and ``up`` as
-    views (None where nothing follows), ``valid`` as a copy of the flags.
-    It reads the columns on every access, so it describes the node only
-    while the node is in the trie."""
+    views (None where nothing follows), ``valid`` as flags derived from
+    the row.  It reads the columns on every access, so it describes the
+    node only while the node is in the trie."""
 
     __slots__ = ("trie", "n")
 
@@ -125,8 +126,9 @@ class TrieNode:
 
     @property
     def valid(self) -> bytearray:
-        b = self.n * (self.trie.radix + 1)
-        return self.trie.valid[b:b + self.trie.radix]
+        t, b = self.trie, self.n * (self.trie.radix + 1)
+        row = t.slots[b:b + t.radix + 1]
+        return bytearray(a != c for a, c in zip(row, row[1:]))
 
     @property
     def up(self):
@@ -294,17 +296,16 @@ class ThreadedTrie:
     are stored as plain ints, bools and non-integers raise ValueError."""
 
     __slots__ = ("radix", "width", "capacity", "size", "_pow", "slots",
-                 "valid", "key", "value", "free_node", "free_entry",
-                 "mutations", "_views")
+                 "key", "value", "free_node", "free_entry", "mutations",
+                 "_views")
 
     def __init__(self, radix: int, width: int):
         radix, width = _trie_shape(radix, width)
         # the root, empty: every slot threads to what follows, nothing
-        self._columns(radix, width, [None] * (radix + 1),
-                      bytearray(radix + 1), [], [])
+        self._columns(radix, width, [None] * (radix + 1), [], [])
 
-    def _columns(self, radix: int, width: int, slots: list,
-                 valid: bytearray, key: list, value: list) -> None:
+    def _columns(self, radix: int, width: int, slots: list, key: list,
+                 value: list) -> None:
         """Set every field: the shape, the given columns, one entry per
         key, no free cell, no view and the counter zeroed."""
         self.radix = radix
@@ -312,7 +313,6 @@ class ThreadedTrie:
         self.capacity, self._pow = _shape(radix, width)
         self.size = len(key)
         self.slots = slots
-        self.valid = valid
         self.key = key
         self.value = value
         self.free_node: Optional[int] = None
@@ -354,8 +354,7 @@ class ThreadedTrie:
         if keys:
             as_coordinate(keys[0], "key", trie.capacity)
             as_coordinate(keys[-1], "key", trie.capacity)
-            trie._columns(trie.radix, trie.width, trie.slots, trie.valid,
-                          keys, values)
+            trie._columns(trie.radix, trie.width, trie.slots, keys, values)
             trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
         return trie
 
@@ -372,9 +371,7 @@ class ThreadedTrie:
         order, all in [0, radix**width), which is not checked here.
         ``_level_codes`` computes every cell as a code; one object table
         turns its rows, ``up`` cells included, into a slot list, so an
-        entry reference is ``_REFS``' own int and no cell makes an object,
-        and a cell's valid flag is whether its code differs from the next
-        cell's.
+        entry reference is ``_REFS``' own int and no cell makes an object.
         The lists are made for ``_BATCH`` tries at a time, and each trie
         takes exact-size slices of its batch's, so at most one batch's
         lists are held beside the tries' own.
@@ -392,19 +389,13 @@ class ThreadedTrie:
         for g0 in range(0, len(starts), _BATCH):
             g1 = min(g0 + _BATCH, len(starts))
             lo, hi = first_node[g0], first_node[g1]
-            codes = slot_codes[lo:hi]
-            slots = table[codes].ravel().tolist()
-            # a cell is a valid slot where its ref differs from the next
-            # cell's: a thread repeats the ref after it, a trie holds no
-            # ref in two slots, and the up cell, last, is never valid
-            valid = bytearray(np.diff(codes, append=codes[:, -1:]) != 0)
+            slots = table[slot_codes[lo:hi]].ravel().tolist()
             for g in range(g0, g1):
                 a = (first_node[g] - lo) * (r + 1)
                 b = (first_node[g + 1] - lo) * (r + 1)
                 s, e = starts[g], ends[g]
                 trie = cls.__new__(cls)
-                trie._columns(r, w, slots[a:b], valid[a:b], keys[s:e],
-                              values[s:e])
+                trie._columns(r, w, slots[a:b], keys[s:e], values[s:e])
                 out.append(trie)
         return out
 
@@ -417,7 +408,7 @@ class ThreadedTrie:
         # and those after the last run to the up
         r = self.radix
         p = self._pow[depth]
-        slots, valid = self.slots, self.valid
+        slots = self.slots
         base = n * (r + 1)
         nxt, end, b = slots[base + r], r, hi
         while b > lo:
@@ -434,7 +425,6 @@ class ThreadedTrie:
                 self._fill(ref, keys, refs, a, b, depth + 1, stats)
             slots[base + d + 1:base + end] = [nxt] * (end - d - 1)
             slots[base + d] = ref
-            valid[base + d] = 1
             nxt, end, b = ref, d, a
         slots[base:base + end] = [nxt] * end
 
@@ -450,12 +440,10 @@ class ThreadedTrie:
         if n is None:
             n = len(self.slots) // s
             self.slots += [up] * s
-            self.valid += bytes(s)
         else:
             b = n * s
             self.free_node = self.slots[b + s - 1]
             self.slots[b:b + s] = [up] * s
-            self.valid[b:b + s] = bytes(s)
         return n
 
     def _new_entry(self, key: int, value: Any) -> int:
@@ -515,15 +503,16 @@ class ThreadedTrie:
 
     def find(self, key: int, stats: Optional[VisitStats] = None):
         key = as_coordinate(key, "key", self.capacity)
-        r, slots, valid = self.radix, self.slots, self.valid
+        r, slots = self.radix, self.slots
         node = 0
         for p in self._pow:
             if stats is not None:
                 stats.trie_nodes_visited += 1
             i = node * (r + 1) + key // p % r
-            if not valid[i]:
-                return None
             node = slots[i]
+            if node == slots[i + 1]:
+                # a thread: no key has this prefix
+                return None
             if node < 0:
                 # the only key under this prefix
                 return self._result(node) if self.key[~node] == key else None
@@ -548,14 +537,15 @@ class ThreadedTrie:
         else:
             if key < 0:
                 key = 0
-            r, slots, valid = self.radix, self.slots, self.valid
+            r, slots = self.radix, self.slots
             s = r + 1
             ref = 0
             for p in self._pow:
                 visited += 1
                 i = ref * s + key // p % r
                 ref = slots[i]
-                if not valid[i]:
+                if ref == slots[i + 1]:
+                    # a thread, to the subtree holding the answer
                     break
                 if ref < 0:
                     # the only key under this prefix
@@ -592,12 +582,12 @@ class ThreadedTrie:
         as iterating a dict does after a change.
         """
         r = self.radix
-        slots, valid, key, value = self.slots, self.valid, self.key, self.value
+        slots, key, value = self.slots, self.key, self.value
 
         def walk(n):
             for i in range(n * (r + 1), n * (r + 1) + r):
-                if valid[i]:
-                    ref = slots[i]
+                ref = slots[i]
+                if ref != slots[i + 1]:
                     if ref < 0:
                         yield key[~ref], value[~ref]
                     else:
@@ -619,7 +609,7 @@ class ThreadedTrie:
                stats: Optional[VisitStats] = None):
         """Store ``key`` -> ``value``; raises on duplicates."""
         key = as_coordinate(key, "key", self.capacity)
-        r, slots, valid, key_of = self.radix, self.slots, self.valid, self.key
+        r, slots, key_of = self.radix, self.slots, self.key
         node = 0
         for depth, p in enumerate(self._pow):
             d = key // p % r
@@ -627,7 +617,7 @@ class ThreadedTrie:
             if stats is not None:
                 stats.trie_nodes_visited += 1
             other = slots[i]
-            if not valid[i]:
+            if other == slots[i + 1]:
                 # the thread's slot takes the entry
                 ref = entry = self._new_entry(key, value)
             elif other >= 0:
@@ -647,9 +637,7 @@ class ThreadedTrie:
                 self._fill(ref, keys, refs, 0, 2, depth + 1, stats)
             # the slot takes the new ref, and so do the threads before it,
             # which led where the slot did
-            slots[i] = ref
-            valid[i] = 1
-            self._rethread(node, d - 1, ref, stats)
+            self._rethread(node, d, other, ref, stats)
             break
         self.size += 1
         self.mutations += 1
@@ -658,7 +646,7 @@ class ThreadedTrie:
     def delete(self, key: int, stats: Optional[VisitStats] = None):
         """Remove ``key``; returns its entry.  Raises KeyError if absent."""
         key = as_coordinate(key, "key", self.capacity)
-        r, slots, valid = self.radix, self.slots, self.valid
+        r, slots = self.radix, self.slots
         node = 0
         for p in self._pow:
             d = key // p % r
@@ -666,9 +654,9 @@ class ThreadedTrie:
                 stats.trie_nodes_visited += 1
             b = node * (r + 1)
             i = b + d
-            if not valid[i]:
-                raise KeyError(key)
             ref = slots[i]
+            if ref == slots[i + 1]:
+                raise KeyError(key)
             if ref < 0:
                 break
             # the fold would stop here: the deepest node above the entry
@@ -682,47 +670,50 @@ class ThreadedTrie:
             raise KeyError(key)
         result = self._result(ref)
         other = None
-        if node and valid.count(1, b, b + r) == 2:
-            # the other valid slot's ref: the first after slot d if slot 0
-            # reaches d, and slot 0's otherwise
+        if node and len(set(slots[b:b + r + 1])) == 3:
+            # two valid slots: the row holds three refs, theirs and the
+            # up; the other's is the first after slot d if slot 0 reaches
+            # d, and slot 0's otherwise
             other = slots[i + 1] if slots[b] == ref else slots[b]
         if other is not None and other < 0:
             # fold: the node and the one-slot nodes above it go, and the
             # cut's slot takes the other entry
             dropped = slots[cut_i]
-            slots[cut_i] = other
-            self._rethread(cut, cut_d - 1, other, stats)
+            self._rethread(cut, cut_d, dropped, other, stats)
             while dropped != node:
                 below = slots[dropped * (r + 1)]
                 self._free(dropped)
                 dropped = below
             self._free(node)
         else:
-            valid[i] = 0
-            self._rethread(node, d, slots[i + 1], stats)
+            # slot d becomes a thread to the ref after it
+            self._rethread(node, d, ref, slots[i + 1], stats)
         self._free(ref)
         self.size -= 1
         self.mutations += 1
         return result
 
-    def _rethread(self, node: int, j: int, target,
+    def _rethread(self, node: int, j: int, old, target,
                   stats: Optional[VisitStats]) -> None:
-        """Thread ``node``'s empty slots from ``j`` leftward to ``target``.
+        """Write ``target`` over the run of ``node``'s cells holding
+        ``old`` that ends at cell ``j``: a slot, with the threads before
+        it that led where it did.
 
-        The first valid slot left of them holds the subtree that now ends
-        right before ``target``, and so does its largest-valid chain:
-        each node on it gets ``target`` in its trailing threads and its
-        up cell, cells up to ``j = radix``, whose flag is never set.
+        The valid slot left of the run holds the subtree that ended right
+        before ``old`` and now ends right before ``target``, and so does
+        its largest-valid chain: each node on it holds ``old`` in its
+        trailing threads and its up cell, the run ending at ``j = radix``.
         """
-        r, slots, valid = self.radix, self.slots, self.valid
+        r, slots = self.radix, self.slots
         while True:
             b = node * (r + 1)
-            i = valid.rfind(1, b, b + j + 1)
-            if i < 0:
-                slots[b:b + j + 1] = [target] * (j + 1)
+            a = b + j
+            while a > b and slots[a - 1] == old:
+                a -= 1
+            slots[a:b + j + 1] = [target] * (b + j + 1 - a)
+            if a == b:
                 return
-            slots[i + 1:b + j + 1] = [target] * (b + j - i)
-            node = slots[i]
+            node = slots[a - 1]
             if node < 0:
                 return
             if stats is not None:
@@ -732,29 +723,28 @@ class ThreadedTrie:
     # -- verification ----------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check structure, key placement, every thread and the free
-        lists; list violations."""
+        """Check structure, key placement, every up and the free lists;
+        list violations.  A thread that does not repeat the cell after
+        it reads as a valid slot, reported as no node or entry or as a
+        ref reached twice."""
         out: list[str] = []
         R, W, pw = self.radix, self.width, self._pow
         S = R + 1
-        slots, valid, key = self.slots, self.valid, self.key
+        slots, key = self.slots, self.key
         nodes, entries = len(slots) // S, len(key)
-        if not len(slots) == len(valid) == nodes * S or len(self.value) != entries:
-            return [f"columns disagree: {len(slots)} slots and {len(valid)} "
-                    f"flags for {nodes} nodes, {entries} keys and "
-                    f"{len(self.value)} values"]
+        if len(slots) != nodes * S or len(self.value) != entries:
+            return [f"columns disagree: {len(slots)} slots in rows of {S}, "
+                    f"{entries} keys and {len(self.value)} values"]
         up = slots[R::S]
-        out += [f"node {n}: up cell flagged valid"
-                for n, flag in enumerate(valid[R::S]) if flag]
         live_nodes, live_entries = {0}, set()
 
         def walk(n: int, depth: int, prefix: int) -> int:
             # the number of keys under node n, whose digits so far are prefix
             held = 0
             for d in range(R):
-                if not valid[n * S + d]:
-                    continue
                 ref = slots[n * S + d]
+                if ref == slots[n * S + d + 1]:
+                    continue
                 at = prefix * R + d
                 if type(ref) is int and -entries <= ref < 0:
                     if ~ref in live_entries:
@@ -808,18 +798,12 @@ class ThreadedTrie:
             return out
 
         def check_threads(n: int, up_expect) -> None:
+            # a child's up is the cell after its slot
             if up[n] != up_expect:
                 out.append(f"node {n}: up is {up[n]!r}, expected {up_expect!r}")
-            nxt = up_expect
-            for d in range(R - 1, -1, -1):
-                ref = slots[n * S + d]
-                if valid[n * S + d]:
-                    if ref >= 0:
-                        check_threads(ref, nxt)
-                    nxt = ref
-                elif ref != nxt:
-                    out.append(f"node {n}: slot {d} threads to {ref!r}, "
-                               f"expected {nxt!r}")
+            for i in range(n * S, n * S + R):
+                if slots[i] != slots[i + 1] and slots[i] >= 0:
+                    check_threads(slots[i], slots[i + 1])
 
         check_threads(0, None)
         return out

@@ -700,7 +700,8 @@ def test_validate_reports_a_group_trie_violation():
     idx = KdPointIndex.from_points(2, 16, [(0, y) for y in range(T + 1)])
     t1 = idx.trees[1]
     trie = t1.trie[t1.first()]
-    trie.slots[trie.radix] = 5      # the root's up cell
+    # the root's up cell, with the trailing threads that repeat it
+    trie.slots[T + 1:] = [5] * (trie.radix - T)
     assert any(v.startswith(f"level 1: group (0,) of {T + 1} trie: ")
                and v.endswith("node 0: up is 5, expected None")
                for v in idx.validate()), idx.validate()

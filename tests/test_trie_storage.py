@@ -115,9 +115,9 @@ def push_live_entry(t):
 
 
 def reach_freed_node(t):
-    # a freed node is hung back into a valid slot of the root
-    d = t.valid.index(0, 0, t.radix)
-    t.valid[d] = 1
+    # a freed node is hung back into the root: written over a thread, it
+    # no longer repeats the cell after it, so it reads as a valid slot
+    d = next(d for d in range(t.radix) if t.slots[d] == t.slots[d + 1])
     t.slots[d] = t.free_node
 
 
@@ -138,11 +138,11 @@ def test_validate_catches_a_node_with_one_key():
     e = t.slots[0]
     assert e < 0
     t.slots += [e] * 9 + [None, None]
-    t.valid += bytes(8) + b"\1" + bytes(2)
     t.slots[0] = 1
     assert t.validate() == [
         "node 1 at depth 1 holds 1 key; only the root may hold fewer than two"]
-    t.valid[19] = 0
+    # every slot of node 1 threads to None: the entry's slot is gone
+    t.slots[11:20] = [None] * 9
     assert "node 1 at depth 1 holds 0 keys" in t.validate()[0]
 
 
@@ -159,8 +159,7 @@ def test_validate_catches_free_list_corruption(corrupt, message):
     assert any(message in v for v in t.validate()), t.validate()
 
 
-COLUMNS = ("size", "slots", "valid", "key", "value", "free_node",
-           "free_entry")
+COLUMNS = ("size", "slots", "key", "value", "free_node", "free_entry")
 
 
 @pytest.mark.parametrize("radix,width", [(2, 12), (10, 4), (16, 3)])
@@ -196,14 +195,16 @@ def two_keys():
 
 
 def one_key(t):
-    # root slot 0 holds key 5's entry; slot 1 is made valid by the caller
+    # root slot 0 holds key 5's entry and every other cell None: a ref
+    # the caller writes into slot 1 or 2 reads as a valid slot
     t.insert(5, "x")
-    t.valid[1] = 1
+    assert t.slots[1:] == [None] * t.radix
     return t
 
 
 def extra_flag(t):
-    t.valid += b"\0"
+    # one cell more than whole rows hold
+    t.slots.append(None)
 
 
 def node_in_bottom_slot(t):
@@ -216,26 +217,27 @@ def bad_ref(t):
 
 
 def entry_twice(t):
+    # slot 2, as slot 1 would read as a thread to what slot 2 holds
     one_key(t)
-    t.slots[1] = t.slots[0]
+    t.slots[2] = t.slots[0]
 
 
 def wrong_up(t):
-    t.slots[21] = 0
-
-
-def up_flagged(t):
-    t.valid[21] = 1
+    # node 1's trailing threads and its up lead to node 0, so they still
+    # repeat one another and only the up is wrong
+    t.slots[14:22] = [0] * 8
 
 
 def wrong_thread(t):
+    # root slot 5 threads to node 1 for None: the None before it no
+    # longer repeats the cell after it, so slot 4 reads as a slot that
+    # holds no node or entry
     t.slots[5] = 1
 
 
 def node_twice(t):
-    # root slot 2 holds node 1 as well as slot 1 does
-    t.valid[2] = 1
-    t.slots[2] = 1
+    # root slot 3 holds node 1 as well as slot 1 does
+    t.slots[3] = 1
 
 
 def misplaced_key(t):
@@ -254,8 +256,8 @@ def size_plus_one(t):
      "slot for prefix 1 at depth 0: not a node or an entry"),
     (lambda: ThreadedTrie(10, 2), entry_twice, "entry 0 reached twice"),
     (two_keys, wrong_up, "node 1: up is 0, expected None"),
-    (two_keys, up_flagged, "node 1: up cell flagged valid"),
-    (two_keys, wrong_thread, "node 0: slot 5 threads to 1, expected None"),
+    (two_keys, wrong_thread,
+     "slot for prefix 4 at depth 0: not a node or an entry"),
     (two_keys, node_twice, "node 1 reached twice"),
     (two_keys, misplaced_key, "entry key 21 in the slot for prefix 11 at depth 1"),
     (two_keys, size_plus_one, "size 3 but 2 entries reachable"),
