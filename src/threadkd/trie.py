@@ -706,10 +706,10 @@ class ThreadedTrie:
         """
         r, slots = self.radix, self.slots
         while True:
+            # the cells holding one ref are contiguous in a row, so the
+            # run starts at its first
             b = node * (r + 1)
-            a = b + j
-            while a > b and slots[a - 1] == old:
-                a -= 1
+            a = slots.index(old, b, b + j + 1)
             slots[a:b + j + 1] = [target] * (b + j + 1 - a)
             if a == b:
                 return

@@ -217,7 +217,8 @@ def bad_ref(t):
 
 
 def entry_twice(t):
-    # slot 2, as slot 1 would read as a thread to what slot 2 holds
+    # key 5's entry in root slot 2 as well; written into slot 1, it
+    # would make slot 0 read as a thread to it
     one_key(t)
     t.slots[2] = t.slots[0]
 
@@ -236,7 +237,8 @@ def wrong_thread(t):
 
 
 def node_twice(t):
-    # root slot 3 holds node 1 as well as slot 1 does
+    # root slot 3 holds node 1 as well as slot 1 does; slot 2, which
+    # keeps the two apart, reads as a slot holding None
     t.slots[3] = 1
 
 
