@@ -185,14 +185,18 @@ class KdPointIndex:
         index, when those fit 63 bits, and by ``lexsort`` when they do
         not (``_lex_order``); either way equal points keep their input
         order, and a row equal to the one before it is dropped, so the
-        first of equal points stays, as a set would keep it.  The first
+        first of equal rows stays, as a set would keep it.  The first
         coordinate ``j`` where each point differs from the previous one
         (-1 for the first point; the top set bit of the packed keys' XOR)
         gives every level: level i's keys are the (i+1)-prefixes of the
         points with ``j <= i``, and its groups start at those with
-        ``j < i``.  The last level holds the checked tuples themselves
-        and each inner level slices them, so the levels share their
-        coordinate ints.  Each level's tree comes from
+        ``j < i``.  The stored points are tuples of the index's own,
+        equal to the caller's but not the same objects: they are made in
+        sorted order from the sorted rows, over one int per distinct
+        coordinate value, so a walk in key order reads points that lie in
+        that order in memory.  The last level holds them, each inner level
+        slices them and the tries take their keys from them, so the whole
+        load shares one int per value.  Each level's tree comes from
         ``ThreadedAvlTree.from_sorted`` and its group markers are written
         as one column: a group of ``T`` or fewer members gets its count,
         and ``ValueTrie.level_tries`` builds the longer ones' tries
@@ -243,14 +247,18 @@ class KdPointIndex:
             self._hang([ThreadedAvlTree() for _ in range(k)])
             return
         # rows: the points' coordinates, a point per row in input order;
-        # order lists the distinct points' rows in sorted order
+        # order lists the distinct points' rows in sorted order, and rows
+        # then holds those rows in that order
         rows = rows.reshape(len(pts), k)
         order, j = _lex_order(rows, bound)
         keep = j < k
-        order, j = order[keep], j[keep]
-        # one take on an object array, about half the time of a Python
-        # lookup per point
-        pts = np.fromiter(pts, object, len(pts))[order].tolist()
+        rows, j = rows[order[keep]], j[keep]
+        # the stored points, made in sorted order over one int object per
+        # distinct value; the temporaries go before the levels are built
+        values, inverse = np.unique(rows, return_inverse=True)
+        columns = values.astype(object)[inverse.reshape(rows.shape).T].tolist()
+        pts = list(zip(*columns))
+        del order, keep, values, inverse, columns
         handles = list(range(len(pts) + 2))
         trees = []
         for i in range(k):
@@ -269,7 +277,7 @@ class KdPointIndex:
                 # the keys and values are sliced from these lists, so the
                 # tries share the points' coordinate ints and the handles
                 tries = ValueTrie.level_tries(
-                    self.radix, self.width, rows[order[opens], i],
+                    self.radix, self.width, rows[opens, i],
                     list(map(itemgetter(i), level)), handles[1:],
                     starts[long], (starts + sizes)[long])
                 for s, trie in zip(starts[long].tolist(), tries):

@@ -214,6 +214,7 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         # int64 key has digit 0 at a place value past 2**63
         digits[:, d] = (col // p % r if col.dtype == object or p < 2 ** 63
                         else 0)
+    del pick, col
     # lcp[a]: the digits key a - 1 and key a share; -1 across a group
     # boundary and at both ends
     lcp = np.full(total + 1, -1, np.min_scalar_type(~w))
@@ -243,6 +244,7 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     first_node = np.concatenate(([0], np.cumsum(per_group)))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
+    del order
     local = rank - first_node[group_all]
 
     m, most_nodes = int(sizes.max()), int(per_group.max())
@@ -254,7 +256,7 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     entry_code = (np.arange(total) - first[group_of]).astype(
         np.min_scalar_type(m))
     code = np.min_scalar_type(none)
-    slot_codes = np.empty((len(order), r + 1), code)
+    slot_codes = np.empty((len(rank), r + 1), code)
     up = np.full(counts[0], none, code)
     at = 0
     for d, n_d in enumerate(counts):
@@ -670,11 +672,15 @@ class ThreadedTrie:
             raise KeyError(key)
         result = self._result(ref)
         other = None
-        if node and len(set(slots[b:b + r + 1])) == 3:
-            # two valid slots: the row holds three refs, theirs and the
-            # up; the other's is the first after slot d if slot 0 reaches
-            # d, and slot 0's otherwise
-            other = slots[i + 1] if slots[b] == ref else slots[b]
+        if node:
+            # two valid slots: the row is three runs, theirs and the up's,
+            # so the run of the last valid slot, the one before the up's,
+            # starts right after slot 0's; the other's is the first after
+            # slot d if slot 0 reaches d, and slot 0's otherwise
+            u = slots.index(slots[b + r], b)
+            a = slots.index(slots[u - 1], b)
+            if a > b and slots[a - 1] == slots[b]:
+                other = slots[i + 1] if slots[b] == ref else slots[b]
         if other is not None and other < 0:
             # fold: the node and the one-slot nodes above it go, and the
             # cut's slot takes the other entry

@@ -449,6 +449,20 @@ def insert_built(k, bound, pts):
     return idx
 
 
+def one_int_per_value(idx):
+    """Whether equal coordinate values are one int object across ``idx``:
+    every level's keys and every group trie's keys."""
+    ints = {}
+    for tree in idx.trees:
+        for h in tree.inorder():
+            coords = list(tree.key[h])
+            if isinstance(tree.trie[h], ThreadedTrie):
+                coords += tree.trie[h].keys()
+            if any(ints.setdefault(c, c) is not c for c in coords):
+                return False
+    return True
+
+
 def test_from_points_past_int64_matches_inserts():
     # coordinates past 2**63 sort as an object array, on the same path
     bound = 2 ** 70
@@ -465,6 +479,26 @@ def test_from_points_past_int64_matches_inserts():
         w = [tuple(sorted((rng.choice(coords), rng.choice(coords))))
              for _ in range(2)]
         assert window_query(bulk, w)[0] == window_query(built, w)[0]
+
+
+def test_from_points_past_int64_lays_out_its_own_points():
+    # an object array of Python ints takes the same layout: np.unique
+    # sorts the ints themselves, and groups past T build tries from the
+    # object column
+    bound = 3 * 2 ** 64
+    rng = random.Random(64)
+    coords = sorted({2 ** 64 + rng.randrange(2 ** 64) for _ in range(12)})
+    coords += [1, 2 ** 63 - 1, 2 ** 63]
+    pts = [tuple(rng.choice(coords) for _ in range(3)) for _ in range(900)]
+    pts += [tuple(list(p)) for p in pts[:100]]
+    idx = KdPointIndex.from_points(3, bound, pts)
+    stored = list(idx.points())
+    assert stored == sorted(set(pts))
+    assert idx.validate() == []
+    assert any(isinstance(m, ThreadedTrie) for t in idx.trees for m in t.trie)
+    callers = set(map(id, pts))
+    assert not any(id(p) in callers for p in stored)
+    assert one_int_per_value(idx)
 
 
 def test_from_points_one_dimension():
@@ -492,9 +526,10 @@ def test_from_points_shuffled_with_duplicates(form):
                for c in key)
 
 
-def test_from_points_stores_the_callers_tuples():
-    # the last level keeps the first of equal tuples, as a set would, and
-    # the inner levels' prefixes share its coordinate ints
+def test_from_points_stores_its_own_tuples():
+    # the last level holds tuples of the index's own, equal to the
+    # caller's, over one int per coordinate value, and the inner levels'
+    # prefixes share its coordinate ints
     rng = random.Random(4)
     pts = [(rng.randrange(1000, 1064), rng.randrange(4096))
            for _ in range(2000)]
@@ -506,7 +541,9 @@ def test_from_points_stores_the_callers_tuples():
     t0, t1 = idx.trees
     stored = [t1.key[h] for h in t1.inorder()]
     assert stored == sorted(first)
-    assert all(p is first[p] for p in stored)
+    callers = set(map(id, pts))
+    assert not any(id(p) in callers for p in stored)
+    assert one_int_per_value(idx)
     for h in t0.inorder():
         assert t0.key[h][0] is t1.key[t0.cross[h]][0]
 
@@ -542,8 +579,8 @@ def edge_points(rng, k, bound, n):
     (1, 2 ** 50, 3 * 2 ** 60)])
 def test_from_points_packed_and_lexsort_build_alike(k, packed, unpacked):
     # the same points under a bound whose packed key fits 63 bits and one
-    # whose key does not: both match inserts, and the first of equal
-    # tuples is the one stored
+    # whose key does not: both match inserts, and both store tuples of
+    # their own over one int per coordinate value
     rng = random.Random(k * packed)
     pts = edge_points(rng, k, packed, 600)
     assert packed_fits(k, packed, len(pts))
@@ -557,7 +594,9 @@ def test_from_points_packed_and_lexsort_build_alike(k, packed, unpacked):
         assert bulk.validate() == []
         stored = list(bulk.points())
         assert stored == sorted(first)
-        assert all(p is first[p] for p in stored)
+        callers = set(map(id, pts))
+        assert not any(id(p) in callers for p in stored)
+        assert one_int_per_value(bulk)
 
 
 @pytest.mark.parametrize("k,bound,n", [
