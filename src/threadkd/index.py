@@ -12,6 +12,13 @@ DUMMY while the index is empty.  It is the list head of Knuth's
 threaded trees (TAOCP vol. 1, 2.3.1) one level up, so every level
 reaches its groups alike.
 
+The index keeps three payload columns in each level's tree, one cell per
+handle: ``cross`` holds the cross link, ``trie`` the group marker below,
+and ``coord`` the node's level coordinate, ``key[h][i]`` on level i.
+That is the same int object as in the key tuple, so the column costs one
+list cell per node, and the lookups and the query walk read a node's
+coordinate without touching its tuple.
+
 Every group-first node carries a marker in its ``trie`` column; no other
 node does.  A group of more than ``T`` members keeps a successor-threaded
 trie mapping the members' level coordinate to their tree handles, a
@@ -60,11 +67,11 @@ HEAD = 1    # the header's one node, the empty prefix
 T = 8
 
 
-def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
+def _small_succ(tree: ThreadedAvlTree, first: int, c: int,
                 stats: Optional[VisitStats] = None
                 ) -> tuple[Optional[int], int]:
-    """Successor lookup in the level-i group from ``first`` that keeps a
-    member count instead of a trie.
+    """Successor lookup in the group from ``first`` that keeps a member
+    count instead of a trie.
 
     Returns the group's last member whose level coordinate is below
     ``c`` (None when ``first``'s is not) and its first member at ``c``
@@ -74,11 +81,11 @@ def _small_succ(tree: ThreadedAvlTree, i: int, first: int, c: int,
     counts, and each step's threads by ``in_succ``.  A caller that
     stands in for ``succ_geq`` counts the ``trie_lookups`` itself.
     """
-    key = tree.key
+    coord = tree.coord
     n = tree.trie[first]
     prev, h = None, first
     visited = 1
-    while key[h][i] < c:
+    while coord[h] < c:
         n -= 1
         if n == 0:
             prev, h = h, DUMMY
@@ -195,8 +202,9 @@ class KdPointIndex:
         sorted order from the sorted rows, over one int per distinct
         coordinate value, so a walk in key order reads points that lie in
         that order in memory.  The last level holds them, each inner level
-        slices them and the tries take their keys from them, so the whole
-        load shares one int per value.  Each level's tree comes from
+        slices them, and each level's ``coord`` column is cut from the
+        same column lists and becomes the tries' keys, so the whole load
+        shares one int per value.  Each level's tree comes from
         ``ThreadedAvlTree.from_sorted`` and its group markers are written
         as one column: a group of ``T`` or fewer members gets its count,
         and ``ValueTrie.level_tries`` builds the longer ones' tries
@@ -258,34 +266,45 @@ class KdPointIndex:
         values, inverse = np.unique(rows, return_inverse=True)
         columns = values.astype(object)[inverse.reshape(rows.shape).T].tolist()
         pts = list(zip(*columns))
-        del order, keep, values, inverse, columns
+        del order, keep, values, inverse
         handles = list(range(len(pts) + 2))
         trees = []
         for i in range(k):
-            opens = j <= i
-            level = (pts if i == k - 1 else
-                     list(map(itemgetter(slice(0, i + 1)),
-                              compress(pts, opens.tolist()))))
+            mask = j <= i
+            if i == k - 1:
+                level, cut = pts, columns[i]
+            else:
+                opens = mask.tolist()
+                level = list(map(itemgetter(slice(0, i + 1)),
+                                 compress(pts, opens)))
+                cut = compress(columns[i], opens)
+            # the coord column: coordinate i's column list cut to the
+            # level's keys, with the dummy's cell in front; the column list
+            # and the cut go before the tree is built
+            coord = [None, *cut]
+            columns[i] = cut = opens = None
             tree = ThreadedAvlTree.from_sorted(level, handles)
-            starts = np.flatnonzero(j[opens] < i)
-            sizes = np.diff(starts, append=len(level))
-            markers = np.full(len(level) + 1, None, object)
-            markers[starts + 1] = sizes
+            # the groups' first handles and sizes
+            firsts = np.flatnonzero(j[mask] < i) + 1
+            sizes = np.diff(firsts, append=len(coord))
+            markers = np.full(len(coord), None, object)
+            markers[firsts] = sizes
             markers = markers.tolist()
             long = sizes > T
             if long.any():
                 # the keys and values are sliced from these lists, so the
-                # tries share the points' coordinate ints and the handles
+                # tries share the points' coordinate ints and the handles;
+                # the numpy column has a cell for the dummy too
                 tries = ValueTrie.level_tries(
-                    self.radix, self.width, rows[opens, i],
-                    list(map(itemgetter(i), level)), handles[1:],
-                    starts[long], (starts + sizes)[long])
-                for s, trie in zip(starts[long].tolist(), tries):
-                    markers[s + 1] = trie
+                    self.radix, self.width, np.insert(rows[mask, i], 0, 0),
+                    coord, handles, firsts[long], (firsts + sizes)[long])
+                for h, trie in zip(firsts[long].tolist(), tries):
+                    markers[h] = trie
             tree.trie = markers
+            tree.coord = coord
             if trees:
                 trees[-1].cross = [None, *map(handles.__getitem__,
-                                              (starts + 1).tolist())]
+                                              firsts.tolist())]
             trees.append(tree)
         self._hang(trees)
 
@@ -348,12 +367,12 @@ class KdPointIndex:
         Its columns are made at their final length, so the trie holds no
         spare list capacity."""
         tree = self.trees[i]
-        key = tree.key
-        coords, handles = [key[first][i]] * n, [first] * n
+        coord = tree.coord
+        coords, handles = [coord[first]] * n, [first] * n
         h = first
         for a in range(1, n):
             h = handles[a] = tree.in_succ(h, stats)
-            coords[a] = key[h][i]
+            coords[a] = coord[h]
         return ValueTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple,
@@ -367,8 +386,8 @@ class KdPointIndex:
                 break
             marker = tree.trie[g]
             if type(marker) is int:
-                h = _small_succ(tree, i, g, p[i], stats)[1]
-                if h == DUMMY or tree.key[h][i] != p[i]:
+                h = _small_succ(tree, g, p[i], stats)[1]
+                if h == DUMMY or tree.coord[h] != p[i]:
                     break
             else:
                 h = marker.find(p[i], stats)
@@ -408,7 +427,7 @@ class KdPointIndex:
                 # or before its first member
                 if stats is not None:
                     stats.trie_lookups += 1
-                prev = _small_succ(tree, i, g, p[i], stats)[0]
+                prev = _small_succ(tree, g, p[i], stats)[0]
                 pos = tree.in_pred(g, stats) if prev is None else prev
             else:
                 # joins the group, before its trie successor or, past the
@@ -419,7 +438,8 @@ class KdPointIndex:
                 else:
                     pos = tree.in_pred(s, stats)
             h = tree.insert_after(pos, p[:i + 1], stats)
-            if g == DUMMY or p[i] < tree.key[g][i]:
+            tree.coord[h] = p[i]
+            if g == DUMMY or p[i] < tree.coord[g]:
                 self._set_group_first(i, path, g, h)
                 g = h
             if type(marker) is not int:
@@ -493,6 +513,12 @@ class KdPointIndex:
             for c in [c for h in order[i + 1] for c in tree.key[h]]:
                 if not 0 <= c < self.bound:
                     out.append(f"level {i}: coordinate {c} out of range")
+            # the walks read a node's level coordinate from its coord cell
+            for h in order[i + 1]:
+                if tree.coord[h] != tree.key[h][i]:
+                    out.append(f"level {i}: node {tree.key[h]} has coord "
+                               f"{tree.coord[h]!r}, not its key's "
+                               f"coordinate {tree.key[h][i]}")
         if out:
             return out
 

@@ -11,11 +11,16 @@ group trie or, in a group of at most ``T`` members that keeps a count
 instead, from a walk over at most ``T`` threads.  The members on the
 last level are the answer.
 
-The walk makes no call per member.  It takes each inorder step itself
-from the tree's ``link`` and ``thread`` columns, as ``in_succ`` would:
-the right slot, then left slots down while the right slot is a child
-link.  It keeps what the caller uses: a member's cross link on an inner
-level, its key on the last one, so no level builds a second list.
+The walk makes no call per member and none per group.  It takes each
+inorder step itself from the tree's ``link`` and ``thread`` columns, as
+``in_succ`` would: the right slot, then left slots down while the right
+slot is a child link.  It resolves each successor in its own frame
+too: a trie's with ``succ_geq``'s descent over the trie's columns, on
+lo's digits taken once per level, and a count group's with
+``_small_succ``'s walk.  It reads a node's level coordinate from the
+tree's ``coord`` column, not from the node's key tuple.  It keeps what
+the caller uses: a member's cross link on an inner level, its key on the
+last one, so no level builds a second list.
 
 They come out in lexicographic order: a level's groups are walked in
 the order of the members above that chose them, each group's members in
@@ -28,8 +33,9 @@ probe that ends a group walk); reading a group minimum through its
 cross link is part of the link follow, not a visit; successor lookups
 are tracked separately as trie work, one lookup each, whether a trie or
 a small group's walk answers it; every slot an inorder step follows
-counts one thread, as ``in_succ`` counts it.  Each level sums its counts
-in locals and adds them to the stats once.  A query counts exactly what
+counts one thread, as ``in_succ`` counts it; the trie nodes a lookup
+reads count as ``succ_geq`` and ``_small_succ`` count them.  Each level
+sums its counts in locals and adds them to the stats once.  A query counts exactly what
 walking the groups one recursive call at a time would.
 """
 
@@ -37,14 +43,29 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .index import HEAD, KdPointIndex, _small_succ
+from .index import HEAD, KdPointIndex
 from .stats import VisitStats
 from .tree import DUMMY
-from .trie import as_coordinate
+from .trie import _shape, as_coordinate
 
 
 class WindowError(ValueError):
     """Window is malformed: wrong arity, lo > hi, or out-of-range bound."""
+
+
+def _check_range(index: KdPointIndex, j: int, lo, hi) -> tuple[int, int]:
+    """Range ``j`` of a window as ints, under the coordinate rule;
+    WindowError unless 0 <= lo <= hi < bound."""
+    try:
+        lo, hi = as_coordinate(lo), as_coordinate(hi)
+    except ValueError as e:
+        raise WindowError(f"window bound: {e}") from None
+    if lo > hi:
+        raise WindowError(f"range {j}: lo {lo} > hi {hi}")
+    if not (0 <= lo and hi < index.bound):
+        raise WindowError(f"range {j}: [{lo}, {hi}] outside universe "
+                          f"[0, {index.bound})")
+    return lo, hi
 
 
 def check_window(index: KdPointIndex,
@@ -56,17 +77,7 @@ def check_window(index: KdPointIndex,
                           f"pairs") from None
     if len(w) != index.k:
         raise WindowError(f"window has {len(w)} ranges, expected {index.k}")
-    try:
-        w = [(as_coordinate(lo), as_coordinate(hi)) for lo, hi in w]
-    except ValueError as e:
-        raise WindowError(f"window bound: {e}") from None
-    for j, (lo, hi) in enumerate(w):
-        if lo > hi:
-            raise WindowError(f"range {j}: lo {lo} > hi {hi}")
-        if not (0 <= lo and hi < index.bound):
-            raise WindowError(f"range {j}: [{lo}, {hi}] outside universe "
-                              f"[0, {index.bound})")
-    return w
+    return [_check_range(index, j, lo, hi) for j, (lo, hi) in enumerate(w)]
 
 
 def level_candidates(index: KdPointIndex, level: int, group_first: int,
@@ -74,17 +85,20 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
                      stats: Optional[VisitStats] = None) -> list[int]:
     """Handles in group_first's group whose level coordinate is in [lo, hi].
 
-    The walk starts at the group minimum when it clears lo, and otherwise
-    at the successor of lo: the group trie's, or for a group that keeps
-    a count instead, the first member at lo or above within at most T
-    threads.  It walks inorder threads from there and ends on the first
-    node past hi or on the next group's first node (the first one after
-    the start that carries a marker, count or trie), which costs one
-    probe visit, or at the end of the level.  A group whose minimum
-    exceeds hi is rejected on that probe alone, without a lookup.
-    DUMMY, which an empty index's header link and an empty tree's
-    ``first()`` give, heads no group: the answer is empty.
+    The range follows the window rule for one range, ``check_window``'s:
+    WindowError unless 0 <= lo <= hi < bound.  The walk starts at the
+    group minimum when it clears lo, and otherwise at the successor of
+    lo: the group trie's, or for a group that keeps a count instead, the
+    first member at lo or above within at most T threads.  It walks
+    inorder threads from there and ends on the first node past hi or on
+    the next group's first node (the first one after the start that
+    carries a marker, count or trie), which costs one probe visit, or at
+    the end of the level.  A group whose minimum exceeds hi is rejected
+    on that probe alone, without a lookup.  DUMMY, which an empty
+    index's header link and an empty tree's ``first()`` give, heads no
+    group: the answer is empty.
     """
+    lo, hi = _check_range(index, level, lo, hi)
     if group_first == DUMMY:
         return []
     # range(n)[h] is h itself: the walk reports the handles
@@ -98,35 +112,84 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
                    stats: Optional[VisitStats]) -> list:
     """``level_candidates`` over every group in ``groups``, given by their
     first nodes: ``column[h]`` for each member ``h`` in [lo, hi], group
-    after group.  Inorder steps are taken inline, from the tree's link
-    and thread columns; the counts are summed in locals and added to
-    ``stats`` once.
+    after group, with 0 <= lo <= hi < bound.
+
+    No call is made per group or per member.  A trie group's successor
+    of lo is ``succ_geq``'s descent over the trie's columns, on lo's
+    digits taken once; a count group's is ``_small_succ``'s walk over at
+    most the count.  Inorder steps are taken inline, from the tree's
+    link and thread columns, and a node's level coordinate is read from
+    its ``coord`` cell.  The counts are summed in locals, as
+    ``succ_geq``, ``_small_succ`` and ``in_succ`` count them, and added
+    to ``stats`` once.
     """
     tree = index.trees[level]
-    key, tries = tree.key, tree.trie
+    coord, tries = tree.coord, tree.trie
     left, right = tree.link
     lthread, rthread = tree.thread
+    r = index.radix
+    s = r + 1   # cells in a trie row
+    # lo's digits, most significant first; a loop, not a comprehension,
+    # which costs a call of its own on CPython 3.11
+    digits = []
+    for p in _shape(r, index.width)[1]:
+        digits.append(lo // p % r)
     out: list = []
     append = out.append
-    probes = lookups = descents = 0
+    # threads: the slots followed besides each member's own right slot
+    probes = lookups = nodes = threads = 0
     for first in groups:
-        m = key[first][level]
+        m = coord[first]
         if m > hi:
             probes += 1
             continue
         if m >= lo:
             start = first
         else:
+            lookups += 1
             marker = tries[first]
             if type(marker) is int:
-                lookups += 1
-                start = _small_succ(tree, level, first, lo, stats)[1]
+                # _small_succ's walk, over at most the count
+                start = first
+                nodes += 1
+                while coord[start] < lo:
+                    marker -= 1
+                    if marker == 0:
+                        start = DUMMY
+                        break
+                    q = right[start]
+                    threads += 1
+                    if not rthread[start]:
+                        while not lthread[q]:
+                            q = left[q]
+                            threads += 1
+                    start = q
+                    nodes += 1
             else:
-                # None past the group maximum; no handle is DUMMY, 0
-                start = marker.succ_geq(lo, stats) or DUMMY
+                # succ_geq's descent: down lo's digits to the first
+                # thread or entry, then down smallest valid slots
+                slots = marker.slots
+                ref = 0
+                for d in digits:
+                    nodes += 1
+                    i = ref * s + d
+                    ref = slots[i]
+                    if ref == slots[i + 1]:
+                        break
+                    if ref < 0:
+                        if marker.key[~ref] < lo:
+                            ref = slots[i + 1]
+                        break
+                if ref is None:
+                    # past the group maximum
+                    continue
+                while ref >= 0:
+                    nodes += 1
+                    ref = slots[ref * s]
+                start = marker.value[~ref]
         h = start
         while h:    # DUMMY, 0, ends the level
-            if key[h][level] > hi or (tries[h] is not None and h != start):
+            if coord[h] > hi or (tries[h] is not None and h != start):
                 probes += 1
                 break
             append(column[h])
@@ -134,13 +197,14 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
             if not rthread[h]:
                 while not lthread[q]:
                     q = left[q]
-                    descents += 1
+                    threads += 1
             h = q
     if stats is not None:
         members = len(out)
         stats.tree_nodes_visited += members + probes
-        stats.threads_followed += members + descents
+        stats.threads_followed += members + threads
         stats.trie_lookups += lookups
+        stats.trie_nodes_visited += nodes
     return out
 
 

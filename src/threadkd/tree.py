@@ -17,9 +17,10 @@ by ``2*d - 1`` and one shrinking there by ``1 - 2*d``; ``_retrace`` walks
 either change up from the node that took it, after an insert or a
 delete alike.  A node's child ``c`` is
 on side 0 exactly when ``link[0]`` holds ``c``: a thread never targets
-the node's own child, only an ancestor or the dummy.  ``cross`` and
-``trie`` are payload columns owned by the multi-level index; the tree
-itself never reads them.  ``node(h)`` is a read/write view of one cell.
+the node's own child, only an ancestor or the dummy.  ``cross``,
+``trie`` and ``coord`` are payload columns owned by the multi-level
+index; the tree keeps one cell of each per handle, empty (None) on a
+new or freed cell, and never reads them.  ``node(h)`` is a read/write view of one cell.
 
 Insertion takes a position hint (the would-be predecessor) instead of
 searching by key; callers locate positions through external structures.
@@ -90,6 +91,7 @@ class TreeNode:
     balance = _cell("balance")
     cross_link = _cell("cross")
     trie = _cell("trie")
+    coord = _cell("coord")
 
 
 class ThreadedAvlTree:
@@ -117,6 +119,7 @@ class ThreadedAvlTree:
         self.balance: list[int] = balance
         self.cross: list[Optional[int]] = [None] * len(key)
         self.trie: list = [None] * len(key)
+        self.coord: list[Optional[int]] = [None] * len(key)
         self.free: list[int] = []
         self.size = size
         self.rotations = 0
@@ -215,12 +218,14 @@ class ThreadedAvlTree:
         self.balance.append(0)
         self.cross.append(None)
         self.trie.append(None)
+        self.coord.append(None)
         return len(self.key) - 1
 
     def _release(self, h: int) -> None:
         self.key[h] = None
         self.cross[h] = None
         self.trie[h] = None
+        self.coord[h] = None
         self.free.append(h)
 
     def _replace_child(self, p: int, old: int, new: int) -> None:

@@ -735,6 +735,42 @@ def test_validate_reports_each_corruption(corrupt, message):
     assert any(message in v for v in idx.validate()), idx.validate()
 
 
+def test_validate_reports_a_wrong_coord_cell():
+    idx = KdPointIndex.from_points(2, 16, FIVE)
+    t1 = idx.trees[1]
+    t1.coord[t1.last()] = 9
+    assert ("level 1: node (8, 10) has coord 9, not its key's coordinate 10"
+            in idx.validate()), idx.validate()
+
+
+def test_coord_cells_share_the_keys_ints():
+    # coordinates past 256, so that equal ints are distinct objects unless
+    # shared; a group of 30 keeps a trie, whose keys are the same ints
+    rng = random.Random(31)
+    pts = [(1000 + rng.randrange(40), 1000 + rng.randrange(3000))
+           for _ in range(300)] + [(2000, 1000 + y) for y in range(30)]
+    idx = KdPointIndex.from_points(2, 4096, pts)
+    # more deletes than inserts, so that freed cells stay free
+    for p in rng.sample(sorted(set(pts)), 60):
+        idx.delete(p)
+    for _ in range(30):
+        idx.insert((1000 + rng.randrange(41), 1000 + rng.randrange(3000)))
+    assert idx.validate() == []
+    tries = 0
+    for i, tree in enumerate(idx.trees):
+        live = set(tree.inorder())
+        for h in range(1, len(tree.key)):
+            if h in live:
+                assert tree.coord[h] is tree.key[h][i]
+            else:
+                assert tree.coord[h] is None
+        for marker in tree.trie:
+            if isinstance(marker, ValueTrie):
+                tries += 1
+                assert all(c is tree.coord[h] for c, h in marker.items())
+    assert tries > 0 and idx.trees[1].free
+
+
 def test_validate_reports_a_group_trie_violation():
     idx = KdPointIndex.from_points(2, 16, [(0, y) for y in range(T + 1)])
     t1 = idx.trees[1]

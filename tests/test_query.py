@@ -151,6 +151,24 @@ def test_level_candidates_first_level():
     assert [t0.node(h).key for h in got] == [(2,), (6,), (8,)]
 
 
+def test_level_candidates_checks_its_range():
+    # check_window's rule for one range: the walk's trie descent reads
+    # lo's digits, so lo must lie in [0, bound); a range past the bound
+    # once went to the trie as it was and matched members below it
+    idx = KdPointIndex.from_points(2, 4096, [(5, 3 * y) for y in range(40)])
+    t0, t1 = idx.trees
+    g = t0.cross[t0.first()]
+    assert isinstance(t1.trie[g], ValueTrie)
+    for lo, hi in ((4101, 5000), (4096, 4096), (100, 4096), (-1, 10),
+                   (20, 10), (1.5, 3), (True, 3), (0, "7")):
+        with pytest.raises(WindowError):
+            level_candidates(idx, 1, g, lo, hi)
+        with pytest.raises(WindowError):
+            level_candidates(idx, 1, DUMMY, lo, hi)
+    got = level_candidates(idx, 1, g, np.int64(4), 4095)
+    assert [t1.key[h] for h in got] == [(5, 3 * y) for y in range(2, 40)]
+
+
 def test_single_dimension_query():
     idx = KdPointIndex.from_points(1, 256, [(9,), (3,), (200,), (77,)])
     res, st_ = window_query(idx, [(4, 100)])
@@ -400,12 +418,19 @@ def assert_same_as_reference(idx, rng, windows=30):
             assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
 
 
-@pytest.mark.parametrize("k,bound", [(1, 32), (2, 24), (3, 12), (4, 16)])
-def test_level_walk_matches_in_succ_reference(k, bound):
+# radix 4 keeps the ids the cases had before radix was a parameter; the
+# bounds fill the trie capacity or fall below it, bound 24 at radix 16
+# lying far below the capacity of 256
+@pytest.mark.parametrize("k,bound,radix", [
+    pytest.param(k, bound, radix,
+                 id=f"{k}-{bound}" if radix == 4 else f"{k}-{bound}-radix{radix}")
+    for radix in (4, 2, 16)
+    for k, bound in ((1, 32), (2, 24), (3, 12), (4, 16))])
+def test_level_walk_matches_in_succ_reference(k, bound, radix):
     rng = random.Random(7919 * k + bound)
     pts = {tuple(rng.randrange(bound) for _ in range(k))
            for _ in range(min(bound ** k // 2, 600))}
-    idx = KdPointIndex.from_points(k, bound, pts, radix=4)
+    idx = KdPointIndex.from_points(k, bound, pts, radix=radix)
     assert_same_as_reference(idx, rng)
     # updates move groups across T both ways, and finally empty the index
     live = sorted(pts)
@@ -427,7 +452,7 @@ def test_level_walk_matches_in_succ_reference(k, bound):
     assert_same_as_reference(idx, rng, windows=5)
 
 
-def test_query_steps_without_in_succ(monkeypatch):
+def test_query_walk_calls_neither_in_succ_nor_succ_geq(monkeypatch):
     # every group, level 0's and each level-1 group, has more than T
     # members, so each keeps a trie
     pts = [(x, y) for x in range(0, 64, 4) for y in range(0, 64, 2)]
@@ -451,7 +476,7 @@ def test_query_steps_without_in_succ(monkeypatch):
         assert got == [p for p in pts if all(lo <= c <= hi for c, (lo, hi)
                                              in zip(p, w))]
     assert st_.trie_lookups > 0 and st_.threads_followed > 0
-    assert calls == {"in_succ": 0, "succ_geq": st_.trie_lookups}
+    assert calls == {"in_succ": 0, "succ_geq": 0}
 
 
 def test_count_groups_answer_without_a_trie_until_the_ninth_member(
