@@ -35,8 +35,9 @@ are tracked separately as trie work, one lookup each, whether a trie or
 a small group's walk answers it; every slot an inorder step follows
 counts one thread, as ``in_succ`` counts it; the trie nodes a lookup
 reads count as ``succ_geq`` and ``_small_succ`` count them.  Each level
-sums its counts in locals and adds them to the stats once.  A query counts exactly what
-walking the groups one recursive call at a time would.
+sums its counts in locals and adds them to the stats once.  A query
+counts exactly what walking the groups one recursive call at a time
+would.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ on side 0 exactly when ``link[0]`` holds ``c``: a thread never targets
 the node's own child, only an ancestor or the dummy.  ``cross``,
 ``trie`` and ``coord`` are payload columns owned by the multi-level
 index; the tree keeps one cell of each per handle, empty (None) on a
-new or freed cell, and never reads them.  ``node(h)`` is a read/write view of one cell.
+new or freed cell, and never reads them.  ``node(h)`` is a read/write
+view of one cell.
 
 Insertion takes a position hint (the would-be predecessor) instead of
 searching by key; callers locate positions through external structures.

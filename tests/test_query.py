@@ -153,8 +153,7 @@ def test_level_candidates_first_level():
 
 def test_level_candidates_checks_its_range():
     # check_window's rule for one range: the walk's trie descent reads
-    # lo's digits, so lo must lie in [0, bound); a range past the bound
-    # once went to the trie as it was and matched members below it
+    # lo's digits, which name a trie slot only for lo in [0, bound)
     idx = KdPointIndex.from_points(2, 4096, [(5, 3 * y) for y in range(40)])
     t0, t1 = idx.trees
     g = t0.cross[t0.first()]
@@ -418,12 +417,11 @@ def assert_same_as_reference(idx, rng, windows=30):
             assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
 
 
-# radix 4 keeps the ids the cases had before radix was a parameter; the
-# bounds fill the trie capacity or fall below it, bound 24 at radix 16
-# lying far below the capacity of 256
+# the radix-4 cases keep their plain k-bound ids; the bounds fill the trie
+# capacity or fall below it, bound 24 at radix 16 far below its 256
 @pytest.mark.parametrize("k,bound,radix", [
-    pytest.param(k, bound, radix,
-                 id=f"{k}-{bound}" if radix == 4 else f"{k}-{bound}-radix{radix}")
+    pytest.param(k, bound, radix, id=f"{k}-{bound}" if radix == 4
+                 else f"{k}-{bound}-radix{radix}")
     for radix in (4, 2, 16)
     for k, bound in ((1, 32), (2, 24), (3, 12), (4, 16))])
 def test_level_walk_matches_in_succ_reference(k, bound, radix):
