@@ -204,8 +204,9 @@ class KdPointIndex:
         that order in memory.  The last level holds them, each inner level
         slices them, and each level's ``coord`` column is cut from the
         same column lists and becomes the tries' keys, so the whole load
-        shares one int per value.  Each level's tree comes from
-        ``ThreadedAvlTree.from_sorted`` and its group markers are written
+        shares one int per value.  Each level's tree is linked as
+        ``ThreadedAvlTree.from_sorted`` links it, and takes its payload
+        columns as they are made, each once: its group markers are written
         as one column: a group of ``T`` or fewer members gets its count,
         and ``ValueTrie.level_tries`` builds the longer ones' tries
         together.  Level i's g-th group (from 1) hangs under handle g one
@@ -269,6 +270,7 @@ class KdPointIndex:
         del order, keep, values, inverse
         handles = list(range(len(pts) + 2))
         trees = []
+        firsts = np.ones(1, np.int64)
         for i in range(k):
             mask = j <= i
             if i == k - 1:
@@ -283,13 +285,22 @@ class KdPointIndex:
             # and the cut go before the tree is built
             coord = [None, *cut]
             columns[i] = cut = opens = None
-            tree = ThreadedAvlTree.from_sorted(level, handles)
-            # the groups' first handles and sizes
-            firsts = np.flatnonzero(j[mask] < i) + 1
+            if i < k - 1:
+                # the cross links: the first handles of level i + 1's
+                # groups, in order
+                below = np.flatnonzero(j[j <= i + 1] <= i) + 1
+                cross = [None, *map(handles.__getitem__, below.tolist())]
+            else:
+                cross, below = [None] * len(coord), None
+            # each group's size, from the first handles
             sizes = np.diff(firsts, append=len(coord))
             markers = np.full(len(coord), None, object)
             markers[firsts] = sizes
             markers = markers.tolist()
+            trees.append(ThreadedAvlTree._from_sorted(
+                level, handles, (cross, markers, coord)))
+            # the tries go into the marker column once the tree's build
+            # temporaries are gone
             long = sizes > T
             if long.any():
                 # the keys and values are sliced from these lists, so the
@@ -300,12 +311,7 @@ class KdPointIndex:
                     coord, handles, firsts[long], (firsts + sizes)[long])
                 for h, trie in zip(firsts[long].tolist(), tries):
                     markers[h] = trie
-            tree.trie = markers
-            tree.coord = coord
-            if trees:
-                trees[-1].cross = [None, *map(handles.__getitem__,
-                                              firsts.tolist())]
-            trees.append(tree)
+            firsts = below
         self._hang(trees)
 
     def __len__(self) -> int:

@@ -12,12 +12,11 @@ instead, from a walk over at most ``T`` threads.  The members on the
 last level are the answer.
 
 The walk makes no call per member and none per group.  It takes each
-inorder step itself from the tree's ``link`` and ``thread`` columns, as
-``in_succ`` would: the right slot, then left slots down while the right
-slot is a child link.  It resolves each successor in its own frame
-too: a trie's with ``succ_geq``'s descent over the trie's columns, on
-lo's digits taken once per level, and a count group's with
-``_small_succ``'s walk.  It reads a node's level coordinate from the
+inorder step itself, as ``in_succ`` does, by one read of the tree's
+``succ`` column.  It resolves each successor in its own frame too: a
+trie's with ``succ_geq``'s descent over the trie's columns, on lo's
+digits taken once per level, and a count group's with ``_small_succ``'s
+walk.  It reads a node's level coordinate from the
 tree's ``coord`` column, not from the node's key tuple.  It keeps what
 the caller uses: a member's cross link on an inner level, its key on the
 last one, so no level builds a second list.
@@ -32,8 +31,8 @@ node whose range test runs counts one tree visit (candidates plus the
 probe that ends a group walk); reading a group minimum through its
 cross link is part of the link follow, not a visit; successor lookups
 are tracked separately as trie work, one lookup each, whether a trie or
-a small group's walk answers it; every slot an inorder step follows
-counts one thread, as ``in_succ`` counts it; the trie nodes a lookup
+a small group's walk answers it; every inorder step counts one thread,
+as ``in_succ`` counts it; the trie nodes a lookup
 reads count as ``succ_geq`` and ``_small_succ`` count them.  Each level
 sums its counts in locals and adds them to the stats once.  A query
 counts exactly what walking the groups one recursive call at a time
@@ -78,7 +77,14 @@ def check_window(index: KdPointIndex,
                           f"pairs") from None
     if len(w) != index.k:
         raise WindowError(f"window has {len(w)} ranges, expected {index.k}")
-    return [_check_range(index, j, lo, hi) for j, (lo, hi) in enumerate(w)]
+    bound = index.bound
+    for lo, hi in w:
+        # plain in-range ints are checked here; any other window takes
+        # _check_range on every range, in order
+        if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi < bound):
+            return [_check_range(index, j, lo, hi)
+                    for j, (lo, hi) in enumerate(w)]
+    return w
 
 
 def level_candidates(index: KdPointIndex, level: int, group_first: int,
@@ -118,16 +124,14 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
     No call is made per group or per member.  A trie group's successor
     of lo is ``succ_geq``'s descent over the trie's columns, on lo's
     digits taken once; a count group's is ``_small_succ``'s walk over at
-    most the count.  Inorder steps are taken inline, from the tree's
-    link and thread columns, and a node's level coordinate is read from
-    its ``coord`` cell.  The counts are summed in locals, as
+    most the count.  Inorder steps are taken inline, one read of the
+    tree's ``succ`` column each, and a node's level coordinate is read
+    from its ``coord`` cell.  The counts are summed in locals, as
     ``succ_geq``, ``_small_succ`` and ``in_succ`` count them, and added
     to ``stats`` once.
     """
     tree = index.trees[level]
-    coord, tries = tree.coord, tree.trie
-    left, right = tree.link
-    lthread, rthread = tree.thread
+    coord, tries, succ = tree.coord, tree.trie, tree.succ
     r = index.radix
     s = r + 1   # cells in a trie row
     # lo's digits, most significant first; a loop, not a comprehension,
@@ -137,7 +141,8 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
         digits.append(lo // p % r)
     out: list = []
     append = out.append
-    # threads: the slots followed besides each member's own right slot
+    # threads: the count walks' steps; each member's own step is counted
+    # with the members
     probes = lookups = nodes = threads = 0
     for first in groups:
         m = coord[first]
@@ -158,13 +163,8 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
                     if marker == 0:
                         start = DUMMY
                         break
-                    q = right[start]
+                    start = succ[start]
                     threads += 1
-                    if not rthread[start]:
-                        while not lthread[q]:
-                            q = left[q]
-                            threads += 1
-                    start = q
                     nodes += 1
             else:
                 # succ_geq's descent: down lo's digits to the first
@@ -194,12 +194,7 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
                 probes += 1
                 break
             append(column[h])
-            q = right[h]
-            if not rthread[h]:
-                while not lthread[q]:
-                    q = left[q]
-                    threads += 1
-            h = q
+            h = succ[h]
     if stats is not None:
         members = len(out)
         stats.tree_nodes_visited += members + probes

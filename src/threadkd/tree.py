@@ -3,21 +3,27 @@
 Nodes live in an arena and are addressed by integer handles; handle 0 is
 a permanent dummy node that bounds the inorder sequence on both sides.
 Empty child slots hold threads: the left slot of a node threads to its
-inorder predecessor, the right slot to its successor, so succ/pred steps
-need no parent search and the first/last nodes thread to the dummy.
+inorder predecessor, the right slot to its successor, so pred steps need
+no parent search and the first/last nodes thread to the dummy.  The
+``succ`` column holds each node's inorder successor outright (DUMMY after
+the last node; ``succ[DUMMY]`` is the first node), so a successor step is
+one read.  The tree keeps it itself: an insert reads the position's cell
+and writes two, a delete writes the predecessor's.
 
 Storage is flat: one list (or bytearray) per field, indexed by handle,
 and no object per node.  ``link[d]`` and ``thread[d]`` are the child
 slot and its thread flag on side ``d`` (0 = left, 1 = right), so every
 structural routine is written once for a side ``d`` and its mirror
-``1 - d``: ``_step`` takes one inorder step toward either side, and
-``in_succ``/``in_pred`` are its two sides.  ``balance`` is
-height(right) - height(left), so a subtree growing on side ``d`` moves it
-by ``2*d - 1`` and one shrinking there by ``1 - 2*d``; ``_retrace`` walks
-either change up from the node that took it, after an insert or a
-delete alike.  A node's child ``c`` is
-on side 0 exactly when ``link[0]`` holds ``c``: a thread never targets
-the node's own child, only an ancestor or the dummy.  ``cross``,
+``1 - d``: ``_step`` takes one inorder step by the threads toward either
+side, for ``in_pred``, for a delete's relocation and for ``validate``'s
+walks; ``in_succ`` reads ``succ`` instead.  Counting rule: each slot a
+``_step`` reads counts one thread followed, and so does each ``succ``
+read.  ``balance`` is height(right) - height(left), so a subtree growing
+on side ``d`` moves it by ``2*d - 1`` and one shrinking there by
+``1 - 2*d``; ``_retrace`` walks either change up from the node that took
+it, after an insert or a delete alike.  A node's child ``c`` is on side
+0 exactly when ``link[0]`` holds ``c``: a thread never targets the
+node's own child, only an ancestor or the dummy.  ``cross``,
 ``trie`` and ``coord`` are payload columns owned by the multi-level
 index; the tree keeps one cell of each per handle, empty (None) on a
 new or freed cell, and never reads them.  ``node(h)`` is a read/write
@@ -89,6 +95,7 @@ class TreeNode:
     lthread = _cell("thread", 0, bool)
     rthread = _cell("thread", 1, bool)
     parent = _cell("parent")
+    succ = _cell("succ")
     balance = _cell("balance")
     cross_link = _cell("cross")
     trie = _cell("trie")
@@ -107,20 +114,26 @@ class ThreadedAvlTree:
         # empty), right slot is a child link to itself so that succ/pred of
         # the dummy resolve to the first/last real node.
         self._columns([None], ([DUMMY], [DUMMY]),
-                      (bytearray(b"\x01"), bytearray(1)), [DUMMY], [0], 0)
+                      (bytearray(b"\x01"), bytearray(1)), [DUMMY], [0],
+                      [DUMMY], 0)
 
     def _columns(self, key: list, link: tuple, thread: tuple, parent: list,
-                 balance: list, size: int) -> None:
-        """Set every field: the given columns, one cell per handle, no
-        payload, no free cell and zeroed counters."""
+                 balance: list, succ: list, size: int,
+                 payload: Optional[tuple] = None) -> None:
+        """Set every field: the given columns, one cell per handle, the
+        payload columns ``(cross, trie, coord)`` or, for None, empty
+        ones, no free cell and zeroed counters."""
         self.key: list[Optional[tuple]] = key
         self.link: tuple[list[int], list[int]] = link
         self.thread: tuple[bytearray, bytearray] = thread
         self.parent: list[int] = parent
         self.balance: list[int] = balance
-        self.cross: list[Optional[int]] = [None] * len(key)
-        self.trie: list = [None] * len(key)
-        self.coord: list[Optional[int]] = [None] * len(key)
+        self.succ: list[int] = succ
+        if payload is None:
+            payload = [None] * len(key), [None] * len(key), [None] * len(key)
+        self.cross: list[Optional[int]] = payload[0]
+        self.trie: list = payload[1]
+        self.coord: list[Optional[int]] = payload[2]
         self.free: list[int] = []
         self.size = size
         self.rotations = 0
@@ -147,8 +160,18 @@ class ThreadedAvlTree:
         each j up to ``len(keys) + 1``, so each handle is one int object;
         callers that build several trees pass one list to all of them.
         An object array of those ints turns the link and parent arrays
-        into the columns, one fancy index each.
+        into the columns, one fancy index each; ``succ`` is ``handles``
+        shifted by one.
         """
+        return cls._from_sorted(keys, handles, None)
+
+    @classmethod
+    def _from_sorted(cls, keys: Sequence[tuple],
+                     handles: Optional[Sequence[int]],
+                     payload: Optional[tuple]) -> "ThreadedAvlTree":
+        """``from_sorted``, with the payload columns given as for
+        ``_columns``: a bulk load passes the ones it has made, so no empty
+        column is made only to be replaced."""
         n = len(keys)
         if n == 0:
             return cls()
@@ -181,10 +204,13 @@ class ThreadedAvlTree:
             lo, hi, up = map(np.concatenate, zip(*below))
         link[1, n] = DUMMY
         table = np.array(handles[:n + 1], object)
+        # handle j + 1 holds keys[j], so handle h's successor is h + 1
+        succ = handles[1:n + 2]
+        succ[n] = DUMMY
         tree = cls.__new__(cls)
         tree._columns([None, *keys], tuple(table[link].tolist()),
                       tuple(map(bytearray, thread)), table[parent].tolist(),
-                      balance.tolist(), n)
+                      balance.tolist(), succ, n, payload)
         return tree
 
     # -- handle helpers -------------------------------------------------
@@ -212,7 +238,7 @@ class ThreadedAvlTree:
             self.balance[h] = 0
             return h
         self.key.append(key)
-        for col in (*self.link, self.parent):
+        for col in (*self.link, self.parent, self.succ):
             col.append(DUMMY)
         for flags in self.thread:
             flags.append(1)
@@ -244,10 +270,11 @@ class ThreadedAvlTree:
     # -- ordered navigation ---------------------------------------------
 
     def _step(self, h: int, d: int, stats: Optional[VisitStats] = None) -> int:
-        """Inorder neighbour of ``h`` on side ``d``: the successor for
-        d = 1, the predecessor for d = 0, DUMMY past either end.  One slot
-        on side ``d``, then, below a child link, the far side's links down
-        to a thread; each slot read counts as one thread followed."""
+        """Inorder neighbour of ``h`` on side ``d`` by the threads: the
+        successor for d = 1, the predecessor for d = 0, DUMMY past either
+        end.  One slot on side ``d``, then, below a child link, the far
+        side's links down to a thread; each slot read counts as one thread
+        followed."""
         q = self.link[d][h]
         n = 1
         if not self.thread[d][h]:
@@ -260,8 +287,11 @@ class ThreadedAvlTree:
         return q
 
     def in_succ(self, h: int, stats: Optional[VisitStats] = None) -> int:
-        """Inorder successor handle; DUMMY after the last node."""
-        return self._step(h, 1, stats)
+        """Inorder successor handle; DUMMY after the last node.  One read
+        of the ``succ`` column, counted as one thread followed."""
+        if stats is not None:
+            stats.threads_followed += 1
+        return self.succ[h]
 
     def in_pred(self, h: int, stats: Optional[VisitStats] = None) -> int:
         """Inorder predecessor handle; DUMMY before the first node."""
@@ -329,6 +359,8 @@ class ThreadedAvlTree:
         self.parent[h] = p
         link[d][p] = h
         self.thread[d][p] = 0
+        self.succ[h] = succ
+        self.succ[pos] = h
         self.size += 1
         self._retrace(p, d, True, stats)
         return h
@@ -343,6 +375,9 @@ class ThreadedAvlTree:
             stats.tree_nodes_visited += 1
         link, thread, parent = self.link, self.thread, self.parent
         if thread[0][h] or thread[1][h]:
+            # h's predecessor is in its left slot: the thread's target, or
+            # the only child, a leaf
+            self.succ[link[0][h]] = self.succ[h]
             p, side = self._detach(h)
         else:
             # two children: the inorder successor s leaves its own place
@@ -358,8 +393,13 @@ class ThreadedAvlTree:
                 flags[s] = flags[h]
                 if not flags[h]:
                     parent[c] = s
-                    # h's neighbour on side d, below c, threaded to h
-                    link[1 - d][self._step(h, d)] = s
+                    # h's neighbour on side d, below c, threaded to h;
+                    # on side 0 it is h's predecessor, whose successor s
+                    # becomes
+                    q = self._step(h, d, stats)
+                    link[1 - d][q] = s
+                    if not d:
+                        self.succ[q] = s
             self.balance[s] = self.balance[h]
             parent[s] = parent[h]
             self._replace_child(parent[h], h, s)
@@ -472,6 +512,15 @@ class ThreadedAvlTree:
         key, parent, balance = self.key, self.parent, self.balance
         left, right = self.link
         lthread, rthread = self.thread
+        succ = self.succ
+
+        def succ_faults(order: list[int]) -> list[str]:
+            # the succ column holds each node's successor in ``order``, the
+            # first node in the dummy's cell and DUMMY in the last node's
+            chain = [DUMMY, *order, DUMMY]
+            return [f"node {h}: succ cell -> {succ[h]}, expected {n}"
+                    for h, n in zip(chain, chain[1:]) if succ[h] != n]
+
         if key[DUMMY] is not None:
             out.append("dummy: key is not empty")
         if rthread[DUMMY] or right[DUMMY] != DUMMY:
@@ -479,7 +528,7 @@ class ThreadedAvlTree:
         if self.size == 0:
             if not lthread[DUMMY] or left[DUMMY] != DUMMY:
                 out.append("dummy: empty tree must thread its root slot to itself")
-            return out
+            return out + succ_faults([])
         if lthread[DUMMY]:
             out.append("dummy: nonempty tree lacks a root child link")
             return out
@@ -547,6 +596,7 @@ class ThreadedAvlTree:
                 if self.thread[d][h] and target != expect:
                     out.append(f"node {h}: {side} thread -> {target}, "
                                f"expected {expect}")
+        out += succ_faults(order)
 
         bound = 1.45 * math.log2(self.size + 2)
         if total_height > bound:

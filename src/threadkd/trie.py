@@ -504,7 +504,8 @@ class ThreadedTrie:
     # -- lookups ---------------------------------------------------------
 
     def find(self, key: int, stats: Optional[VisitStats] = None):
-        key = as_coordinate(key, "key", self.capacity)
+        if type(key) is not int or not 0 <= key < self.capacity:
+            key = as_coordinate(key, "key", self.capacity)
         r, slots = self.radix, self.slots
         node = 0
         for p in self._pow:
@@ -610,7 +611,8 @@ class ThreadedTrie:
     def insert(self, key: int, value: Any,
                stats: Optional[VisitStats] = None):
         """Store ``key`` -> ``value``; raises on duplicates."""
-        key = as_coordinate(key, "key", self.capacity)
+        if type(key) is not int or not 0 <= key < self.capacity:
+            key = as_coordinate(key, "key", self.capacity)
         r, slots, key_of = self.radix, self.slots, self.key
         node = 0
         for depth, p in enumerate(self._pow):
@@ -647,7 +649,8 @@ class ThreadedTrie:
 
     def delete(self, key: int, stats: Optional[VisitStats] = None):
         """Remove ``key``; returns its entry.  Raises KeyError if absent."""
-        key = as_coordinate(key, "key", self.capacity)
+        if type(key) is not int or not 0 <= key < self.capacity:
+            key = as_coordinate(key, "key", self.capacity)
         r, slots = self.radix, self.slots
         node = 0
         for p in self._pow:

@@ -36,7 +36,16 @@ from threadkd.tree import DUMMY
 # trace with that field masked hashes 85ddd603... before and after.  Over
 # the whole trace it fell on windows 184,692 -> 175,274, on inserts
 # 57,578 -> 54,640 and on deletes 41,641 -> 40,124.
-DIGEST = "ae05b7c1832380bd2730b89510bab790acb2d600398b01b1cf0e6634f3cc502a"
+#
+# Re-recorded when every tree node kept its inorder successor in a
+# ``succ`` column: a successor step is one read, counted as one thread
+# followed, in place of the slots a thread walk reads, and a delete now
+# counts the slots of the two walks its relocation takes to the
+# neighbours that threaded to the removed node.  Only threads_followed
+# changed; the trace with that field masked hashes 40966a99... before and
+# after.  Over the whole trace it fell on windows 552,575 -> 371,499 and
+# on inserts 26,721 -> 19,436, and rose on deletes 14,492 -> 16,158.
+DIGEST = "13c58cf5d569a6aa67c1cf71b65ef68d93a90c25bb6c1d199ef0110ed2770201"
 
 # (k, bound, radix): small universes, so groups open, shrink and vanish
 CONFIGS = [(1, 300, 4), (2, 24, 2), (2, 64, 16), (3, 10, 3)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threadkd.stats import VisitStats
 from threadkd.tree import (DUMMY, InvalidTargetError, OrderingError,
                            ThreadedAvlTree)
 
@@ -461,3 +462,48 @@ def test_validate_reports_an_empty_tree_with_a_root_link():
     t.thread[0][DUMMY] = 0
     assert t.validate() == [
         "dummy: empty tree must thread its root slot to itself"]
+
+
+def stale_succ(t, hs):
+    # node 3's successor is 4; its succ cell skips to 5, the threads stay
+    t.succ[hs[3]] = hs[5]
+
+
+def stale_first(t, hs):
+    # the dummy's succ cell is the first node, (1,)
+    t.succ[DUMMY] = hs[2]
+
+
+def stale_last(t, hs):
+    # past the last node, (7,), comes DUMMY
+    t.succ[hs[7]] = hs[1]
+
+
+@pytest.mark.parametrize("corrupt,node,got,expect", [
+    (stale_succ, 3, 5, 4),
+    (stale_first, 0, 2, 1),
+    (stale_last, 7, 1, 0),
+])
+def test_validate_reports_a_wrong_succ_cell(corrupt, node, got, expect):
+    t, hs = seven()
+    corrupt(t, hs)
+    assert t.validate() == [f"node {node}: succ cell -> {got}, "
+                            f"expected {expect}"]
+
+
+def test_validate_reports_a_wrong_succ_cell_in_an_empty_tree():
+    t = ThreadedAvlTree()
+    t.succ[DUMMY] = 1
+    assert t.validate() == ["node 0: succ cell -> 1, expected 0"]
+
+
+def test_delete_counts_its_succ_read_and_relocation_walks():
+    # the root (4,) of the perfect 7-node tree has two children: one succ
+    # read finds (5,), and the walks to the neighbours that threaded to
+    # (4,) read two slots on the left, to (2,) and (3,), and one on the
+    # right, to (6,), once (5,) has left it
+    t, hs = seven()
+    st = VisitStats()
+    t.delete_node(hs[4], st)
+    assert st.threads_followed == 4
+    assert t.validate() == []
