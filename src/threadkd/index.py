@@ -213,11 +213,12 @@ class KdPointIndex:
         level up: level i-1's g-th key or, for level 0's one group, the
         header's ``HEAD``.  No level is made before its points are
         sorted, so a non-empty load makes no empty tree.  The trees come out
-        perfectly balanced, so the shape-dependent counters
-        (``threads_followed``; for later updates also ``rotations`` and
+        perfectly balanced, so the counters of later updates that depend
+        on a tree's shape (``threads_followed``, ``rotations`` and
         ``tree_nodes_visited``) can differ from an index built by
-        ``insert``; points, markers, cross links, query results and the
-        other query counters are the same.
+        ``insert``; points, markers, cross links, query results and every
+        query counter are the same, since a query's successor steps read
+        the ``succ`` column, one thread each.
 
         The garbage collector is paused for the whole call, process-wide:
         the build makes many container objects and no reference cycle, so

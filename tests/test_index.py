@@ -418,6 +418,24 @@ def test_bulk_load_matches_inserts(k, radix, width, data):
             assert getattr(s_bulk, f) == getattr(s_built, f), f
 
 
+@pytest.mark.parametrize("k,bound", [(1, 300), (2, 64), (3, 16)])
+def test_bulk_load_and_inserts_count_queries_alike(k, bound):
+    # a query's successor steps read the succ column, one thread each, so
+    # threads_followed too is the same on a perfectly balanced bulk-loaded
+    # tree and on the tree inserts shaped
+    rng = random.Random(f"alike:{k}")
+    pts = [tuple(rng.randrange(bound) for _ in range(k)) for _ in range(900)]
+    bulk = KdPointIndex.from_points(k, bound, pts)
+    built = KdPointIndex(k, bound)
+    for p in pts:
+        built.insert(p)
+    assert snapshot(bulk) == snapshot(built)
+    for _ in range(300):
+        w = [tuple(sorted((rng.randrange(bound), rng.randrange(bound))))
+             for _ in range(k)]
+        assert window_query(bulk, w) == window_query(built, w)
+
+
 GRID = [(x, y) for x in range(16) for y in range(16)]
 
 
