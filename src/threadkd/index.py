@@ -205,9 +205,9 @@ class KdPointIndex:
         slices them, and each level's ``coord`` column is cut from the
         same column lists and becomes the tries' keys, so the whole load
         shares one int per value.  Each level's tree is linked as
-        ``ThreadedAvlTree.from_sorted`` links it, and takes its payload
-        columns as they are made, each once: its group markers are written
-        as one column: a group of ``T`` or fewer members gets its count,
+        ``ThreadedAvlTree.from_sorted`` links it and takes its payload
+        columns, each made once with its final contents.  Its group
+        markers are written as one column: a group of ``T`` or fewer members gets its count,
         and ``ValueTrie.level_tries`` builds the longer ones' tries
         together.  Level i's g-th group (from 1) hangs under handle g one
         level up: level i-1's g-th key or, for level 0's one group, the

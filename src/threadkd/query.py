@@ -16,10 +16,10 @@ inorder step itself, as ``in_succ`` does, by one read of the tree's
 ``succ`` column.  It resolves each successor in its own frame too: a
 trie's with ``succ_geq``'s descent over the trie's columns, on lo's
 digits taken once per level, and a count group's with ``_small_succ``'s
-walk.  It reads a node's level coordinate from the
-tree's ``coord`` column, not from the node's key tuple.  It keeps what
-the caller uses: a member's cross link on an inner level, its key on the
-last one, so no level builds a second list.
+walk.  It reads a node's level coordinate from the tree's ``coord``
+column, not from the node's key tuple.  It keeps what the caller uses: a
+member's cross link on an inner level, its key on the last one, so no
+level builds a second list.
 
 They come out in lexicographic order: a level's groups are walked in
 the order of the members above that chose them, each group's members in
@@ -32,11 +32,10 @@ probe that ends a group walk); reading a group minimum through its
 cross link is part of the link follow, not a visit; successor lookups
 are tracked separately as trie work, one lookup each, whether a trie or
 a small group's walk answers it; every inorder step counts one thread,
-as ``in_succ`` counts it; the trie nodes a lookup
-reads count as ``succ_geq`` and ``_small_succ`` count them.  Each level
-sums its counts in locals and adds them to the stats once.  A query
-counts exactly what walking the groups one recursive call at a time
-would.
+as ``in_succ`` counts it; the trie nodes a lookup reads count as
+``succ_geq`` and ``_small_succ`` count them.  Each level sums its counts
+in locals and adds them to the stats once.  A query counts exactly what
+walking the groups one recursive call at a time would.
 """
 
 from __future__ import annotations
