@@ -288,19 +288,19 @@ def test_validate_catches_missing_trie():
 def test_validate_catches_stale_trie_entry():
     # a trie above T whose entry no longer matches its group
     big = [(0, y) for y in range(T + 1)]
-    idx = KdPointIndex.from_points(2, 16, big)
+    idx = KdPointIndex.from_points(2, 2 * T, big)
     t1 = idx.trees[1]
     trie = t1.trie[t1.first()]
     assert isinstance(trie, ThreadedTrie)
     trie.delete(T)
-    trie.insert(15, t1.first())
+    trie.insert(2 * T - 1, t1.first())
     assert any("trie maps" in v for v in idx.validate())
     # a count that is not the group size, or one above T
     idx = KdPointIndex.from_points(2, 16, FIVE)
     t1 = idx.trees[1]
     t1.trie[t1.first()] += 1
     assert any("counts" in v for v in idx.validate())
-    idx = KdPointIndex.from_points(2, 16, big)
+    idx = KdPointIndex.from_points(2, 2 * T, big)
     t1 = idx.trees[1]
     t1.trie[t1.first()] = T + 1
     assert any(f"counts {T + 1}" in v for v in idx.validate())
@@ -504,8 +504,9 @@ def test_from_points_past_int64_lays_out_its_own_points():
     # sorts the ints themselves, and groups past T build tries from the
     # object column
     bound = 3 * 2 ** 64
+    # T + 7 values or fewer, so level 0's group has more than T members
     rng = random.Random(64)
-    coords = sorted({2 ** 64 + rng.randrange(2 ** 64) for _ in range(12)})
+    coords = sorted({2 ** 64 + rng.randrange(2 ** 64) for _ in range(T + 4)})
     coords += [1, 2 ** 63 - 1, 2 ** 63]
     pts = [tuple(rng.choice(coords) for _ in range(3)) for _ in range(900)]
     pts += [tuple(list(p)) for p in pts[:100]]
@@ -651,8 +652,10 @@ def test_points_raises_when_the_index_changes():
 def test_bulk_load_keeps_objects_per_trie_not_per_point():
     # the group tries are flat columns: a handful of collector-tracked
     # objects per trie, however many keys and trie nodes it holds
+    # about 2.5T points per level-1 group, so nearly every group keeps a trie
     rng = random.Random(20)
-    pts = [(rng.randrange(1024), rng.randrange(1024)) for _ in range(20_000)]
+    pts = [(rng.randrange(1024), rng.randrange(1024))
+           for _ in range(2_500 * T)]
     gc.collect()
     before = len(gc.get_objects())
     idx = KdPointIndex.from_points(2, 1024, pts)
@@ -790,7 +793,9 @@ def test_coord_cells_share_the_keys_ints():
 
 
 def test_validate_reports_a_group_trie_violation():
-    idx = KdPointIndex.from_points(2, 16, [(0, y) for y in range(T + 1)])
+    # radix 2T, so the group trie is one node, its root
+    idx = KdPointIndex.from_points(2, 2 * T, [(0, y) for y in range(T + 1)],
+                                   radix=2 * T)
     t1 = idx.trees[1]
     trie = t1.trie[t1.first()]
     # the root's up cell, with the trailing threads that repeat it
@@ -804,7 +809,8 @@ def test_validate_reports_a_broken_group_trie_without_raising():
     # slot 0 of the group trie's one node, which held y = 0's entry,
     # holds nothing: the trie's own report stands and items() is not
     # walked over the hole
-    idx = KdPointIndex.from_points(2, 16, [(0, y) for y in range(T + 1)])
+    idx = KdPointIndex.from_points(2, 2 * T, [(0, y) for y in range(T + 1)],
+                                   radix=2 * T)
     t1 = idx.trees[1]
     t1.trie[t1.first()].slots[0] = None
     out = idx.validate()

@@ -23,12 +23,14 @@ def same_columns(got, want):
 
 def groups_for(rng, radix, width):
     """Sorted groups of distinct keys in [0, radix**width): T + 1 random
-    keys, random sizes up to 60, a run of keys that share every digit but
-    the last, and the whole universe when it is small."""
+    keys, random sizes from there up to 60, a run of keys that share every
+    digit but the last, and the whole universe when it is small.  A
+    universe of T keys or fewer caps every size at its own."""
     cap = radix ** width
-    out = [sorted(rng.sample(range(cap), T + 1))]
+    least = min(T + 1, cap)
+    out = [sorted(rng.sample(range(cap), least))]
     for _ in range(6):
-        out.append(sorted(rng.sample(range(cap), rng.randint(T + 1, min(cap, 60)))))
+        out.append(sorted(rng.sample(range(cap), rng.randint(least, min(cap, 60)))))
     base = rng.randrange(cap // radix) * radix
     out.append(list(range(base, base + radix)))
     if cap <= 4096:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadkd.baseline import brute_force_query
-from threadkd.index import HEAD, KdPointIndex
+from threadkd.index import HEAD, T, KdPointIndex
 from threadkd.query import (WindowError, check_window, level_candidates,
                             window_query)
 from threadkd.stats import VisitStats
@@ -291,11 +291,24 @@ def group_markers(idx):
             if t.trie[h] is not None}
 
 
-@pytest.mark.parametrize("k,bound", [(1, 16), (2, 24), (3, 12), (4, 16)])
+def at_t(bound):
+    """``bound``, a universe written for T = 8, scaled with T, so that its
+    groups reach past T as they did at 8; the case ids keep naming the
+    universe at 8."""
+    return bound * T // 8
+
+
+@pytest.mark.parametrize("k,bound", [
+    pytest.param(k, at_t(bound), id=f"{k}-{bound}")
+    for k, bound in ((1, 16), (2, 24), (3, 12), (4, 16))])
 def test_level_walk_matches_recursive_walk(k, bound):
     rng = random.Random(4111 * k + bound)
+    # k = 1 has one group, level 0's: 2 * bound draws start it above T,
+    # and the updates, which delete as often as they try to insert, take
+    # it below
+    draws = 2 * bound if k == 1 else min(bound ** k // 2, 700)
     pts = {tuple(rng.randrange(bound) for _ in range(k))
-           for _ in range(min(bound ** k // 2, 700))}
+           for _ in range(draws)}
     idx = KdPointIndex.from_points(k, bound, pts, radix=4)
     assert_same_as_recursive(idx, rng)
     # updates grow and shrink groups across T, so the walks compared on
@@ -417,10 +430,10 @@ def assert_same_as_reference(idx, rng, windows=30):
             assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
 
 
-# the radix-4 cases keep their plain k-bound ids; the bounds fill the trie
-# capacity or fall below it, bound 24 at radix 16 far below its 256
+# the radix-4 cases keep their plain k-bound ids; at T = 8 the bounds fill
+# the trie capacity or fall below it, bound 24 at radix 16 far below its 256
 @pytest.mark.parametrize("k,bound,radix", [
-    pytest.param(k, bound, radix, id=f"{k}-{bound}" if radix == 4
+    pytest.param(k, at_t(bound), radix, id=f"{k}-{bound}" if radix == 4
                  else f"{k}-{bound}-radix{radix}")
     for radix in (4, 2, 16)
     for k, bound in ((1, 32), (2, 24), (3, 12), (4, 16))])
@@ -451,10 +464,11 @@ def test_level_walk_matches_in_succ_reference(k, bound, radix):
 
 
 def test_query_walk_calls_neither_in_succ_nor_succ_geq(monkeypatch):
-    # every group, level 0's and each level-1 group, has more than T
-    # members, so each keeps a trie
-    pts = [(x, y) for x in range(0, 64, 4) for y in range(0, 64, 2)]
-    idx = KdPointIndex.from_points(2, 64, pts)
+    # every group, level 0's (2T members) and each level-1 group (4T),
+    # has more than T members, so each keeps a trie
+    bound = 8 * T
+    pts = [(x, y) for x in range(0, bound, 4) for y in range(0, bound, 2)]
+    idx = KdPointIndex.from_points(2, bound, pts)
     assert group_markers(idx) == {ValueTrie}
     calls = {"in_succ": 0, "succ_geq": 0}
 
@@ -477,12 +491,13 @@ def test_query_walk_calls_neither_in_succ_nor_succ_geq(monkeypatch):
     assert calls == {"in_succ": 0, "succ_geq": 0}
 
 
-def test_count_groups_answer_without_a_trie_until_the_ninth_member(
+def test_count_groups_answer_without_a_trie_until_member_t_plus_one(
         monkeypatch):
-    # level 0 and every level-1 group have T = 8 members, so each keeps a
+    # level 0 and every level-1 group have T members, so each keeps a
     # count, and its lookups walk the members, never a trie's succ_geq
-    pts = [(x, y) for x in range(0, 64, 8) for y in range(0, 64, 8)]
-    idx = KdPointIndex.from_points(2, 64, pts)
+    bound = 8 * T
+    pts = [(x, y) for x in range(0, bound, 8) for y in range(0, bound, 8)]
+    idx = KdPointIndex.from_points(2, bound, pts)
     assert group_markers(idx) == {int}
     t0, t1 = idx.trees
     g = t0.cross[next(h for h in t0.inorder() if t0.key[h] == (16,))]
@@ -503,11 +518,11 @@ def test_count_groups_answer_without_a_trie_until_the_ninth_member(
                                              in zip(p, w))]
     assert st_.trie_lookups > 0 and st_.threads_followed > 0
     assert calls["succ_geq"] == 0
-    # the ninth member of (16, *)'s group: its lookups walk the count, and
-    # the walk over the nine members builds the group's trie
+    # member T + 1 of (16, *)'s group: its lookups walk the count, and
+    # the walk over the T + 1 members builds the group's trie
     st_ = VisitStats()
     assert idx.insert((16, 5), st_)
-    assert isinstance(t1.trie[g], ValueTrie) and t1.trie[g].size == 9
+    assert isinstance(t1.trie[g], ValueTrie) and t1.trie[g].size == T + 1
     assert st_.threads_followed > 0
     assert calls["succ_geq"] == 0
     assert idx.validate() == []

@@ -86,9 +86,9 @@ test_index_machine = IndexMachine.TestCase
 
 # -- group tries ----------------------------------------------------------
 
-TRIE_BOUND = 24
+TRIE_BOUND = 3 * T              # room for a span and a few prefixes
 SPAN = 2 * T + 2                # the values a group's members take
-coord24 = st.integers(0, TRIE_BOUND - 1)
+any_coord = st.integers(0, TRIE_BOUND - 1)
 offset = st.integers(0, SPAN - 1)
 
 
@@ -112,7 +112,7 @@ class GroupTrieMachine(RuleBasedStateMachine):
     @initialize(k=st.sampled_from([1, 2]), radix=st.sampled_from([2, 3]),
                 low=st.integers(0, TRIE_BOUND - SPAN),
                 groups=st.lists(
-                    st.tuples(coord24, st.sets(offset, min_size=T - 1,
+                    st.tuples(any_coord, st.sets(offset, min_size=T - 1,
                                                max_size=T + 3)),
                     min_size=1, max_size=3, unique_by=lambda g: g[0]))
     def start(self, k, radix, low, groups):
@@ -129,8 +129,8 @@ class GroupTrieMachine(RuleBasedStateMachine):
     # One rule makes the update and the comparison: hypothesis turns rules
     # off at random per example (swarm testing), and with a rule of its
     # own the comparison alone ran in about a third of the examples.
-    @rule(away=st.booleans(), pick=st.integers(0, 3), x=coord24, j=offset,
-          a=st.tuples(coord24, coord24), b=st.tuples(coord24, coord24))
+    @rule(away=st.booleans(), pick=st.integers(0, 3), x=any_coord, j=offset,
+          a=st.tuples(any_coord, any_coord), b=st.tuples(any_coord, any_coord))
     def update_then_bulk_load(self, away, pick, x, j, a, b):
         if pick < 3 or self.k == 1:
             x = self.prefixes[pick % len(self.prefixes)]
