@@ -64,7 +64,7 @@ HEAD = 1    # the header's one node, the empty prefix
 # build time and memory fall as T grows (its level-1 groups have about 12
 # members), and 16 reaches `lead-narrow`'s smallest groups and lengthens
 # `square`'s query walks.
-T = 8
+T = 16
 
 
 def _small_succ(tree: ThreadedAvlTree, first: int, c: int,
@@ -76,24 +76,27 @@ def _small_succ(tree: ThreadedAvlTree, first: int, c: int,
     Returns the group's last member whose level coordinate is below
     ``c`` (None when ``first``'s is not) and its first member at ``c``
     or above (DUMMY when none is).  Walks at most the count, so at most
-    ``T`` members, one ``in_succ`` step each; counted as trie work, one
-    ``trie_nodes_visited`` per member read, as ``ThreadedTrie.find``
-    counts, and each step's threads by ``in_succ``.  A caller that
-    stands in for ``succ_geq`` counts the ``trie_lookups`` itself.
+    ``T`` members, each step one read of the tree's ``succ`` column in
+    this frame, as ``query._level_members`` takes it; counted as trie
+    work, one ``trie_nodes_visited`` per member read, as
+    ``ThreadedTrie.find`` counts, and one ``threads_followed`` per step,
+    as ``in_succ`` counts it.  A caller that stands in for ``succ_geq``
+    counts the ``trie_lookups`` itself.
     """
-    coord = tree.coord
+    coord, succ = tree.coord, tree.succ
     n = tree.trie[first]
     prev, h = None, first
-    visited = 1
+    steps = 0
     while coord[h] < c:
         n -= 1
         if n == 0:
             prev, h = h, DUMMY
             break
-        prev, h = h, tree.in_succ(h, stats)
-        visited += 1
+        prev, h = h, succ[h]
+        steps += 1
     if stats is not None:
-        stats.trie_nodes_visited += visited
+        stats.trie_nodes_visited += steps + 1
+        stats.threads_followed += steps
     return prev, h
 
 
@@ -382,32 +385,42 @@ class KdPointIndex:
             coords[a] = coord[h]
         return ValueTrie.from_columns(self.radix, self.width, coords, handles)
 
-    def _prefix_path(self, p: tuple,
-                     stats: Optional[VisitStats] = None) -> list[int]:
+    def _prefix_path(self, p: tuple, stats: Optional[VisitStats] = None
+                     ) -> tuple[list[int], Optional[int], Optional[int]]:
         """HEAD and the handles of p's stored prefixes, shortest first, up
-        to the first level that misses; k + 1 of them when p is stored."""
+        to the first level that misses (k + 1 of them when p is stored),
+        and that level's lookup: its group's last member below p[i] when
+        a count walk found one, else None, and its first member at p[i]
+        or above, DUMMY or None when there is none (both None when the
+        level has no group or p is stored).
+
+        Each level it reads takes one successor lookup of p[i], one
+        ``trie_lookups``: the group trie's ``succ_geq`` or the count
+        walk, ``_small_succ``.  The level holds p[i] when that
+        successor's coordinate is p[i]."""
         path = [HEAD]
         for i, tree in enumerate(self.trees):
             g = self.above[i].cross[path[i]]
             if g == DUMMY:
                 break
+            c = p[i]
             marker = tree.trie[g]
             if type(marker) is int:
-                h = _small_succ(tree, g, p[i], stats)[1]
-                if h == DUMMY or tree.coord[h] != p[i]:
-                    break
+                if stats is not None:
+                    stats.trie_lookups += 1
+                prev, h = _small_succ(tree, g, c, stats)
             else:
-                h = marker.find(p[i], stats)
-                if h is None:
-                    break
+                prev, h = None, marker.succ_geq(c, stats)
+            if not h or tree.coord[h] != c:
+                return path, prev, h
             path.append(h)
-        return path
+        return path, None, None
 
     # -- lookups ---------------------------------------------------------
 
     def contains(self, point: Sequence[int]) -> bool:
         p = self._check_point(point)
-        return len(self._prefix_path(p)) > self.k
+        return len(self._prefix_path(p)[0]) > self.k
 
     def __contains__(self, point) -> bool:
         return self.contains(point)
@@ -416,9 +429,12 @@ class KdPointIndex:
 
     def insert(self, point: Sequence[int],
                stats: Optional[VisitStats] = None) -> bool:
-        """Add a point; returns False (and changes nothing) if present."""
+        """Add a point; returns False (and changes nothing) if present.
+
+        The first level that misses takes its position from the prefix
+        path's lookup there; every level below it opens a group."""
         p = self._check_point(point)
-        path = self._prefix_path(p, stats)
+        path, prev, s = self._prefix_path(p, stats)
         if len(path) > self.k:
             return False
         for i in range(len(path) - 1, self.k):
@@ -426,24 +442,16 @@ class KdPointIndex:
             tries = tree.trie
             g = self.above[i].cross[path[i]] or DUMMY
             marker = 0 if g == DUMMY else tries[g]
-            if g == DUMMY:
-                # opens a group, after the groups before it
-                pos = self._group_last(i, path, stats)
-            elif type(marker) is int:
-                # joins a small group after its last member below p[i],
-                # or before its first member
-                if stats is not None:
-                    stats.trie_lookups += 1
-                prev = _small_succ(tree, g, p[i], stats)[0]
-                pos = tree.in_pred(g, stats) if prev is None else prev
+            if prev is not None:
+                # after the group's last member below p[i]
+                pos = prev
+            elif s:
+                # before the group's first member at p[i] or above
+                pos = tree.in_pred(s, stats)
             else:
-                # joins the group, before its trie successor or, past the
-                # group maximum, at the group's end
-                s = marker.succ_geq(p[i], stats)
-                if s is None:
-                    pos = self._group_last(i, path, stats)
-                else:
-                    pos = tree.in_pred(s, stats)
+                # at the end of the group or, opening one, after the
+                # groups before it
+                pos = self._group_last(i, path, stats)
             h = tree.insert_after(pos, p[:i + 1], stats)
             tree.coord[h] = p[i]
             if g == DUMMY or p[i] < tree.coord[g]:
@@ -456,6 +464,7 @@ class KdPointIndex:
             else:
                 tries[g] = self._group_trie(i, g, marker + 1, stats)
             path.append(h)
+            prev = s = None
         return True
 
     # -- deletion --------------------------------------------------------
@@ -464,7 +473,7 @@ class KdPointIndex:
                stats: Optional[VisitStats] = None) -> bool:
         """Remove a point; returns False if it was not stored."""
         p = self._check_point(point)
-        path = self._prefix_path(p, stats)
+        path = self._prefix_path(p, stats)[0]
         if len(path) <= self.k:
             return False
         for i in range(self.k - 1, -1, -1):

@@ -102,6 +102,40 @@ class TreeNode:
     coord = _cell("coord")
 
 
+def _balanced_arrays(n: int) -> tuple[np.ndarray, ...]:
+    """The ``link``, ``thread``, ``parent`` and ``balance`` columns of the
+    perfectly balanced tree over n keys, as numpy arrays of handles
+    (``from_sorted`` gives the layout); the loop's temporaries end with
+    the call."""
+    # columns indexed by handle; row 0 is the dummy's: its left slot
+    # links to the root, its right slot to itself
+    link = np.zeros((2, n + 1), np.int64)
+    thread = np.zeros((2, n + 1), np.uint8)
+    parent = np.zeros(n + 1, np.int64)
+    balance = np.zeros(n + 1, np.int64)
+    link[0, DUMMY] = (n >> 1) + 1
+    lo = np.zeros(1, np.int64)
+    hi = np.full(1, n, np.int64)
+    up = np.zeros(1, np.int64)
+    while lo.size:
+        mid = (lo + hi) >> 1
+        h = mid + 1
+        parent[h] = up
+        # side d's subtree is keys[a:b]; an empty one leaves a thread
+        # to the inorder neighbour, handle mid or mid + 2
+        below = []
+        for d, (a, b) in enumerate(((lo, mid), (h, hi))):
+            has = a < b
+            link[d, h] = np.where(has, ((a + b) >> 1) + 1, mid + 2 * d)
+            thread[d, h] = ~has
+            below.append((a[has], b[has], h[has]))
+        # frexp's exponent of a size is its bit length
+        balance[h] = np.frexp(hi - h)[1] - np.frexp(mid - lo)[1]
+        lo, hi, up = map(np.concatenate, zip(*below))
+    link[1, n] = DUMMY
+    return link, thread, parent, balance
+
+
 class ThreadedAvlTree:
     """AVL tree over tuple keys with threads replacing empty child slots.
 
@@ -177,40 +211,21 @@ class ThreadedAvlTree:
             return cls()
         if handles is None:
             handles = list(range(n + 2))
-        # columns indexed by handle; row 0 is the dummy's: its left slot
-        # links to the root, its right slot to itself
-        link = np.zeros((2, n + 1), np.int64)
-        thread = np.zeros((2, n + 1), np.uint8)
-        parent = np.zeros(n + 1, np.int64)
-        balance = np.zeros(n + 1, np.int64)
-        link[0, DUMMY] = (n >> 1) + 1
-        lo = np.zeros(1, np.int64)
-        hi = np.full(1, n, np.int64)
-        up = np.zeros(1, np.int64)
-        while lo.size:
-            mid = (lo + hi) >> 1
-            h = mid + 1
-            parent[h] = up
-            # side d's subtree is keys[a:b]; an empty one leaves a thread
-            # to the inorder neighbour, handle mid or mid + 2
-            below = []
-            for d, (a, b) in enumerate(((lo, mid), (h, hi))):
-                has = a < b
-                link[d, h] = np.where(has, ((a + b) >> 1) + 1, mid + 2 * d)
-                thread[d, h] = ~has
-                below.append((a[has], b[has], h[has]))
-            # frexp's exponent of a size is its bit length
-            balance[h] = np.frexp(hi - h)[1] - np.frexp(mid - lo)[1]
-            lo, hi, up = map(np.concatenate, zip(*below))
-        link[1, n] = DUMMY
+        link, thread, parent, balance = _balanced_arrays(n)
+        # each array becomes its column and is dropped once the column is
+        # made, so the build holds one array beside the finished columns
         table = np.array(handles[:n + 1], object)
+        link = tuple(table[side].tolist() for side in link)
+        parent = table[parent].tolist()
+        del table
+        balance = balance.tolist()
+        thread = tuple(map(bytearray, thread))
         # handle j + 1 holds keys[j], so handle h's successor is h + 1
         succ = handles[1:n + 2]
         succ[n] = DUMMY
         tree = cls.__new__(cls)
-        tree._columns([None, *keys], tuple(table[link].tolist()),
-                      tuple(map(bytearray, thread)), table[parent].tolist(),
-                      balance.tolist(), succ, n, payload)
+        tree._columns([None, *keys], link, thread, parent, balance, succ, n,
+                      payload)
         return tree
 
     # -- handle helpers -------------------------------------------------

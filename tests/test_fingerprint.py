@@ -45,7 +45,22 @@ from threadkd.tree import DUMMY
 # changed; the trace with that field masked hashes 40966a99... before and
 # after.  Over the whole trace it fell on windows 552,575 -> 371,499 and
 # on inserts 26,721 -> 19,436, and rose on deletes 14,492 -> 16,158.
-DIGEST = "13c58cf5d569a6aa67c1cf71b65ef68d93a90c25bb6c1d199ef0110ed2770201"
+#
+# Re-recorded when T rose from 8 to 16 and every update took one
+# successor lookup per level it reads: groups of 9 to 16 members keep a
+# count, whose lookups walk their members, and an insert takes the
+# missing level's position from the prefix path's lookup instead of
+# repeating it, while every level the prefix path reads counts one trie
+# lookup (succ_geq in place of find on a trie group).  Only
+# trie_nodes_visited, trie_lookups and threads_followed changed; the
+# trace with those three fields masked hashes ebbb832a... before and
+# after.  Over the whole trace, trie_lookups rose on inserts 3,842 ->
+# 11,033 and on deletes 0 -> 10,789 and is unchanged on windows (55,757);
+# trie_nodes_visited fell on inserts 54,640 -> 50,553 and rose on
+# deletes 40,124 -> 46,235 and on windows 175,274 -> 218,983;
+# threads_followed rose on inserts 19,436 -> 31,008, on deletes
+# 16,158 -> 31,940 and on windows 371,499 -> 459,904.
+DIGEST = "2263e5844bfbfc7bb68731f893000d3b838ce7aba15e24efecc3d2b1646e81aa"
 
 # (k, bound, radix): small universes, so groups open, shrink and vanish
 CONFIGS = [(1, 300, 4), (2, 24, 2), (2, 64, 16), (3, 10, 3)]

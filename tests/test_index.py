@@ -355,6 +355,78 @@ def test_group_trie_built_above_t_and_dropped_at_t():
     assert sorted(idx.points()) == sorted(oracle) and len(oracle) == 3
 
 
+def test_updates_look_each_level_up_once(monkeypatch):
+    """An insert reads the groups of the levels down to the first that
+    misses p and makes one successor lookup in each, whether the group
+    keeps a count or a trie; the missing level's position comes from
+    that lookup, so no level is looked up twice.  A delete reads every
+    level once."""
+    # level 0 keeps a trie over T + 2 values; x = 0's level-1 group keeps
+    # a count of T - 1 members, x = 1's a trie over 2T
+    bound = 8 * T
+    ys = {0: range(0, 2 * (T - 1), 2), 1: range(0, 4 * T, 2)}
+    pts = [(x, y) for x in range(T + 2) for y in ys[x % 2]]
+    idx = KdPointIndex.from_points(2, bound, pts)
+    t0, t1 = idx.trees
+    level0 = idx.trees[0].trie[idx.above[0].cross[HEAD]]
+    assert isinstance(level0, ValueTrie)
+    calls = {"succ_geq": 0, "find": 0, "_small_succ": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("succ_geq", "find"):
+        monkeypatch.setattr(ThreadedTrie, name,
+                            counted(name, getattr(ThreadedTrie, name)))
+    monkeypatch.setattr(threadkd.index, "_small_succ",
+                        counted("_small_succ", threadkd.index._small_succ))
+
+    def lookup_nodes(trie, c):
+        st_ = VisitStats()
+        trie.succ_geq(c, st_)
+        return st_.trie_nodes_visited
+
+    def group(x):
+        return t1.trie[t0.cross[next(h for h in t0.inorder()
+                                     if t0.key[h] == (x,))]]
+
+    # a count group misses: its walk reads the members below 5 and the
+    # first above, once
+    nodes0 = lookup_nodes(level0, 0)
+    assert type(group(0)) is int and group(0) < T
+    calls.update(dict.fromkeys(calls, 0))
+    st_ = VisitStats()
+    assert idx.insert((0, 5), st_)
+    assert st_.trie_lookups == 2
+    assert st_.trie_nodes_visited == nodes0 + len(range(0, 5, 2)) + 1
+    assert calls == {"succ_geq": 1, "find": 0, "_small_succ": 1}
+    # a trie group misses: one succ_geq on each level, then the insert
+    # into the trie, counted as it counts on a copy
+    trie = group(1)
+    assert isinstance(trie, ValueTrie)
+    nodes = lookup_nodes(level0, 1) + lookup_nodes(trie, 5)
+    copy = ValueTrie.from_columns(idx.radix, idx.width,
+                                  list(trie.keys()), [0] * trie.size)
+    ins = VisitStats()
+    copy.insert(5, 0, ins)
+    calls.update(dict.fromkeys(calls, 0))
+    st_ = VisitStats()
+    assert idx.insert((1, 5), st_)
+    assert st_.trie_lookups == 2
+    assert st_.trie_nodes_visited == nodes + ins.trie_nodes_visited
+    assert calls == {"succ_geq": 2, "find": 0, "_small_succ": 0}
+    # a delete finds every level once
+    for p in [(0, 5), (1, 5), (0, 2), (1, 2)]:
+        st_ = VisitStats()
+        assert idx.delete(p, st_)
+        assert st_.trie_lookups == 2
+    assert idx.validate() == []
+    assert sorted(idx.points()) == sorted(set(pts) - {(0, 2), (1, 2)})
+
+
 @pytest.mark.parametrize("k,bound", [(1, 64), (2, 64), (3, 16)])
 def test_fuzz_against_set_oracle(k, bound):
     rng = random.Random(1000 + k)
