@@ -59,11 +59,15 @@ from .trie import ThreadedTrie, ValueTrie, _trie_shape, as_coordinate
 
 HEAD = 1    # the header's one node, the empty prefix
 
-# Largest group kept without a trie.  Swept over 1, 2, 4, 8 and 16 on the
-# benchmark workloads: 1 to 8 build and query `square` alike, `churn`'s
-# build time and memory fall as T grows (its level-1 groups have about 12
-# members), and 16 reaches `lead-narrow`'s smallest groups and lengthens
-# `square`'s query walks.
+# Largest group kept without a trie.  Swept over 8, 12, 16, 20 and 24 on
+# the benchmark workloads, every value's index in one process and their
+# slices interleaved (BENCH_29.json, seeds 5 and 1009): `churn`'s op p50
+# falls as T grows, to 0.92, 0.80-0.81, 0.76-0.77 and 0.75-0.76 of T = 8's,
+# as its level-1 groups of about 12 members give up their tries; `square`'s
+# query p50 reads 0.96-0.98 of T = 8's up to 20 and 1.02 at 24, where most
+# of its level-1 groups of about 24 lose their tries too; `lead-narrow`'s
+# reads 0.99-1.06 at 16.  16 takes most of churn's gain and is the value
+# that process pairs on all three workloads confirmed.
 T = 16
 
 
@@ -77,11 +81,10 @@ def _small_succ(tree: ThreadedAvlTree, first: int, c: int,
     ``c`` (None when ``first``'s is not) and its first member at ``c``
     or above (DUMMY when none is).  Walks at most the count, so at most
     ``T`` members, each step one read of the tree's ``succ`` column in
-    this frame, as ``query._level_members`` takes it; counted as trie
-    work, one ``trie_nodes_visited`` per member read, as
-    ``ThreadedTrie.find`` counts, and one ``threads_followed`` per step,
-    as ``in_succ`` counts it.  A caller that stands in for ``succ_geq``
-    counts the ``trie_lookups`` itself.
+    this frame, as ``query._level_members`` takes it.  Counted as the
+    ``succ_geq`` it stands in for: one ``trie_lookups``, and one
+    ``trie_nodes_visited`` per member read; each step counts one
+    ``threads_followed``, as ``in_succ`` counts it.
     """
     coord, succ = tree.coord, tree.succ
     n = tree.trie[first]
@@ -95,6 +98,7 @@ def _small_succ(tree: ThreadedAvlTree, first: int, c: int,
         prev, h = h, succ[h]
         steps += 1
     if stats is not None:
+        stats.trie_lookups += 1
         stats.trie_nodes_visited += steps + 1
         stats.threads_followed += steps
     return prev, h
@@ -406,8 +410,6 @@ class KdPointIndex:
             c = p[i]
             marker = tree.trie[g]
             if type(marker) is int:
-                if stats is not None:
-                    stats.trie_lookups += 1
                 prev, h = _small_succ(tree, g, c, stats)
             else:
                 prev, h = None, marker.succ_geq(c, stats)
