@@ -4,8 +4,7 @@ from .baseline import NaiveKdTree, brute_force_query
 from .index import KdPointIndex
 from .query import WindowError, level_candidates, window_query
 from .stats import VisitStats
-from .tree import (DUMMY, InvalidTargetError, OrderingError, ThreadedAvlTree,
-                   TreeNode)
+from .tree import DUMMY, InvalidTargetError, OrderingError, ThreadedAvlTree
 from .trie import ThreadedTrie
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "OrderingError",
     "ThreadedAvlTree",
     "ThreadedTrie",
-    "TreeNode",
     "VisitStats",
     "WindowError",
     "brute_force_query",

@@ -22,7 +22,7 @@ coordinate without touching its tuple.
 Every group-first node carries a marker in its ``trie`` column; no other
 node does.  A group of more than ``T`` members keeps a successor-threaded
 trie mapping the members' level coordinate to their tree handles, a
-``ValueTrie``, whose lookups answer with the handle itself.  A
+``ThreadedTrie``, whose lookups answer with the handle itself.  A
 smaller group keeps its member count, a positive int, and its successor
 lookup walks at most ``T`` inorder threads from the first member instead
 (adaptive node sizing, as in Leis, Kemper and Neumann, "The Adaptive
@@ -54,7 +54,7 @@ import numpy as np
 
 from .stats import VisitStats
 from .tree import DUMMY, ThreadedAvlTree
-from .trie import ThreadedTrie, ValueTrie, _trie_shape, as_coordinate
+from .trie import ThreadedTrie, _trie_shape, as_coordinate
 
 
 HEAD = 1    # the header's one node, the empty prefix
@@ -215,7 +215,7 @@ class KdPointIndex:
         ``ThreadedAvlTree.from_sorted`` links it and takes its payload
         columns, each made once with its final contents.  Its group
         markers are written as one column: a group of ``T`` or fewer members gets its count,
-        and ``ValueTrie.level_tries`` builds the longer ones' tries
+        and ``ThreadedTrie.level_tries`` builds the longer ones' tries
         together.  Level i's g-th group (from 1) hangs under handle g one
         level up: level i-1's g-th key or, for level 0's one group, the
         header's ``HEAD``.  No level is made before its points are
@@ -314,7 +314,7 @@ class KdPointIndex:
                 # the keys and values are sliced from these lists, so the
                 # tries share the points' coordinate ints and the handles;
                 # the numpy column has a cell for the dummy too
-                tries = ValueTrie.level_tries(
+                tries = ThreadedTrie.level_tries(
                     self.radix, self.width, np.insert(rows[mask, i], 0, 0),
                     coord, handles, firsts[long], (firsts + sizes)[long])
                 for h, trie in zip(firsts[long].tolist(), tries):
@@ -375,7 +375,7 @@ class KdPointIndex:
         self.above[i].cross[path[i]] = new
 
     def _group_trie(self, i: int, first: int, n: int,
-                    stats: Optional[VisitStats]) -> ValueTrie:
+                    stats: Optional[VisitStats]) -> ThreadedTrie:
         """A trie over the ``n`` members of the level-i group from ``first``.
 
         Its columns are made at their final length, so the trie holds no
@@ -387,7 +387,7 @@ class KdPointIndex:
         for a in range(1, n):
             h = handles[a] = tree.in_succ(h, stats)
             coords[a] = coord[h]
-        return ValueTrie.from_columns(self.radix, self.width, coords, handles)
+        return ThreadedTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple, stats: Optional[VisitStats] = None
                      ) -> tuple[list[int], Optional[int], Optional[int]]:

@@ -26,8 +26,8 @@ it, after an insert or a delete alike.  A node's child ``c`` is on side
 node's own child, only an ancestor or the dummy.  ``cross``,
 ``trie`` and ``coord`` are payload columns owned by the multi-level
 index; the tree keeps one cell of each per handle, empty (None) on a
-new or freed cell, and never reads them.  ``node(h)`` is a read/write
-view of one cell.
+new or freed cell, and never reads them.  Callers that look at a node
+read its cells in the columns.
 
 Insertion takes a position hint (the would-be predecessor) instead of
 searching by key; callers locate positions through external structures.
@@ -55,51 +55,6 @@ class OrderingError(ValueError):
 
 class InvalidTargetError(ValueError):
     """Operation aimed at the dummy node or a dead handle."""
-
-
-def _cell(column: str, side: Optional[int] = None, cast=None) -> property:
-    """View property over ``tree.<column>[h]``, or ``[side][h]`` for the
-    per-side columns."""
-
-    def col(view):
-        c = getattr(view.tree, column)
-        return c if side is None else c[side]
-
-    def get(view):
-        v = col(view)[view.h]
-        return v if cast is None else cast(v)
-
-    def put(view, value) -> None:
-        col(view)[view.h] = value
-
-    return property(get, put)
-
-
-class TreeNode:
-    """Read/write view of the arena cell at handle ``h`` of ``tree``.
-
-    ``left``/``right`` hold a handle; the matching ``lthread``/``rthread``
-    flag says whether it is a thread (True) or a child link (False).
-    Writing an attribute writes the tree's column.
-    """
-
-    __slots__ = ("tree", "h")
-
-    def __init__(self, tree: "ThreadedAvlTree", h: int):
-        self.tree = tree
-        self.h = h
-
-    key = _cell("key")
-    left = _cell("link", 0)
-    right = _cell("link", 1)
-    lthread = _cell("thread", 0, bool)
-    rthread = _cell("thread", 1, bool)
-    parent = _cell("parent")
-    succ = _cell("succ")
-    balance = _cell("balance")
-    cross_link = _cell("cross")
-    trie = _cell("trie")
-    coord = _cell("coord")
 
 
 def _balanced_arrays(n: int) -> tuple[np.ndarray, ...]:
@@ -229,14 +184,6 @@ class ThreadedAvlTree:
         return tree
 
     # -- handle helpers -------------------------------------------------
-
-    @property
-    def nodes(self) -> list[TreeNode]:
-        """Views of every arena cell: the dummy, live and freed cells."""
-        return [TreeNode(self, h) for h in range(len(self.key))]
-
-    def node(self, h: int) -> TreeNode:
-        return TreeNode(self, h)
 
     def _alive(self, h: int) -> bool:
         if not 0 <= h < len(self.key):

@@ -45,7 +45,7 @@ from ``n * (radix + 1)`` in ``slots``: its slots, then its ``up`` in
 cell ``radix``, so the ref after any slot is the next cell.  No flag
 is stored: a slot is valid exactly when its ref differs from the next
 cell's, as a thread repeats the ref after it and no ref is in two
-slots.  The root is node 0.  Entry ``e`` maps
+slots.  The root is node 0, and entry ``e`` maps
 ``key[e]`` to ``value[e]``.  A cell holds a node id (>= 0), entry ``e``
 encoded as ``~e`` (-e - 1, so always < 0), or None where nothing
 follows.  Every trie takes its ``~e`` from one shared list, so an entry
@@ -54,12 +54,9 @@ drops on free lists, reused before a column grows: freed nodes chain
 through their up cell from ``free_node``, freed entries through ``key``
 from ``free_entry``, each chain ending in None.
 
-``TrieNode`` and ``Entry`` are read-only views for callers that look at
-the structure: ``root``, a node view's ``slots`` and ``up``, and what
-``ThreadedTrie``'s lookups and updates return.  Views are cached per id
-while the cell is live, so a node or entry reached twice is the same
-object.  ``ValueTrie``, the index's group trie, answers with the stored
-value instead and makes no view at all.
+Lookups and updates answer with the stored value, or None for no
+answer, so no call makes an object and None is never a stored value.
+Callers that look at the structure read the columns.
 """
 
 from __future__ import annotations
@@ -90,53 +87,6 @@ def as_coordinate(c, what: str = "coordinate",
     if bound is not None and not 0 <= c < bound:
         raise ValueError(f"{what} {c} outside [0, {bound})")
     return c
-
-
-class Entry:
-    """A stored key with its payload, as a slot refers to it.
-
-    A snapshot: it keeps both after the entry is deleted."""
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: int, value: Any):
-        self.key = key
-        self.value = value
-
-    def __repr__(self):
-        return f"Entry({self.key}, {self.value!r})"
-
-
-class TrieNode:
-    """Read-only view of node ``n`` of ``trie``: ``slots`` and ``up`` as
-    views (None where nothing follows), ``valid`` as flags derived from
-    the row.  It reads the columns on every access, so it describes the
-    node only while the node is in the trie."""
-
-    __slots__ = ("trie", "n")
-
-    def __init__(self, trie: "ThreadedTrie", n: int):
-        self.trie = trie
-        self.n = n
-
-    @property
-    def slots(self) -> list:
-        t, b = self.trie, self.n * (self.trie.radix + 1)
-        return [t._view(ref) for ref in t.slots[b:b + t.radix]]
-
-    @property
-    def valid(self) -> bytearray:
-        t, b = self.trie, self.n * (self.trie.radix + 1)
-        row = t.slots[b:b + t.radix + 1]
-        return bytearray(a != c for a, c in zip(row, row[1:]))
-
-    @property
-    def up(self):
-        t = self.trie
-        return t._view(t.slots[(self.n + 1) * (t.radix + 1) - 1])
-
-    def __repr__(self):
-        return f"TrieNode({self.n})"
 
 
 def _trie_shape(radix, width) -> tuple[int, int]:
@@ -292,14 +242,14 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
 
 class ThreadedTrie:
     """Successor-threaded radix trie mapping ints in [0, radix**width) to
-    payloads.  Lookups and updates answer with an ``Entry``, or None.
+    payloads other than None.  Lookups and updates answer with the stored
+    value, or None.
 
     ``radix``, ``width`` and the keys follow ``as_coordinate``: int-likes
     are stored as plain ints, bools and non-integers raise ValueError."""
 
     __slots__ = ("radix", "width", "capacity", "size", "_pow", "slots",
-                 "key", "value", "free_node", "free_entry", "mutations",
-                 "_views")
+                 "key", "value", "free_node", "free_entry", "mutations")
 
     def __init__(self, radix: int, width: int):
         radix, width = _trie_shape(radix, width)
@@ -309,7 +259,7 @@ class ThreadedTrie:
     def _columns(self, radix: int, width: int, slots: list, key: list,
                  value: list) -> None:
         """Set every field: the shape, the given columns, one entry per
-        key, no free cell, no view and the counter zeroed."""
+        key, no free cell and the counter zeroed."""
         self.radix = radix
         self.width = width
         self.capacity, self._pow = _shape(radix, width)
@@ -322,18 +272,19 @@ class ThreadedTrie:
         # bumped by every insert and delete, so items() can tell that the
         # trie changed under it
         self.mutations = 0
-        self._views: Optional[dict] = None
 
     @classmethod
     def from_sorted(cls, radix: int, width: int,
                     items: Sequence[tuple[int, Any]]) -> "ThreadedTrie":
         """Trie holding ``items``, (key, value) pairs in strictly increasing
         key order; slot for slot what inserting them one by one builds.
-        See ``from_columns``."""
+        ValueError for a None value.  See ``from_columns``."""
         if not items:
             return cls(radix, width)
         keys, values = map(list, zip(*items))
         keys = [as_coordinate(k, "key") for k in keys]
+        if any(v is None for v in values):
+            raise ValueError("None is not a storable value")
         return cls.from_columns(radix, width, keys, values)
 
     @classmethod
@@ -350,7 +301,7 @@ class ThreadedTrie:
         run of one key puts it in the run's slot.  The first and last
         keys are checked against the capacity; key order and the other
         keys' type are not checked here, ``validate()`` reports a
-        violation.
+        violation.  Values are never None, not checked here.
         """
         trie = cls(radix, width)
         if keys:
@@ -370,7 +321,8 @@ class ThreadedTrie:
 
         ``column`` is ``keys`` as a numpy array, ``int64`` or ``object``
         (ints past 2**63); each group holds distinct keys in increasing
-        order, all in [0, radix**width), which is not checked here.
+        order, all in [0, radix**width), and no value is None, which is
+        not checked here.
         ``_level_codes`` computes every cell as a code; one object table
         turns its rows, ``up`` cells included, into a slot list, so an
         entry reference is ``_REFS``' own int and no cell makes an object.
@@ -463,8 +415,6 @@ class ThreadedTrie:
 
     def _free(self, ref: int) -> None:
         """Put the node or entry ``ref`` on its free list."""
-        if self._views:
-            self._views.pop(ref, None)
         if ref >= 0:
             self.slots[ref * (self.radix + 1) + self.radix] = self.free_node
             self.free_node = ref
@@ -473,33 +423,6 @@ class ThreadedTrie:
             self.key[e] = self.free_entry
             self.value[e] = None
             self.free_entry = e
-
-    # -- views -----------------------------------------------------------
-
-    def _view(self, ref):
-        """The cached view of a slot reference; None for None."""
-        if ref is None:
-            return None
-        views = self._views
-        if views is None:
-            views = self._views = {}
-        v = views.get(ref)
-        if v is None:
-            if ref >= 0:
-                v = TrieNode(self, ref)
-            else:
-                v = Entry(self.key[~ref], self.value[~ref])
-            views[ref] = v
-        return v
-
-    def _result(self, ref):
-        """What a lookup or update answers for the entry reference
-        ``ref`` (or None): its view."""
-        return self._view(ref)
-
-    @property
-    def root(self) -> TrieNode:
-        return self._view(0)
 
     # -- lookups ---------------------------------------------------------
 
@@ -518,10 +441,10 @@ class ThreadedTrie:
                 return None
             if node < 0:
                 # the only key under this prefix
-                return self._result(node) if self.key[~node] == key else None
+                return self.value[~node] if self.key[~node] == key else None
 
     def succ_geq(self, key: int, stats: Optional[VisitStats] = None):
-        """Entry with the smallest stored key >= ``key``, or None.
+        """Value of the smallest stored key >= ``key``, or None.
 
         Descends the search path until the first invalid slot, whose
         thread lands on the subtree holding the answer, or the first
@@ -564,7 +487,7 @@ class ThreadedTrie:
         if stats is not None:
             stats.trie_lookups += 1
             stats.trie_nodes_visited += visited
-        return self._result(ref)
+        return None if ref is None else self.value[~ref]
 
     def min_entry(self, stats: Optional[VisitStats] = None):
         if self.size == 0:
@@ -576,7 +499,7 @@ class ThreadedTrie:
             if stats is not None:
                 stats.trie_nodes_visited += 1
             ref = slots[ref * s]
-        return self._result(ref)
+        return self.value[~ref]
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All (key, value) pairs in increasing key order.
@@ -610,9 +533,12 @@ class ThreadedTrie:
 
     def insert(self, key: int, value: Any,
                stats: Optional[VisitStats] = None):
-        """Store ``key`` -> ``value``; raises on duplicates."""
+        """Store ``key`` -> ``value`` and return ``value``; ValueError on
+        a duplicate key or a None value."""
         if type(key) is not int or not 0 <= key < self.capacity:
             key = as_coordinate(key, "key", self.capacity)
+        if value is None:
+            raise ValueError("None is not a storable value")
         r, slots, key_of = self.radix, self.slots, self.key
         node = 0
         for depth, p in enumerate(self._pow):
@@ -623,7 +549,7 @@ class ThreadedTrie:
             other = slots[i]
             if other == slots[i + 1]:
                 # the thread's slot takes the entry
-                ref = entry = self._new_entry(key, value)
+                ref = self._new_entry(key, value)
             elif other >= 0:
                 node = other
                 continue
@@ -645,10 +571,10 @@ class ThreadedTrie:
             break
         self.size += 1
         self.mutations += 1
-        return self._result(entry)
+        return value
 
     def delete(self, key: int, stats: Optional[VisitStats] = None):
-        """Remove ``key``; returns its entry.  Raises KeyError if absent."""
+        """Remove ``key``; returns its value.  Raises KeyError if absent."""
         if type(key) is not int or not 0 <= key < self.capacity:
             key = as_coordinate(key, "key", self.capacity)
         r, slots = self.radix, self.slots
@@ -673,7 +599,7 @@ class ThreadedTrie:
             node = ref
         if self.key[~ref] != key:
             raise KeyError(key)
-        result = self._result(ref)
+        value = self.value[~ref]
         other = None
         if node:
             # two valid slots: the row is three runs, theirs and the up's,
@@ -700,7 +626,7 @@ class ThreadedTrie:
         self._free(ref)
         self.size -= 1
         self.mutations += 1
-        return result
+        return value
 
     def _rethread(self, node: int, j: int, old, target,
                   stats: Optional[VisitStats]) -> None:
@@ -816,15 +742,3 @@ class ThreadedTrie:
 
         check_threads(0, None)
         return out
-
-
-class ValueTrie(ThreadedTrie):
-    """A ``ThreadedTrie`` whose lookups and updates answer with the stored
-    value, or None, instead of an ``Entry``, so no call makes an object.
-    The index's group tries, which map coordinates to tree handles (never
-    None), are of this kind."""
-
-    __slots__ = ()
-
-    def _result(self, ref):
-        return None if ref is None else self.value[~ref]

@@ -48,10 +48,10 @@ def test_c1_worked_example():
     t0 = time.perf_counter()
     idx = KdPointIndex.from_points(2, 16, FIVE, radix=4, width=2)
     tr0, tr1 = idx.trees
-    targets = [tr1.node(tr0.node(h).cross_link).key for h in tr0.inorder()]
+    targets = [tr1.key[tr0.cross[h]] for h in tr0.inorder()]
     r1, s1 = window_query(idx, [(1, 8), (5, 7)])
     r2, _ = window_query(idx, [(5, 8), (12, 14)])
-    cands = [tr0.node(h).key[0]
+    cands = [tr0.key[h][0]
              for h in level_candidates(idx, 0, tr0.first(), 1, 8)]
     elapsed = time.perf_counter() - t0
     ok = (r1 == [(2, 6), (6, 6)] and r2 == []
@@ -148,7 +148,7 @@ def test_c4_trie_oracle(radix, width):
                 got = trie.succ_geq(q)
                 i = bisect.bisect_left(keys, q)
                 want = keys[i] if i < len(keys) else None
-                if (got.key if got else None) != want:
+                if got != want:
                     mism += 1
                 pairs += 1
             if phase == 0:
@@ -241,7 +241,7 @@ def scale_sweep():
         removed = []
         tot = 0
         for _ in range(300):
-            p = t2.node(t2.root).key
+            p = t2.key[t2.root]
             s = VisitStats()
             assert idx.delete(p, stats=s)
             tot += s.total_touches()

@@ -72,13 +72,15 @@ def layout(idx):
     out = []
     for tree in idx.trees:
         cells = []
-        for h in range(len(tree.nodes)):
-            n = tree.node(h)
-            if h != DUMMY and n.key is None:
+        key, (left, right) = tree.key, tree.link
+        lthread, rthread = tree.thread
+        for h in range(len(key)):
+            if h != DUMMY and key[h] is None:
                 cells.append(None)
                 continue
-            cells.append((n.key, n.left, n.right, n.lthread, n.rthread,
-                          n.parent, n.balance, n.cross_link))
+            cells.append((key[h], left[h], right[h], bool(lthread[h]),
+                          bool(rthread[h]), tree.parent[h], tree.balance[h],
+                          tree.cross[h]))
         out.append((tree.size, tree.rotations, cells))
     return out
 

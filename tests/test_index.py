@@ -14,7 +14,7 @@ from threadkd.index import HEAD, T, KdPointIndex, _lex_order
 from threadkd.query import window_query
 from threadkd.stats import VisitStats
 from threadkd.tree import DUMMY, ThreadedAvlTree
-from threadkd.trie import ThreadedTrie, ValueTrie
+from threadkd.trie import ThreadedTrie
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
@@ -26,14 +26,13 @@ def snapshot(idx):
     for i, tree in enumerate(idx.trees):
         level = []
         for h in tree.inorder():
-            n = tree.node(h)
             cl = None
-            if n.cross_link is not None:
-                cl = idx.trees[i + 1].node(n.cross_link).key
-            marker = n.trie
+            if tree.cross[h] is not None:
+                cl = idx.trees[i + 1].key[tree.cross[h]]
+            marker = tree.trie[h]
             if isinstance(marker, ThreadedTrie):
-                marker = [(c, tree.node(hh).key) for c, hh in marker.items()]
-            level.append((n.key, cl, marker))
+                marker = [(c, tree.key[hh]) for c, hh in marker.items()]
+            level.append((tree.key[h], cl, marker))
         out.append(level)
     return out
 
@@ -63,8 +62,8 @@ def test_singleton_layout():
     assert [t.size for t in idx.trees] == [1, 1]
     t0, t1 = idx.trees
     h0 = t0.first()
-    assert t0.node(h0).key == (2,)
-    assert t1.node(t0.node(h0).cross_link).key == (2, 2)
+    assert t0.key[h0] == (2,)
+    assert t1.key[t0.cross[h0]] == (2, 2)
     assert_marker(t0, h0, [2])
     assert_marker(t1, t1.first(), [2])
     assert idx.validate() == []
@@ -75,7 +74,7 @@ def test_five_point_layout():
     t0, t1 = idx.trees
     assert list(t0.keys()) == [(2,), (6,), (8,)]
     assert list(t1.keys()) == sorted(FIVE)
-    targets = [t1.node(t0.node(h).cross_link).key for h in t0.inorder()]
+    targets = [t1.key[t0.cross[h]] for h in t0.inorder()]
     assert targets == [(2, 2), (6, 2), (8, 10)]
     assert_marker(t0, t0.first(), [2, 6, 8])
     for h, coords in zip(t0.inorder(), ([2, 6], [2, 6], [10])):
@@ -89,7 +88,7 @@ def test_min_rule_on_insert():
     idx.insert((2, 2))
     t0, t1 = idx.trees
     h = t0.first()
-    assert t1.node(t0.node(h).cross_link).key == (2, 2)
+    assert t1.key[t0.cross[h]] == (2, 2)
     assert idx.validate() == []
 
 
@@ -123,7 +122,7 @@ def test_delete_group_min_retargets():
     idx = KdPointIndex.from_points(2, 16, FIVE)
     assert idx.delete((2, 2))
     t0, t1 = idx.trees
-    assert t1.node(t0.node(t0.first()).cross_link).key == (2, 6)
+    assert t1.key[t0.cross[t0.first()]] == (2, 6)
     assert idx.validate() == []
 
 
@@ -173,8 +172,8 @@ def test_domain_errors():
     lambda: KdPointIndex(2, 100, radix=1),
     lambda: KdPointIndex(2, 100, width=0),
     lambda: ThreadedTrie(1, 2),
-    lambda: ValueTrie.level_tries(1, 2, np.array([], np.int64), [], [],
-                                  [], []),
+    lambda: ThreadedTrie.level_tries(1, 2, np.array([], np.int64), [], [],
+                                     [], []),
 ], ids=["index radix", "index width", "trie", "level tries"])
 def test_bad_trie_shape_has_one_message(make):
     with pytest.raises(ValueError, match="radix must be >= 2 and width >= 1"):
@@ -249,8 +248,8 @@ def test_validate_catches_bad_cross_link():
     t0, t1 = idx.trees
     h = t0.first()
     # aim the first cross link at a non-minimum member of its group
-    wrong = [hh for hh in t1.inorder() if t1.node(hh).key == (2, 6)][0]
-    t0.node(h).cross_link = wrong
+    wrong = [hh for hh in t1.inorder() if t1.key[hh] == (2, 6)][0]
+    t0.cross[h] = wrong
     assert any("minimum" in v for v in idx.validate())
 
 
@@ -369,7 +368,7 @@ def test_updates_look_each_level_up_once(monkeypatch):
     idx = KdPointIndex.from_points(2, bound, pts)
     t0, t1 = idx.trees
     level0 = idx.trees[0].trie[idx.above[0].cross[HEAD]]
-    assert isinstance(level0, ValueTrie)
+    assert isinstance(level0, ThreadedTrie)
     calls = {"succ_geq": 0, "find": 0, "_small_succ": 0}
 
     def counted(name, fn):
@@ -406,10 +405,10 @@ def test_updates_look_each_level_up_once(monkeypatch):
     # a trie group misses: one succ_geq on each level, then the insert
     # into the trie, counted as it counts on a copy
     trie = group(1)
-    assert isinstance(trie, ValueTrie)
+    assert isinstance(trie, ThreadedTrie)
     nodes = lookup_nodes(level0, 1) + lookup_nodes(trie, 5)
-    copy = ValueTrie.from_columns(idx.radix, idx.width,
-                                  list(trie.keys()), [0] * trie.size)
+    copy = ThreadedTrie.from_columns(idx.radix, idx.width,
+                                     list(trie.keys()), [0] * trie.size)
     ins = VisitStats()
     copy.insert(5, 0, ins)
     calls.update(dict.fromkeys(calls, 0))
@@ -858,7 +857,7 @@ def test_coord_cells_share_the_keys_ints():
             else:
                 assert tree.coord[h] is None
         for marker in tree.trie:
-            if isinstance(marker, ValueTrie):
+            if isinstance(marker, ThreadedTrie):
                 tries += 1
                 assert all(c is tree.coord[h] for c, h in marker.items())
     assert tries > 0 and idx.trees[1].free

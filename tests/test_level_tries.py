@@ -1,5 +1,5 @@
-"""``ValueTrie.level_tries``, the bulk load's builder of every long group's
-trie on a level, against ``ValueTrie.from_columns``, which builds one trie
+"""``ThreadedTrie.level_tries``, the bulk load's builder of every long group's
+trie on a level, against ``ThreadedTrie.from_columns``, which builds one trie
 node by node: the two give the same columns, entry references from the
 shared ``_REFS`` list, and the same tries after an insert and a delete."""
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from threadkd.index import T
-from threadkd.trie import _BATCH, _REFS, ThreadedTrie, ValueTrie
+from threadkd.trie import _BATCH, _REFS, ThreadedTrie
 
 COLUMNS = ("size", "slots", "key", "value", "free_node", "free_entry",
            "mutations", "capacity", "_pow")
@@ -44,9 +44,9 @@ def build_both(radix, width, groups, dtype=np.int64):
     ends = np.cumsum([len(g) for g in groups])
     starts = ends - [len(g) for g in groups]
     column = np.array(keys, dtype)
-    got = ValueTrie.level_tries(radix, width, column, keys, values,
-                                starts, ends)
-    want = [ValueTrie.from_columns(radix, width, keys[s:e], values[s:e])
+    got = ThreadedTrie.level_tries(radix, width, column, keys, values,
+                                   starts, ends)
+    want = [ThreadedTrie.from_columns(radix, width, keys[s:e], values[s:e])
             for s, e in zip(starts, ends)]
     return got, want
 
@@ -54,7 +54,7 @@ def build_both(radix, width, groups, dtype=np.int64):
 def check(got, want, rng):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert type(g) is ValueTrie
+        assert type(g) is ThreadedTrie
         same_columns(g, w)
         assert g.validate() == []
         for ref in g.slots:
@@ -97,15 +97,15 @@ def test_level_tries_past_int64_take_digits_from_objects():
 
 
 def test_level_tries_with_no_group():
-    assert ValueTrie.level_tries(16, 3, np.array([1, 2], np.int64),
-                                 [1, 2], ["a", "b"], [], []) == []
+    assert ThreadedTrie.level_tries(16, 3, np.array([1, 2], np.int64),
+                                    [1, 2], ["a", "b"], [], []) == []
 
 
 def test_level_tries_share_the_callers_keys_and_values():
     keys = list(range(300, 340))
     values = [object() for _ in keys]
-    (trie,) = ValueTrie.level_tries(16, 3, np.array(keys), keys, values,
-                                    [3], [30])
+    (trie,) = ThreadedTrie.level_tries(16, 3, np.array(keys), keys, values,
+                                       [3], [30])
     assert all(a is b for a, b in zip(trie.key, keys[3:30]))
     assert all(a is b for a, b in zip(trie.value, values[3:30]))
     assert trie.find(310) is values[10]

@@ -12,7 +12,7 @@ from threadkd.query import (WindowError, check_window, level_candidates,
                             window_query)
 from threadkd.stats import VisitStats
 from threadkd.tree import DUMMY, ThreadedAvlTree
-from threadkd.trie import ThreadedTrie, ValueTrie
+from threadkd.trie import ThreadedTrie
 
 FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
@@ -134,10 +134,10 @@ def test_no_first_level_candidates_prunes_everything():
 def test_group_min_above_hi_skips_trie():
     idx = five_index()
     t0, t1 = idx.trees
-    g = [h for h in t0.inorder() if t0.node(h).key == (8,)][0]
+    g = [h for h in t0.inorder() if t0.key[h] == (8,)][0]
     st_ = VisitStats()
     # group of (8, 10): minimum second coordinate is 10, above hi=7
-    got = level_candidates(idx, 1, t0.node(g).cross_link, 5, 7, st_)
+    got = level_candidates(idx, 1, t0.cross[g], 5, 7, st_)
     assert got == []
     assert st_.trie_lookups == 0
     assert st_.tree_nodes_visited == 1
@@ -148,7 +148,7 @@ def test_level_candidates_first_level():
     t0 = idx.trees[0]
     st_ = VisitStats()
     got = level_candidates(idx, 0, t0.first(), 1, 8, st_)
-    assert [t0.node(h).key for h in got] == [(2,), (6,), (8,)]
+    assert [t0.key[h] for h in got] == [(2,), (6,), (8,)]
 
 
 def test_level_candidates_checks_its_range():
@@ -157,7 +157,7 @@ def test_level_candidates_checks_its_range():
     idx = KdPointIndex.from_points(2, 4096, [(5, 3 * y) for y in range(40)])
     t0, t1 = idx.trees
     g = t0.cross[t0.first()]
-    assert isinstance(t1.trie[g], ValueTrie)
+    assert isinstance(t1.trie[g], ThreadedTrie)
     for lo, hi in ((4101, 5000), (4096, 4096), (100, 4096), (-1, 10),
                    (20, 10), (1.5, 3), (True, 3), (0, "7")):
         with pytest.raises(WindowError):
@@ -247,16 +247,16 @@ def recursive_query(idx, w, st_):
     def walk(level, first):
         hs = level_candidates(idx, level, first, *w[level], st_)
         cands[level] += len(hs)
+        tree = idx.trees[level]
         for h in hs:
-            node = idx.trees[level].node(h)
             if level == idx.k - 1:
-                out.append(node.key)
+                out.append(tree.key[h])
             else:
                 st_.cross_links_followed += 1
-                walk(level + 1, node.cross_link)
+                walk(level + 1, tree.cross[h])
 
     if len(idx):
-        walk(0, idx.above[0].node(HEAD).cross_link)
+        walk(0, idx.above[0].cross[HEAD])
     return out
 
 
@@ -334,8 +334,8 @@ def test_level_candidates_without_stats():
     pts = [(x, y) for x in range(0, 60, 5) for y in range(0, 64, 3)]
     idx = KdPointIndex.from_points(2, 64, pts + [(63, 7), (63, 40)])
     t0 = idx.trees[0]
-    groups = [(0, idx.above[0].node(HEAD).cross_link)]
-    groups += [(1, t0.node(h).cross_link) for h in t0.inorder()]
+    groups = [(0, idx.above[0].cross[HEAD])]
+    groups += [(1, t0.cross[h]) for h in t0.inorder()]
     for level, first in groups:
         for lo, hi in ((5, 40), (0, 63), (41, 41), (62, 63)):
             assert (level_candidates(idx, level, first, lo, hi)
@@ -469,7 +469,7 @@ def test_query_walk_calls_neither_in_succ_nor_succ_geq(monkeypatch):
     bound = 8 * T
     pts = [(x, y) for x in range(0, bound, 4) for y in range(0, bound, 2)]
     idx = KdPointIndex.from_points(2, bound, pts)
-    assert group_markers(idx) == {ValueTrie}
+    assert group_markers(idx) == {ThreadedTrie}
     calls = {"in_succ": 0, "succ_geq": 0}
 
     def counted(name, fn):
@@ -522,7 +522,7 @@ def test_count_groups_answer_without_a_trie_until_member_t_plus_one(
     # the walk over the T + 1 members builds the group's trie
     st_ = VisitStats()
     assert idx.insert((16, 5), st_)
-    assert isinstance(t1.trie[g], ValueTrie) and t1.trie[g].size == T + 1
+    assert isinstance(t1.trie[g], ThreadedTrie) and t1.trie[g].size == T + 1
     assert st_.threads_followed > 0
     assert calls["succ_geq"] == 0
     assert idx.validate() == []

@@ -29,9 +29,8 @@ def height(t, h=None):
         h = t.root
     if h == DUMMY:
         return 0
-    n = t.node(h)
-    hl = height(t, n.left) if not n.lthread else 0
-    hr = height(t, n.right) if not n.rthread else 0
+    hl = height(t, t.link[0][h]) if not t.thread[0][h] else 0
+    hr = height(t, t.link[1][h]) if not t.thread[1][h] else 0
     return 1 + max(hl, hr)
 
 
@@ -60,7 +59,7 @@ def test_three_ascending_rotates_to_middle():
     a = t.insert_after(DUMMY, (2,))
     b = t.insert_after(a, (6,))
     t.insert_after(b, (8,))
-    assert t.node(t.root).key == (6,)
+    assert t.key[t.root] == (6,)
     assert [k[0] for k in t.keys()] == [2, 6, 8]
     assert t.rotations == 1
     assert t.validate() == []
@@ -68,10 +67,10 @@ def test_three_ascending_rotates_to_middle():
 
 def test_seven_ascending_is_perfect():
     t, handles, _ = build_sequential(range(1, 8))
-    assert t.node(t.root).key == (4,)
+    assert t.key[t.root] == (4,)
     assert height(t) == 3
     for v in range(1, 8):
-        assert t.node(handles[v]).balance == 0
+        assert t.balance[handles[v]] == 0
     assert t.validate() == []
 
 
@@ -143,12 +142,12 @@ def test_delete_two_children_deep_successor():
 def test_delete_keeps_other_handles_alive():
     """Removing a two-children node must not move any surviving node."""
     t, handles, _ = build_sequential(range(1, 21))
-    victim = t.node(t.root).key[0]
+    victim = t.key[t.root][0]
     t.delete_node(handles[victim])
     for v in range(1, 21):
         if v == victim:
             continue
-        assert t.node(handles[v]).key == (v,)
+        assert t.key[handles[v]] == (v,)
     assert t.validate() == []
 
 
@@ -182,21 +181,21 @@ def test_thread_navigation_round_trip():
 
 def test_validate_catches_corrupt_thread():
     t, handles, _ = build_sequential([10, 20, 30, 40, 50])
-    n = t.node(handles[10])
-    assert n.rthread
-    n.right = handles[40]   # should thread to 20
+    h = handles[10]
+    assert t.thread[1][h]
+    t.link[1][h] = handles[40]   # should thread to 20
     assert any("thread" in v for v in t.validate())
 
 
 def test_validate_catches_corrupt_balance():
     t, handles, _ = build_sequential([10, 20, 30, 40, 50])
-    t.node(t.root).balance += 1
+    t.balance[t.root] += 1
     assert t.validate() != []
 
 
 def test_validate_catches_order_violation():
     t, handles, _ = build_sequential([10, 20, 30])
-    t.node(handles[10]).key = (25,)
+    t.key[handles[10]] = (25,)
     assert any("bound" in v or "ordering" in v for v in t.validate())
 
 
@@ -249,12 +248,12 @@ def test_deleting_random_subset_stays_valid(values, rnd):
 
 def test_arena_reuses_freed_cells():
     t, handles, _ = build_sequential(range(100))
-    cells_before = len(t.nodes)
+    cells_before = len(t.key)
     for v in range(50):
         t.delete_node(handles[v])
     for v in range(200, 250):
         t.insert_after(t.last(), (v,))
-    assert len(t.nodes) == cells_before
+    assert len(t.key) == cells_before
     assert t.validate() == []
 
 

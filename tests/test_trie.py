@@ -8,12 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadkd.stats import VisitStats
-from threadkd.trie import Entry, ThreadedTrie, TrieNode
+from threadkd.trie import ThreadedTrie
 
 
 def oracle_succ(keys_sorted, q):
     i = bisect.bisect_left(keys_sorted, q)
     return keys_sorted[i] if i < len(keys_sorted) else None
+
+
+def row(t, n=0):
+    """Node ``n``'s row of ``radix + 1`` cells: its slots, then its up."""
+    s = t.radix + 1
+    return t.slots[n * s:(n + 1) * s]
+
+
+def valid(t, n=0):
+    """Node ``n``'s valid flags: a slot whose ref differs from the next
+    cell's."""
+    cells = row(t, n)
+    return [a != b for a, b in zip(cells, cells[1:])]
+
+
+def entry(t, ref):
+    """(key, value) of the entry a cell refers to; None for a node or
+    nothing."""
+    return None if ref is None or ref >= 0 else (t.key[~ref], t.value[~ref])
 
 
 def test_empty():
@@ -31,19 +50,19 @@ def test_two_keys_structure():
     alone under its first digit and sits in the root as an entry; every
     empty slot must jump straight to whatever comes next in key order."""
     t = ThreadedTrie(10, 2)
-    e08 = t.insert(8, "a")
-    e42 = t.insert(42, "b")
-    root = t.root
-    assert root.valid[0] and root.slots[0] is e08      # 8 as digits 0,8
-    assert root.valid[4] and root.slots[4] is e42
+    assert t.insert(8, "a") == "a"
+    assert t.insert(42, "b") == "b"
+    root, v = row(t), valid(t)
+    assert v[0] and entry(t, root[0]) == (8, "a")      # 8 as digits 0,8
+    assert v[4] and entry(t, root[4]) == (42, "b")
     # gaps between the two entries jump to the higher one
     for d in (1, 2, 3):
-        assert not root.valid[d]
-        assert root.slots[d] is e42
+        assert not v[d]
+        assert root[d] == root[4]
     # nothing follows 42
     for d in range(5, 10):
-        assert not root.valid[d]
-        assert root.slots[d] is None
+        assert not v[d]
+        assert root[d] is None
     assert len(t.slots) == 11  # the root is the only node
     assert t.validate() == []
 
@@ -52,12 +71,12 @@ def test_succ_crosses_branches():
     # a probe falling in the gap right after a key must reach the next
     # branch, not report the earlier key or nothing
     t = ThreadedTrie(10, 2)
-    t.insert(8, None)
-    t.insert(42, None)
-    assert t.succ_geq(9).key == 42
-    assert t.succ_geq(8).key == 8
-    assert t.succ_geq(0).key == 8
-    assert t.succ_geq(42).key == 42
+    t.insert(8, 8)
+    t.insert(42, 42)
+    assert t.succ_geq(9) == 42
+    assert t.succ_geq(8) == 8
+    assert t.succ_geq(0) == 8
+    assert t.succ_geq(42) == 42
     assert t.succ_geq(43) is None
 
 
@@ -65,20 +84,20 @@ def test_succ_returns_payload():
     t = ThreadedTrie(16, 3)
     t.insert(100, "x")
     t.insert(200, "y")
-    assert t.succ_geq(150).value == "y"
-    assert t.find(100).value == "x"
+    assert t.succ_geq(150) == "y"
+    assert t.find(100) == "x"
 
 
 def test_key_bounds():
     t = ThreadedTrie(10, 2)
     with pytest.raises(ValueError):
-        t.insert(100, None)
+        t.insert(100, 100)
     with pytest.raises(ValueError):
-        t.insert(-1, None)
-    t.insert(99, None)
-    assert t.succ_geq(99).key == 99
+        t.insert(-1, -1)
+    t.insert(99, 99)
+    assert t.succ_geq(99) == 99
     assert t.succ_geq(100) is None
-    assert t.succ_geq(-5).key == 99
+    assert t.succ_geq(-5) == 99
 
 
 @pytest.mark.parametrize("radix,width", [(1, 3), (2, 0)])
@@ -89,26 +108,26 @@ def test_degenerate_shape_rejected(radix, width):
 
 def test_duplicate_and_missing():
     t = ThreadedTrie(10, 2)
-    t.insert(7, None)
+    t.insert(7, 7)
     with pytest.raises(ValueError):
-        t.insert(7, None)
+        t.insert(7, 7)
     with pytest.raises(KeyError):
         t.delete(8)
-    e = t.delete(7)
-    assert e.key == 7
+    assert t.delete(7) == 7
     assert len(t) == 0
     assert t.validate() == []
 
 
 def test_delete_prunes_and_repoints():
     t = ThreadedTrie(10, 2)
-    t.insert(8, None)
-    t.insert(42, None)
-    t.delete(42)
-    assert t.root.slots[0] is t.find(8)
+    t.insert(8, 8)
+    t.insert(42, 42)
+    assert t.delete(42) == 42
+    root, v = row(t), valid(t)
+    assert entry(t, root[0]) == (8, 8) and t.find(8) == 8
     for d in range(1, 10):
-        assert not t.root.valid[d]
-        assert t.root.slots[d] is None
+        assert not v[d]
+        assert root[d] is None
     assert t.succ_geq(9) is None
     assert t.validate() == []
 
@@ -118,39 +137,44 @@ def test_delete_folds_a_two_key_node():
     4; deleting 47 leaves that node one key, and it folds back into the
     slot as the entry of 42 and goes on the free list."""
     t = ThreadedTrie(10, 2)
-    e42 = t.insert(42, "a")
+    t.insert(42, "a")
+    e42 = row(t)[4]
+    assert entry(t, e42) == (42, "a")
     t.insert(47, "b")
-    node = t.root.slots[4]
-    assert isinstance(node, TrieNode)
-    assert [node.valid[d] for d in (2, 7)] == [1, 1]
+    node = row(t)[4]
+    assert node >= 0
+    assert [valid(t, node)[d] for d in (2, 7)] == [1, 1]
     t.delete(47)
-    assert t.root.valid[4] and t.root.slots[4] is e42
-    assert all(t.root.slots[d] is e42 for d in range(4))
-    assert all(t.root.slots[d] is None for d in range(5, 10))
-    assert t.free_node == node.n
+    root = row(t)
+    assert valid(t)[4] and root[4] == e42
+    assert all(root[d] == e42 for d in range(4))
+    assert all(root[d] is None for d in range(5, 10))
+    assert t.free_node == node
     assert t.validate() == []
 
 
 def test_delete_folds_a_chain_into_the_highest_surviving_slot():
     # 420 and 421 share two digits: nodes for 4 and 42 fold together
     t = ThreadedTrie(10, 3)
-    e420 = t.insert(420, None)
-    t.insert(421, None)
+    t.insert(420, 420)
+    e420 = row(t)[4]
+    assert entry(t, e420) == (420, 420)
+    t.insert(421, 421)
     assert len(t.slots) == 3 * 11
     t.delete(421)
-    assert t.root.slots[4] is e420
+    assert row(t)[4] == e420
     assert [len(t.slots), t.validate()] == [3 * 11, []]
     up = t.slots[10::11]       # each node's up cell
     free = [t.free_node, up[t.free_node]]
     assert sorted(free) == [1, 2] and up[free[1]] is None
     # with 400 beside them, the node for 4 keeps two keys and takes 420
-    t.insert(400, None)
-    t.insert(421, None)
+    t.insert(400, 400)
+    t.insert(421, 421)
     t.delete(421)
-    four = t.root.slots[4]
-    assert four.slots[0] is t.find(400)
-    assert four.slots[1] is four.slots[2] is e420
-    assert four.slots[3] is None and four.up is None
+    four = row(t, row(t)[4])
+    assert entry(t, four[0]) == (400, 400) and t.find(400) == 400
+    assert four[1] == four[2] == e420
+    assert four[3] is None and four[10] is None
     assert t.validate() == []
 
 
@@ -158,15 +182,15 @@ def test_split_retargets_threads_to_the_new_node():
     # 8 threads past its slot to 42's entry; when 47 arrives the entry
     # turns into a node, and every thread that aimed at it follows
     t = ThreadedTrie(10, 3)
-    t.insert(8, None)
-    t.insert(420, None)
-    t.insert(470, None)
-    root = t.root
-    node = root.slots[4]
-    assert isinstance(node, TrieNode)
-    assert all(root.slots[d] is node for d in (1, 2, 3))
-    assert t.succ_geq(9).key == 420
-    assert t.succ_geq(421).key == 470
+    t.insert(8, 8)
+    t.insert(420, 420)
+    t.insert(470, 470)
+    root = row(t)
+    node = root[4]
+    assert node >= 0
+    assert all(root[d] == node for d in (1, 2, 3))
+    assert t.succ_geq(9) == 420
+    assert t.succ_geq(421) == 470
     assert t.validate() == []
 
 
@@ -178,18 +202,18 @@ def test_reinsert_after_empty():
         t.delete(k)
     assert len(t) == 0
     assert t.validate() == []
-    t.insert(77, None)
-    assert t.succ_geq(0).key == 77
+    t.insert(77, 77)
+    assert t.succ_geq(0) == 77
     assert t.validate() == []
 
 
 def test_min_entry():
     t = ThreadedTrie(16, 4)
     for k in [5000, 300, 40000]:
-        t.insert(k, None)
-    assert t.min_entry().key == 300
+        t.insert(k, k)
+    assert t.min_entry() == 300
     t.delete(300)
-    assert t.min_entry().key == 5000
+    assert t.min_entry() == 5000
 
 
 def test_items_sorted():
@@ -220,11 +244,8 @@ def test_fuzz_against_sorted_set(radix, width):
                 bisect.insort(keys, k)
         else:
             q = rng.randrange(cap)
-            got = t.succ_geq(q)
             want = oracle_succ(keys, q)
-            assert (got.key if got else None) == want
-            if got is not None:
-                assert got.value == got.key * 2
+            assert t.succ_geq(q) == (None if want is None else want * 2)
         if step % 151 == 0:
             assert t.validate() == [], f"step {step}"
     assert t.validate() == []
@@ -240,7 +261,7 @@ def test_lookup_touch_bound(radix, width):
     for _ in range(400):
         k = rng.randrange(cap)
         if t.find(k) is None:
-            t.insert(k, None)
+            t.insert(k, k)
     for _ in range(2000):
         s = VisitStats()
         t.succ_geq(rng.randrange(cap), stats=s)
@@ -254,10 +275,8 @@ def test_lookup_touch_bound(radix, width):
 def test_succ_matches_oracle(keys, probe):
     t = ThreadedTrie(16, 3)
     for k in keys:
-        t.insert(k, None)
-    got = t.succ_geq(probe)
-    want = oracle_succ(sorted(keys), probe)
-    assert (got.key if got else None) == want
+        t.insert(k, k)
+    assert t.succ_geq(probe) == oracle_succ(sorted(keys), probe)
     assert t.validate() == []
 
 
@@ -268,7 +287,7 @@ def test_succ_matches_oracle(keys, probe):
 def test_insert_delete_round_trip(keys, data):
     t = ThreadedTrie(2, 12)
     for k in keys:
-        t.insert(k, None)
+        t.insert(k, k)
     order = data.draw(st.permutations(keys))
     for k in order:
         t.delete(k)
@@ -278,22 +297,22 @@ def test_insert_delete_round_trip(keys, data):
 
 def test_items_raise_when_the_trie_changes():
     t = ThreadedTrie(16, 2)
-    t.insert(0x11, None)
-    t.insert(0x31, None)
+    t.insert(0x11, 0x11)
+    t.insert(0x31, 0x31)
     for walk in (t.keys(), t.items()):
         first = next(walk)
-        assert first in (0x11, (0x11, None))
+        assert first in (0x11, (0x11, 0x11))
         t.delete(0x11)
-        t.insert(0x0F, None)
+        t.insert(0x0F, 0x0F)
         with pytest.raises(RuntimeError):
             next(walk)
         t.delete(0x0F)
-        t.insert(0x11, None)
+        t.insert(0x11, 0x11)
     # failed updates change nothing, so a walk goes on
     walk = t.keys()
     assert next(walk) == 0x11
     with pytest.raises(ValueError):
-        t.insert(0x31, None)
+        t.insert(0x31, 0x31)
     with pytest.raises(KeyError):
         t.delete(0x20)
     assert list(walk) == [0x31]
@@ -301,24 +320,23 @@ def test_items_raise_when_the_trie_changes():
 
 def same_slots(a, b):
     """Slot-for-slot equality of two tries: valid flags, threads, ups,
-    entries (key and payload), with thread targets matched by position."""
-    pairs: dict[int, object] = {}
+    entries (key and payload), with node refs matched by position."""
+    pairs: dict[int, int] = {}
 
     def eq(x, y):
-        if isinstance(x, TrieNode):
-            if not isinstance(y, TrieNode):
+        if x is None or y is None:
+            return x is None and y is None
+        if x >= 0:
+            if y < 0:
                 return False
-            if id(x) in pairs:
-                return pairs[id(x)] is y
-            pairs[id(x)] = y
-            return (x.valid == y.valid and eq(x.up, y.up)
-                    and all(eq(p, q) for p, q in zip(x.slots, y.slots)))
-        if isinstance(x, Entry):
-            return (isinstance(y, Entry) and x.key == y.key
-                    and x.value == y.value)
-        return x is None and y is None
+            if x in pairs:
+                return pairs[x] == y
+            pairs[x] = y
+            return (valid(a, x) == valid(b, y)
+                    and all(eq(p, q) for p, q in zip(row(a, x), row(b, y))))
+        return y < 0 and entry(a, x) == entry(b, y)
 
-    return a.size == b.size and eq(a.root, b.root)
+    return a.size == b.size and eq(0, 0)
 
 
 @pytest.mark.parametrize("radix,width", [(2, 6), (4, 3), (16, 2)])
@@ -357,9 +375,9 @@ def test_shape_depends_only_on_the_keys(shape, data):
 
 
 def test_from_sorted_trie_takes_updates():
-    t = ThreadedTrie.from_sorted(4, 3, [(key, None) for key in range(0, 64, 3)])
+    t = ThreadedTrie.from_sorted(4, 3, [(key, key) for key in range(0, 64, 3)])
     for key in range(1, 64, 6):
-        t.insert(key, None)
+        t.insert(key, key)
     for key in range(0, 64, 6):
         t.delete(key)
     assert t.validate() == []
@@ -368,9 +386,21 @@ def test_from_sorted_trie_takes_updates():
 
 def test_from_sorted_rejects_out_of_range_keys():
     with pytest.raises(ValueError):
-        ThreadedTrie.from_sorted(4, 2, [(3, None), (16, None)])
+        ThreadedTrie.from_sorted(4, 2, [(3, 3), (16, 16)])
     with pytest.raises(ValueError):
-        ThreadedTrie.from_sorted(4, 2, [(-1, None), (3, None)])
+        ThreadedTrie.from_sorted(4, 2, [(-1, -1), (3, 3)])
+
+
+def test_none_is_not_a_storable_value():
+    # None is the answer for no key, so no key may map to it
+    t = ThreadedTrie(16, 2)
+    t.insert(3, "a")
+    with pytest.raises(ValueError, match="None"):
+        t.insert(5, None)
+    with pytest.raises(ValueError, match="None"):
+        ThreadedTrie.from_sorted(16, 2, [(3, "a"), (5, None)])
+    assert t.find(5) is None and t.succ_geq(4) is None
+    assert t.validate() == [] and list(t.items()) == [(3, "a")]
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, None, "5"])
@@ -396,7 +426,7 @@ def test_succ_geq_rejects_a_bool_probe(bad):
     with pytest.raises(ValueError, match="bool"):
         t.succ_geq(bad, s)
     assert (s.trie_lookups, s.trie_nodes_visited) == (0, 0)
-    assert t.succ_geq(int(bad)).key == int(bad)
+    assert t.succ_geq(int(bad)) == int(bad)
 
 
 def holding_three():
@@ -431,7 +461,7 @@ def test_negative_probe_must_be_an_integer(bad):
     with pytest.raises(ValueError):
         t.succ_geq(bad)
     s = VisitStats()
-    assert t.succ_geq(-5, s).key == 3 and t.succ_geq(np.int64(-1)).key == 3
+    assert t.succ_geq(-5, s) == "a" and t.succ_geq(np.int64(-1)) == "a"
     assert s.trie_lookups == 1
     assert t.validate() == [] and list(t.items()) == [(3, "a")]
 
@@ -463,8 +493,8 @@ def test_index_only_probe_gets_the_plain_int_answer():
     for probe in (-7, 0, 3, 4, 5, 6, 255, 256, 10 ** 30):
         got, want = VisitStats(), VisitStats()
         a, b = t.succ_geq(IndexOnly(probe), got), t.succ_geq(probe, want)
-        assert (a and a.key) == (b and b.key) and got == want
-    assert t.find(IndexOnly(5)).value == "b"
+        assert a == b and got == want
+    assert t.find(IndexOnly(5)) == "b"
 
 
 def test_int_like_keys_and_shape_are_stored_as_ints():
@@ -473,9 +503,9 @@ def test_int_like_keys_and_shape_are_stored_as_ints():
     assert type(t.capacity) is int and t.capacity == 256
     t.insert(np.int64(5), "x")
     assert [type(k) for k in t.keys()] == [int] and t.validate() == []
-    assert t.find(np.int64(5)).value == "x"
-    assert t.succ_geq(np.int64(4)).key == 5
-    assert t.delete(np.int64(5)).key == 5 and len(t) == 0
+    assert t.find(np.int64(5)) == "x"
+    assert t.succ_geq(np.int64(4)) == "x"
+    assert t.delete(np.int64(5)) == "x" and len(t) == 0
     built = ThreadedTrie.from_sorted(16, 2, [(np.int64(3), "a"), (7, "b")])
     assert [type(k) for k in built.keys()] == [int, int]
     assert built.validate() == []

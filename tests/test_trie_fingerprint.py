@@ -17,7 +17,7 @@ import hashlib
 import random
 
 from threadkd.stats import VisitStats
-from threadkd.trie import Entry, ThreadedTrie, TrieNode
+from threadkd.trie import ThreadedTrie
 
 # Re-recorded when the trie took lazy expansion: a key alone under a
 # prefix sits in its parent's slot as an entry, with no chain of one-slot
@@ -33,31 +33,37 @@ SHAPES = [(2, 12), (10, 2), (16, 5)]
 
 def layout(trie):
     """Every node in preorder: valid flags, slots and ``up``, with nodes
-    named by preorder number and entries by key."""
+    named by preorder number and entries by key.  Each node is its row of
+    ``slots``, and a slot is valid when its ref differs from the next
+    cell's."""
+    s = trie.radix + 1
     order: dict[int, int] = {}
-    nodes = []
+    rows = []
 
-    def number(node):
-        order[id(node)] = len(nodes)
-        nodes.append(node)
-        for d in range(trie.radix):
-            if node.valid[d] and isinstance(node.slots[d], TrieNode):
-                number(node.slots[d])
+    def number(n):
+        order[n] = len(rows)
+        cells = trie.slots[n * s:(n + 1) * s]
+        rows.append(cells)
+        for a, b in zip(cells, cells[1:]):
+            if a != b and a >= 0:
+                number(a)
 
     def name(ref):
-        if isinstance(ref, TrieNode):
-            return ("n", order[id(ref)])
-        if isinstance(ref, Entry):
-            return ("e", ref.key, ref.value)
-        return ref
+        if ref is None:
+            return None
+        if ref >= 0:
+            return ("n", order[ref])
+        return ("e", trie.key[~ref], trie.value[~ref])
 
-    number(trie.root)
-    return [(bytes(n.valid), [name(s) for s in n.slots], name(n.up))
-            for n in nodes]
+    number(0)
+    return [(bytes(a != b for a, b in zip(cells, cells[1:])),
+             [name(ref) for ref in cells[:-1]], name(cells[-1]))
+            for cells in rows]
 
 
-def entry(e):
-    return None if e is None else (e.key, e.value)
+def entry(v):
+    # every traced value is -key, so an answer names its key too
+    return None if v is None else (-v, v)
 
 
 def trace(trie, rng, steps):

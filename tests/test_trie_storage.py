@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from threadkd.trie import ThreadedTrie, TrieNode, ValueTrie
+from threadkd.trie import ThreadedTrie
 
 
 def nodes_needed(trie, keys):
@@ -42,8 +42,8 @@ def check_succ(trie, keys, rng, probes=8):
         q = rng.randrange(-2, trie.capacity + 2)
         i = bisect.bisect_left(keys, max(q, 0))
         want = keys[i] if i < len(keys) and q < trie.capacity else None
-        got = trie.succ_geq(q)
-        assert (got.key if got else None) == want
+        # every value is -key
+        assert trie.succ_geq(q) == (None if want is None else -want)
 
 
 def test_churn_reuses_freed_cells():
@@ -54,7 +54,7 @@ def test_churn_reuses_freed_cells():
     for step in range(10_000):
         if keys and rng.random() < (0.55 if len(keys) > 48 else 0.3):
             k = keys.pop(rng.randrange(len(keys)))
-            assert t.delete(k).key == k
+            assert t.delete(k) == -k
         else:
             k = rng.randrange(t.capacity)
             while k in keys:
@@ -104,7 +104,7 @@ def built():
 
 def push_live_node(t):
     # a reachable node is put on the free list
-    n = next(s for s in t.root.slots if isinstance(s, TrieNode)).n
+    n = next(s for s in t.slots[:t.radix] if s is not None and s >= 0)
     t.slots[up_cell(t, n)], t.free_node = t.free_node, n
 
 
@@ -134,7 +134,7 @@ def test_validate_catches_a_node_with_one_key():
     # key 8 behind a node of its own in root slot 0, as a trie without
     # lazy expansion would hold it; threads and free lists are intact
     t = ThreadedTrie(10, 2)
-    t.insert(8, None)
+    t.insert(8, 8)
     e = t.slots[0]
     assert e < 0
     t.slots += [e] * 9 + [None, None]
@@ -174,8 +174,8 @@ def test_column_build_matches_pair_build(radix, width):
                    *(rng.randrange(cap) for _ in range(3))})
     for ks in (keys, keys[:1], []):
         values = [k * 7 + 1 for k in ks]
-        col = ValueTrie.from_columns(radix, width, list(ks), list(values))
-        pairs = ValueTrie.from_sorted(radix, width, list(zip(ks, values)))
+        col = ThreadedTrie.from_columns(radix, width, list(ks), list(values))
+        pairs = ThreadedTrie.from_sorted(radix, width, list(zip(ks, values)))
         assert col.validate() == []
         for name in COLUMNS:
             assert getattr(col, name) == getattr(pairs, name), name
