@@ -12,6 +12,22 @@ DUMMY while the index is empty.  It is the list head of Knuth's
 threaded trees (TAOCP vol. 1, 2.3.1) one level up, so every level
 reaches its groups alike.
 
+A point alone under its (i+1)-prefix on a level i with 1 <= i <= k-2
+lives there as a *leaf*: the node's key is the point itself, its cross
+cell holds that same tuple in place of a handle, and the levels below
+hold nothing for it.  This is the lazy expansion of the group tries (see
+below) one structure up, across levels, as PATRICIA's path compression
+(Morrison, JACM 1968) is for bits.  A leaf's point orders correctly
+among level i's prefixes, since distinct prefixes on one level differ
+within their first i + 1 coordinates.  Level 0 never holds a leaf, so
+every level-0 node keeps a group below, and an index with k <= 2 has
+none.  The layout depends only on the point set: an insert under a
+leaf's prefix expands the leaf down to the level where the two points
+part, and a delete that leaves a group on level 2 or below with one
+member holding one point folds that group back into its parent, on up
+while the parent's own group is left with it alone.  ``len()`` reads the
+index's count of points, ``size``.
+
 The index keeps three payload columns in each level's tree, one cell per
 handle: ``cross`` holds the cross link, ``trie`` the group marker below,
 and ``coord`` the node's level coordinate, ``key[h][i]`` on level i.
@@ -34,10 +50,14 @@ grows past ``T`` gets its trie built from its members, and one that
 falls back to ``T`` trades it for its count, so the marker depends only
 on the group's size.
 
-The tries and walks replace key search entirely: membership looks up k
-groups, insertion derives each level's position hint from group
-successors and neighbouring groups' cross links, so the per-level
-structural work does not grow with the number of stored points.
+The tries and walks replace key search on every path but one:
+membership looks up at most k groups, insertion derives its position hint
+from group successors and neighbouring groups' cross links, so the
+per-level structural work does not grow with the number of stored
+points.  The one search by key is an expansion's: each level it opens
+takes its position from one root-to-leaf descent of that level's tree
+(``ThreadedAvlTree.last_below``), O(log m), since the nodes before the
+new group may hang under leaves one level up, which link to no group.
 Deletion walks bottom-up, pruning prefix nodes whose group emptied and
 re-aiming cross links and markers when a group minimum goes away.
 """
@@ -46,8 +66,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import heapq
+import math
+from collections import Counter
 from itertools import chain, compress
-from operator import itemgetter
+from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -102,6 +125,25 @@ def _small_succ(tree: ThreadedAvlTree, first: int, c: int,
         stats.trie_nodes_visited += steps + 1
         stats.threads_followed += steps
     return prev, h
+
+
+def _leaf_points(tree: ThreadedAvlTree) -> Iterator[tuple]:
+    # the points of an inner level's leaves, in key order
+    key, cross = tree.key, tree.cross
+    return (key[h] for h in tree.inorder() if type(cross[h]) is tuple)
+
+
+def _height(tree: ThreadedAvlTree) -> int:
+    # the nodes on a longest root-to-leaf path: down the side a node's
+    # balance leans to, the left on a tie
+    h, n = tree.root, 0
+    while h != DUMMY:
+        n += 1
+        d = 1 if tree.balance[h] > 0 else 0
+        if tree.thread[d][h]:
+            break
+        h = tree.link[d][h]
+    return n
 
 
 def _lex_order(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +218,15 @@ class KdPointIndex:
         self.radix = radix
         self.width = width
 
-    def _hang(self, trees: list) -> None:
-        """Take ``trees`` as the k levels, under a new header linked to
-        level 0's first node (DUMMY when level 0 is empty)."""
+    def _hang(self, trees: list, size: int = 0) -> None:
+        """Take ``trees`` as the k levels, holding ``size`` points, under a
+        new header linked to level 0's first node (DUMMY when level 0 is
+        empty)."""
         head = ThreadedAvlTree.from_sorted([()])
         head.cross[HEAD] = trees[0].first()
         self.trees = trees
         self.above = [head, *trees[:-1]]
+        self.size = size
 
     @classmethod
     def from_points(cls, k: int, bound: int, points: Iterable[Sequence[int]],
@@ -202,24 +246,29 @@ class KdPointIndex:
         first of equal rows stays, as a set would keep it.  The first
         coordinate ``j`` where each point differs from the previous one
         (-1 for the first point; the top set bit of the packed keys' XOR)
-        gives every level: level i's keys are the (i+1)-prefixes of the
-        points with ``j <= i``, and its groups start at those with
-        ``j < i``.  The stored points are tuples of the index's own,
+        gives every level, with no loop per point: a point's nodes end
+        on the first level from 1 on where neither its own ``j`` nor the
+        next point's reaches, or on the last, and level i's keys are the
+        (i+1)-prefixes of the points with ``j <= i`` whose nodes do not
+        end above it, the point itself for a leaf, one that ends on an
+        inner level.  Level i's groups start at those with ``j < i``.
+        The stored points are tuples of the index's own,
         equal to the caller's but not the same objects: they are made in
         sorted order from the sorted rows, over one int per distinct
         coordinate value, so a walk in key order reads points that lie in
-        that order in memory.  The last level holds them, each inner level
-        slices them, and each level's ``coord`` column is cut from the
-        same column lists and becomes the tries' keys, so the whole load
-        shares one int per value.  Each level's tree is linked as
-        ``ThreadedAvlTree.from_sorted`` links it and takes its payload
-        columns, each made once with its final contents.  Its group
-        markers are written as one column: a group of ``T`` or fewer members gets its count,
-        and ``ThreadedTrie.level_tries`` builds the longer ones' tries
-        together.  Level i's g-th group (from 1) hangs under handle g one
-        level up: level i-1's g-th key or, for level 0's one group, the
-        header's ``HEAD``.  No level is made before its points are
-        sorted, so a non-empty load makes no empty tree.  The trees come out
+        that order in memory.  The last level and the leaves hold them,
+        each inner level slices them, and each level's ``coord`` column
+        is cut from the same column lists and becomes the tries' keys, so
+        the whole load shares one int per value.  Each level's tree is
+        linked as ``ThreadedAvlTree.from_sorted`` links it and takes its
+        payload columns, each made once with its final contents.  Its
+        group markers are written as one column: a group of ``T`` or
+        fewer members gets its count, and ``ThreadedTrie.level_tries``
+        builds the longer ones' tries together.  Level i's g-th group
+        hangs under level i-1's g-th key that is not a leaf or, for level
+        0's one group, under the header's ``HEAD``; a leaf's cross cell
+        is its point.  No level is made before its points are sorted, so
+        a non-empty load makes no empty tree.  The trees come out
         perfectly balanced, so the counters of later updates that depend
         on a tree's shape (``threads_followed``, ``rotations`` and
         ``tree_nodes_visited``) can differ from an index built by
@@ -277,29 +326,47 @@ class KdPointIndex:
         pts = list(zip(*columns))
         del order, keep, values, inverse
         handles = list(range(len(pts) + 2))
+        # ends: the level each point's nodes end on, the first from level
+        # 1 on where no other point shares its prefix (the next point parts
+        # from it at its own j), or the last
+        ends = np.maximum(j, np.append(j[1:], -1))
+        ends = np.minimum(np.maximum(ends, 1), k - 1)
         trees = []
         firsts = np.ones(1, np.int64)
+        # mask: the points that have a node on level i, those that open its
+        # prefix there and do not end above it
+        mask = j <= 0
         for i in range(k):
-            mask = j <= i
-            if i == k - 1:
-                level, cut = pts, columns[i]
-            else:
-                opens = mask.tolist()
-                level = list(map(itemgetter(slice(0, i + 1)),
-                                 compress(pts, opens)))
-                cut = compress(columns[i], opens)
+            opens = mask.tolist()
+            full = bool(mask.all())
+            level = pts if full else compress(pts, opens)
+            cut = columns[i] if full else compress(columns[i], opens)
+            if i < k - 1:
+                # a leaf's key is its point, any other inner key the
+                # (i+1)-prefix
+                leaf = ends[mask] == i
+                cuts = np.array([slice(0, i + 1), slice(None)], object)
+                level = list(map(getitem, level,
+                                 cuts[leaf.astype(np.intp)].tolist()))
+            elif not full:
+                level = list(level)
             # the coord column: coordinate i's column list cut to the
             # level's keys, with the dummy's cell in front; the column list
             # and the cut go before the tree is built
             coord = [None, *cut]
             columns[i] = cut = opens = None
             if i < k - 1:
-                # the cross links: the first handles of level i + 1's
-                # groups, in order
-                below = np.flatnonzero(j[j <= i + 1] <= i) + 1
-                cross = [None, *map(handles.__getitem__, below.tolist())]
+                # the cross links: a leaf's point, and the other nodes' the
+                # first handles of level i + 1's groups, in order
+                nxt = (j <= i + 1) & (ends >= i + 1)
+                below = np.flatnonzero(j[nxt] <= i) + 1
+                cross = np.fromiter(level, object, len(level))
+                cross[~leaf] = np.fromiter(
+                    map(handles.__getitem__, below.tolist()), object,
+                    len(below))
+                cross = [None, *cross.tolist()]
             else:
-                cross, below = [None] * len(coord), None
+                cross, below, nxt = [None] * len(coord), None, None
             # each group's size, from the first handles
             sizes = np.diff(firsts, append=len(coord))
             markers = np.full(len(coord), None, object)
@@ -319,17 +386,49 @@ class KdPointIndex:
                     coord, handles, firsts[long], (firsts + sizes)[long])
                 for h, trie in zip(firsts[long].tolist(), tries):
                     markers[h] = trie
-            firsts = below
-        self._hang(trees)
+            firsts, mask = below, nxt
+        self._hang(trees, len(pts))
 
     def __len__(self) -> int:
-        return self.trees[-1].size
+        return self.size
 
     def points(self) -> Iterator[tuple]:
-        """Stored points in lexicographic order.  Like ``dict`` iteration,
-        the iterator raises RuntimeError on its next step after an insert
-        or delete changed the index."""
-        return self.trees[self.k - 1].keys()
+        """Stored points in lexicographic order: the last level's keys,
+        merged with the leaves' on the inner levels.  Like ``dict``
+        iteration, the iterator raises RuntimeError on its next step after
+        an insert or delete changed the index."""
+        trees = self.trees
+        was = sum(t.mutations for t in trees)
+        leaves = map(_leaf_points, trees[1:-1])
+        for p in heapq.merge(*leaves, trees[-1].keys()):
+            yield p
+            if sum(t.mutations for t in trees) != was:
+                raise RuntimeError("index changed during iteration")
+
+    def describe(self) -> dict:
+        """The index's shape, level by level: its nodes, leaves and
+        groups, how many groups have each size, how many keep a trie, and
+        the tree's height beside the AVL bound 1.45 log2(n + 2).  Groups
+        are read from their markers; ``validate`` checks that the markers
+        count the groups' members."""
+        levels = []
+        for i, tree in enumerate(self.trees):
+            sizes: Counter = Counter()
+            leaves = tries = 0
+            for h in tree.inorder():
+                leaves += type(tree.cross[h]) is tuple
+                marker = tree.trie[h]
+                if marker is not None:
+                    tries += type(marker) is not int
+                    sizes[marker if type(marker) is int else marker.size] += 1
+            levels.append({
+                "level": i, "nodes": tree.size, "leaves": leaves,
+                "groups": sum(sizes.values()),
+                "group_sizes": dict(sorted(sizes.items())), "tries": tries,
+                "height": _height(tree),
+                "height_bound": round(1.45 * math.log2(tree.size + 2), 2)})
+        return {"k": self.k, "points": len(self), "levels": levels}
+
 
     def _check_point(self, point: Sequence[int]) -> tuple:
         try:
@@ -379,24 +478,31 @@ class KdPointIndex:
         """A trie over the ``n`` members of the level-i group from ``first``.
 
         Its columns are made at their final length, so the trie holds no
-        spare list capacity."""
+        spare list capacity.  The walk steps by the tree's ``succ``
+        column in this frame, each step one ``threads_followed``, as
+        ``in_succ`` counts it."""
         tree = self.trees[i]
-        coord = tree.coord
+        coord, succ = tree.coord, tree.succ
         coords, handles = [coord[first]] * n, [first] * n
         h = first
         for a in range(1, n):
-            h = handles[a] = tree.in_succ(h, stats)
+            h = handles[a] = succ[h]
             coords[a] = coord[h]
+        if stats is not None:
+            stats.threads_followed += n - 1
         return ThreadedTrie.from_columns(self.radix, self.width, coords, handles)
 
     def _prefix_path(self, p: tuple, stats: Optional[VisitStats] = None
-                     ) -> tuple[list[int], Optional[int], Optional[int]]:
+                     ) -> tuple[list[int], Optional[int], object]:
         """HEAD and the handles of p's stored prefixes, shortest first, up
-        to the first level that misses (k + 1 of them when p is stored),
-        and that level's lookup: its group's last member below p[i] when
-        a count walk found one, else None, and its first member at p[i]
-        or above, DUMMY or None when there is none (both None when the
-        level has no group or p is stored).
+        to the first level that misses or the first leaf (k + 1 of them
+        when the last level holds p), and that level's lookup: its
+        group's last member below p[i] when a count walk found one, else
+        None, and its first member at p[i] or above, DUMMY or None when
+        there is none (both None when the level has no group or the last
+        level holds p).  A path that ends at a leaf, the leaf's handle
+        last, comes with None and the leaf's point, which is p when p is
+        stored there.
 
         Each level it reads takes one successor lookup of p[i], one
         ``trie_lookups``: the group trie's ``succ_geq`` or the count
@@ -416,13 +522,17 @@ class KdPointIndex:
             if not h or tree.coord[h] != c:
                 return path, prev, h
             path.append(h)
+            q = tree.cross[h]
+            if type(q) is tuple:
+                return path, None, q
         return path, None, None
 
     # -- lookups ---------------------------------------------------------
 
     def contains(self, point: Sequence[int]) -> bool:
         p = self._check_point(point)
-        return len(self._prefix_path(p)[0]) > self.k
+        path, _, s = self._prefix_path(p)
+        return len(path) > self.k or s == p
 
     def __contains__(self, point) -> bool:
         return self.contains(point)
@@ -434,12 +544,20 @@ class KdPointIndex:
         """Add a point; returns False (and changes nothing) if present.
 
         The first level that misses takes its position from the prefix
-        path's lookup there; every level below it opens a group."""
+        path's lookup there.  The point's last node is on level 1 or below:
+        a level-0 node opens a group one level down for it.  Inner levels
+        from 1 on hold it as a leaf, and a path that ends at another
+        point's leaf expands that leaf (``_expand``)."""
         p = self._check_point(point)
         path, prev, s = self._prefix_path(p, stats)
-        if len(path) > self.k:
+        if len(path) > self.k or s == p:
             return False
-        for i in range(len(path) - 1, self.k):
+        self.size += 1
+        if type(s) is tuple:
+            self._expand(len(path) - 2, path[-1], s, p, stats)
+            return True
+        k = self.k
+        for i in range(len(path) - 1, k):
             tree = self.trees[i]
             tries = tree.trie
             g = self.above[i].cross[path[i]] or DUMMY
@@ -454,8 +572,10 @@ class KdPointIndex:
                 # at the end of the group or, opening one, after the
                 # groups before it
                 pos = self._group_last(i, path, stats)
-            h = tree.insert_after(pos, p[:i + 1], stats)
+            h = tree.insert_after(pos, p if i else p[:1], stats)
             tree.coord[h] = p[i]
+            if 0 < i < k - 1:
+                tree.cross[h] = p
             if g == DUMMY or p[i] < tree.coord[g]:
                 self._set_group_first(i, path, g, h)
                 g = h
@@ -465,20 +585,56 @@ class KdPointIndex:
                 tries[g] = marker + 1
             else:
                 tries[g] = self._group_trie(i, g, marker + 1, stats)
+            if i:
+                break
             path.append(h)
             prev = s = None
         return True
+
+    def _expand(self, i: int, h: int, q: tuple, p: tuple,
+                stats: Optional[VisitStats]) -> None:
+        """Store ``p`` under the leaf ``h`` on level i, which holds ``q``
+        and shares p's (i+1)-prefix: h's key becomes that prefix, each
+        level below it down to the one where p and q part opens a group
+        for their shared prefix, and that level takes both as a group of
+        two.  Each new group's position is the one search by key,
+        ``last_below``, since the nodes before it on its level may hang
+        under leaves one level up, which link to no group there."""
+        k = self.k
+        d = i + 1
+        while p[d] == q[d]:
+            d += 1
+        a, b = (p, q) if p < q else (q, p)
+        self.trees[i].key[h] = q[:i + 1]
+        for j in range(i + 1, d + 1):
+            tree = self.trees[j]
+            key = q[:j + 1] if j < d else a
+            g = tree.insert_after(tree.last_below(key, stats), key, stats)
+            tree.coord[g] = key[j]
+            self.trees[j - 1].cross[h] = g
+            tree.trie[g] = 1 if j < d else 2
+            h = g
+        # level d holds a and b: on the last level or as leaves
+        h = tree.insert_after(g, b, stats)
+        tree.coord[h] = b[d]
+        if d < k - 1:
+            tree.cross[g], tree.cross[h] = a, b
 
     # -- deletion --------------------------------------------------------
 
     def delete(self, point: Sequence[int],
                stats: Optional[VisitStats] = None) -> bool:
-        """Remove a point; returns False if it was not stored."""
+        """Remove a point; returns False if it was not stored.
+
+        The point's last node goes, from the last level or a leaf.  A
+        group on level 2 or below left with one member that holds one
+        point folds into its parent (``_fold``)."""
         p = self._check_point(point)
-        path = self._prefix_path(p, stats)[0]
-        if len(path) <= self.k:
+        path, _, s = self._prefix_path(p, stats)
+        if len(path) <= self.k and s != p:
             return False
-        for i in range(self.k - 1, -1, -1):
+        self.size -= 1
+        for i in range(len(path) - 2, -1, -1):
             tree = self.trees[i]
             h = path[i + 1]
             g = self.above[i].cross[path[i]]
@@ -493,8 +649,11 @@ class KdPointIndex:
                     tree.trie[g] = n - 1
                 if g == h:
                     # the group minimum leaves: the next member takes over
-                    self._set_group_first(i, path, h, tree.in_succ(h, stats))
+                    g = tree.in_succ(h, stats)
+                    self._set_group_first(i, path, h, g)
                 tree.delete_node(h, stats)
+                if n == 2 and i > 1:
+                    self._fold(i, path, g, stats)
                 break
             # sole member: the whole group goes, so its link above is
             # unset and the prefix one level up must go too (the header
@@ -502,6 +661,28 @@ class KdPointIndex:
             self.above[i].cross[path[i]] = DUMMY
             tree.delete_node(h, stats)
         return True
+
+    def _fold(self, i: int, path: list[int], r: int,
+              stats: Optional[VisitStats]) -> None:
+        """The level-i group under ``path[i]`` has fallen to one member,
+        ``r``.  When r holds one point, a last-level node or a leaf, the
+        group folds into its parent, which becomes a leaf holding that
+        point, and r goes.  The parent's own group folds on the same way
+        while it is left with the parent alone and sits on level 2 or
+        below."""
+        tree = self.trees[i]
+        q = tree.key[r]
+        if i < self.k - 1 and type(tree.cross[r]) is not tuple:
+            return
+        while True:
+            up = self.trees[i - 1]
+            h = path[i]
+            up.key[h] = up.cross[h] = q
+            tree.delete_node(r, stats)
+            i -= 1
+            tree, r = up, h
+            if i < 2 or tree.trie[self.above[i].cross[path[i]]] != 1:
+                return
 
     # -- verification ----------------------------------------------------
 
@@ -517,15 +698,49 @@ class KdPointIndex:
 
         # order[i + 1]: level i's handles in inorder; order[0]: the header's
         order = [list(t.inorder()) for t in (self.above[0], *self.trees)]
+        # leaves[i]: level i's leaves, the nodes of an inner level from 1
+        # on whose key is a point
+        leaves = [[h for h in order[i + 1] if len(tree.key[h]) == k]
+                  if 0 < i < k - 1 else []
+                  for i, tree in enumerate(self.trees)]
         points = [self.trees[-1].key[h] for h in order[k]]
+        points += [t.key[h] for t, hs in zip(self.trees, leaves) for h in hs]
+        if len(points) != self.size:
+            out.append(f"size {self.size} but {len(points)} points stored")
+        # held[prefix]: the stored points with that prefix; under[i]: the
+        # prefixes of level i's leaves, which no lower level holds
+        held = Counter(p[:i + 1] for p in points for i in range(k))
+        under: list[set] = []
         for i, tree in enumerate(self.trees):
-            got = [tree.key[h] for h in order[i + 1]]
-            expect = sorted({p[:i + 1] for p in points})
+            keys = tree.key
+            for h in leaves[i]:
+                p = keys[h]
+                if held[p[:i + 1]] > 1:
+                    out.append(f"level {i}: leaf {p} shares its prefix with "
+                               f"{held[p[:i + 1]] - 1} other point(s)")
+                if tree.cross[h] != p:
+                    out.append(f"level {i}: leaf {p} has cross cell "
+                               f"{tree.cross[h]!r}, not its point")
+            lone = set(leaves[i])
+            for h in order[i + 1]:
+                key = keys[h]
+                if any(key[:j + 1] in under[j] for j in range(1, i)):
+                    out.append(f"level {i}: node {key} lies under a leaf")
+                elif 0 < i < k - 1 and h not in lone and held[key] < 2:
+                    out.append(f"level {i}: node {key} holds "
+                               f"{held[key]} point(s) and is not a leaf")
+            under.append({keys[h][:i + 1] for h in leaves[i]})
+            got = [keys[h][:i + 1] if h in lone else keys[h]
+                   for h in order[i + 1]]
+            expect = sorted({p[:i + 1] for p in points
+                             if not any(p[:j + 1] in under[j]
+                                        for j in range(1, i))})
             if got != expect:
                 out.append(f"level {i}: keys differ from the prefix set "
                            f"({len(got)} vs {len(expect)})")
         for i in range(k - 1):
-            if not self.trees[i].size <= self.trees[i + 1].size:
+            inner = self.trees[i].size - len(leaves[i])
+            if not inner <= self.trees[i + 1].size:
                 out.append(f"level {i}: larger than level {i + 1}")
         for i, tree in enumerate(self.trees):
             for c in [c for h in order[i + 1] for c in tree.key[h]]:
@@ -573,10 +788,14 @@ class KdPointIndex:
                 if h not in firsts and tree.trie[h] is not None:
                     out.append(f"level {i}: non-first node {keys[h]} "
                                f"carries a marker")
-            # every node one level up, the header included, links to its
-            # group's first member here; the empty index's header to DUMMY
+            # every node one level up but a leaf, the header included,
+            # links to its group's first member here; the empty index's
+            # header to DUMMY
             above = self.above[i]
+            lone = set(leaves[i - 1]) if i else ()
             for h in order[i]:
+                if h in lone:
+                    continue
                 key, cl = above.key[h], above.cross[h]
                 first = groups.get(key, [DUMMY])[0]
                 if cl != first:

@@ -9,7 +9,10 @@ minimum (when it already clears lo), jumps to the successor of lo, or
 stops cold when the minimum exceeds hi.  The successor comes from the
 group trie or, in a group of at most ``T`` members that keeps a count
 instead, from a walk over at most ``T`` threads.  The members on the
-last level are the answer.
+last level are the answer.  A leaf in range, a point alone under its
+prefix on an inner level, has its point for a cross link: each level
+below tests the point's own coordinate and passes the point on, in the
+place its group would take, so it reaches the answer in order.
 
 The walk makes no call per member and none per group.  It takes each
 inorder step itself, as ``in_succ`` does, by one read of the tree's
@@ -33,8 +36,15 @@ cross link is part of the link follow, not a visit; successor lookups
 are tracked separately as trie work, one lookup each, whether a trie or
 a small group's walk answers it; every inorder step counts one thread,
 as ``in_succ`` counts it; the trie nodes a lookup reads count as
-``succ_geq`` and ``_small_succ`` count them.  Each level sums its counts
-in locals and adds them to the stats once.  A query counts exactly what
+``succ_geq`` and ``_small_succ`` count them.  A point passed down from
+a leaf counts one tree visit on each level below, its range test, as a
+candidate when it passes and as the probe that ends a walk when it does
+not; it takes no thread, lookup or trie node.  So ``per_level_candidates``
+and ``cross_links_followed`` count a point under a leaf exactly as they
+counted the one-member groups the leaf replaced, and no counter rises
+but ``tree_nodes_visited``, by one where such a group's minimum was below
+lo (a lookup and a trie node before).  Each level sums its counts in
+locals and adds them to the stats once.  A query counts exactly what
 walking the groups one recursive call at a time would.
 """
 
@@ -102,7 +112,9 @@ def level_candidates(index: KdPointIndex, level: int, group_first: int,
     the end of the level.  A group whose minimum exceeds hi is rejected
     on that probe alone, without a lookup.  DUMMY, which an empty
     index's header link and an empty tree's ``first()`` give, heads no
-    group: the answer is empty.
+    group: the answer is empty.  On level 2 or below ``group_first`` may
+    be a leaf's cross cell one level up, its point, which answers itself
+    when its level coordinate is in range.
     """
     lo, hi = _check_range(index, level, lo, hi)
     if group_first == DUMMY:
@@ -117,8 +129,9 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
                    lo: int, hi: int, column: Sequence,
                    stats: Optional[VisitStats]) -> list:
     """``level_candidates`` over every group in ``groups``, given by their
-    first nodes: ``column[h]`` for each member ``h`` in [lo, hi], group
-    after group, with 0 <= lo <= hi < bound.
+    first nodes or, from level 2 on, by a point passed down from a leaf:
+    ``column[h]`` for each member ``h`` in [lo, hi], and each such point
+    in range itself, group after group, with 0 <= lo <= hi < bound.
 
     No call is made per group or per member.  A trie group's successor
     of lo is ``succ_geq``'s descent over the trie's columns, on lo's
@@ -141,9 +154,19 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
     out: list = []
     append = out.append
     # threads: the count walks' steps; each member's own step is counted
-    # with the members
-    probes = lookups = nodes = threads = 0
+    # with the members, but for the points passed on
+    probes = lookups = nodes = threads = passed = 0
+    # from level 2 on a group may be a point, a leaf's above
+    leafy = level > 1
     for first in groups:
+        if leafy and type(first) is tuple:
+            # one visit: the point's own range test, then on or out
+            if lo <= first[level] <= hi:
+                append(first)
+                passed += 1
+            else:
+                probes += 1
+            continue
         m = coord[first]
         if m > hi:
             probes += 1
@@ -197,7 +220,7 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
     if stats is not None:
         members = len(out)
         stats.tree_nodes_visited += members + probes
-        stats.threads_followed += members + threads
+        stats.threads_followed += members - passed + threads
         stats.trie_lookups += lookups
         stats.trie_nodes_visited += nodes
     return out

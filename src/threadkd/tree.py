@@ -30,7 +30,9 @@ new or freed cell, and never reads them.  Callers that look at a node
 read its cells in the columns.
 
 Insertion takes a position hint (the would-be predecessor) instead of
-searching by key; callers locate positions through external structures.
+searching by key; callers locate positions through external structures,
+and ``last_below``, one root-to-leaf descent by key, serves the one
+caller that has none, a new group under a leaf one level up.
 Deletion relocates the inorder successor into the removed node's place
 instead of copying keys, so surviving handles stay valid for any outside
 references held to them.  ``from_sorted`` builds a perfectly balanced
@@ -265,6 +267,25 @@ class ThreadedAvlTree:
 
     def last(self, stats: Optional[VisitStats] = None) -> int:
         return self.in_pred(DUMMY, stats)
+
+    def last_below(self, key: tuple,
+                   stats: Optional[VisitStats] = None) -> int:
+        """Handle of the last node whose key is below ``key``, DUMMY when
+        none is: the one search by key, a root-to-leaf descent, counted
+        one tree visit per node it compares."""
+        link, thread, keys = self.link, self.thread, self.key
+        h, pos, n = self.root, DUMMY, 0
+        while h != DUMMY:
+            n += 1
+            d = 1 if keys[h] < key else 0
+            if d:
+                pos = h
+            if thread[d][h]:
+                break
+            h = link[d][h]
+        if stats is not None:
+            stats.tree_nodes_visited += n
+        return pos
 
     def inorder(self) -> Iterator[int]:
         """Yield live handles in increasing key order via threads.

@@ -2,6 +2,7 @@ import gc
 import os
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,15 +21,15 @@ FIVE = [(2, 2), (2, 6), (6, 2), (6, 6), (8, 10)]
 
 
 def snapshot(idx):
-    """Handle-free structural dump: keys, cross targets, group markers
-    (a count, or a trie's contents)."""
+    """Handle-free structural dump: keys, cross targets (a leaf's point
+    itself), group markers (a count, or a trie's contents)."""
     out = []
     for i, tree in enumerate(idx.trees):
         level = []
         for h in tree.inorder():
-            cl = None
-            if tree.cross[h] is not None:
-                cl = idx.trees[i + 1].key[tree.cross[h]]
+            cl = tree.cross[h]
+            if type(cl) is int:
+                cl = idx.trees[i + 1].key[cl]
             marker = tree.trie[h]
             if isinstance(marker, ThreadedTrie):
                 marker = [(c, tree.key[hh]) for c, hh in marker.items()]
@@ -980,3 +981,136 @@ def test_from_points_names_the_first_bad_point(bad):
     with pytest.raises(ValueError) as bulk:
         KdPointIndex.from_points(2, 16, GRID[::-1] + [bad, (1, 17)] + GRID)
     assert str(bulk.value) == str(alone.value)
+
+
+# -- leaves: a point alone under its prefix on an inner level -----------
+
+# level 1 holds the leaves (1, 1, 1) and (3, 0, 0) around the prefix
+# (1, 2), whose two points are level 2's only nodes
+LEAFY = [(1, 1, 1), (1, 2, 5), (1, 2, 7), (3, 0, 0)]
+
+
+def test_leaf_layout():
+    idx = KdPointIndex.from_points(3, 16, LEAFY)
+    t0, t1, t2 = idx.trees
+    assert list(t0.keys()) == [(1,), (3,)]
+    assert list(t1.keys()) == [(1, 1, 1), (1, 2), (3, 0, 0)]
+    assert list(t2.keys()) == [(1, 2, 5), (1, 2, 7)]
+    leaves = [h for h in t1.inorder() if t1.key[h] in LEAFY]
+    assert [t1.cross[h] for h in leaves] == [(1, 1, 1), (3, 0, 0)]
+    assert all(t1.cross[h] is t1.key[h] for h in leaves)
+    assert len(idx) == 4 and list(idx.points()) == LEAFY
+    assert [idx.contains(p) for p in LEAFY + [(1, 1, 2), (3, 0, 1)]] \
+        == [True] * 4 + [False] * 2
+    assert idx.validate() == []
+
+
+@pytest.mark.parametrize("k,stored,leaf,added,opened", [
+    # a level-1 leaf parts from the new point one level down, on the last
+    (3, [(3, 0, 0)], (1, 1, 1), (1, 1, 4), 1),
+    # k = 4: one level down, as two leaves on level 2
+    (4, [(3, 0, 0, 0)], (1, 1, 1, 1), (1, 1, 2, 0), 1),
+    # two levels down: level 2 opens a one-member group for (1, 1, 1)
+    (4, [(3, 0, 0, 0)], (1, 1, 1, 1), (1, 1, 1, 5), 2),
+    # a level-2 leaf, beside (1, 1, 1, 1) under (1, 1), parts one level down
+    (4, [(1, 1, 1, 1), (3, 0, 0, 0)], (1, 1, 2, 2), (1, 1, 2, 7), 1),
+], ids=["k3", "k4-one-down", "k4-two-down", "k4-level-2-leaf"])
+def test_leaf_expands_and_folds_back(monkeypatch, k, stored, leaf, added,
+                                     opened):
+    """An insert under a leaf's prefix expands it down to the level where
+    the two points part, with one search by key per level it opens; a
+    delete of either point folds it back.  Each step leaves the layout a
+    bulk load of the same points has."""
+    searches = []
+    last_below = ThreadedAvlTree.last_below
+
+    def counted(tree, key, stats=None):
+        searches.append(key)
+        return last_below(tree, key, stats)
+
+    monkeypatch.setattr(ThreadedAvlTree, "last_below", counted)
+    stored = stored + [leaf]
+    for gone in (added, leaf):
+        idx = KdPointIndex.from_points(k, 16, stored)
+        before = snapshot(idx)
+        searches.clear()
+        st_ = VisitStats()
+        assert idx.insert(added, st_)
+        assert len(searches) == opened
+        assert idx.validate() == []
+        assert snapshot(idx) == snapshot(
+            KdPointIndex.from_points(k, 16, stored + [added]))
+        assert idx.contains(added) and idx.contains(leaf)
+        searches.clear()
+        assert idx.delete(gone)
+        assert searches == []
+        assert idx.validate() == []
+        left = sorted(set(stored + [added]) - {gone})
+        assert snapshot(idx) == snapshot(KdPointIndex.from_points(k, 16, left))
+        assert list(idx.points()) == left and len(idx) == len(left)
+        if gone == added:
+            assert snapshot(idx) == before
+
+
+def test_describe_counts_the_shape():
+    # level 1's groups of 24 keep tries; most (x, y) prefixes hold one point
+    rng = random.Random(32)
+    pts = [(rng.randrange(24), rng.randrange(24), rng.randrange(64))
+           for _ in range(1500)]
+    idx = KdPointIndex.from_points(3, 64, pts)
+    for p in pts[:300]:
+        idx.delete(p)
+    for _ in range(300):
+        idx.insert((rng.randrange(24), rng.randrange(24), rng.randrange(64)))
+    assert idx.validate() == []
+    d = idx.describe()
+    levels = d["levels"]
+    assert d["points"] == len(idx) == levels[2]["nodes"] + levels[1]["leaves"]
+    assert levels[1]["leaves"] > 0 and levels[0]["leaves"] == 0
+    tries = sum(isinstance(m, ThreadedTrie) for t in idx.trees for m in t.trie)
+    assert sum(lv["tries"] for lv in levels) == tries > 0
+    # the groups validate reads, each level's keys by their i-prefix
+    for i, (tree, lv) in enumerate(zip(idx.trees, levels)):
+        groups = Counter(tree.key[h][:i] for h in tree.inorder())
+        sizes = Counter(groups.values())
+        assert lv["group_sizes"] == dict(sorted(sizes.items()))
+        assert lv["groups"] == len(groups) and lv["nodes"] == tree.size
+        assert 0 < lv["height"] <= lv["height_bound"]
+
+
+def leaf_with_company(idx):
+    # a last-level point under the leaf (1, 1, 1)'s prefix
+    idx.trees[2].insert_after(DUMMY, (1, 1, 0))
+
+
+def leaf_cross_cell(idx):
+    t1 = idx.trees[1]
+    t1.cross[t1.first()] = (1, 1, 2)
+
+
+def lone_prefix(idx):
+    # (1, 2) keeps one point below it, where a leaf belongs
+    t2 = idx.trees[2]
+    t2.delete_node(t2.last())
+    t2.trie[t2.first()] = 1
+    idx.size -= 1
+
+
+def size_off(idx):
+    idx.size += 1
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (leaf_with_company,
+     "level 1: leaf (1, 1, 1) shares its prefix with 1 other point(s)"),
+    (leaf_with_company, "level 2: node (1, 1, 0) lies under a leaf"),
+    (leaf_cross_cell,
+     "level 1: leaf (1, 1, 1) has cross cell (1, 1, 2), not its point"),
+    (lone_prefix, "level 1: node (1, 2) holds 1 point(s) and is not a leaf"),
+    (size_off, "size 5 but 4 points stored"),
+])
+def test_validate_reports_each_leaf_corruption(corrupt, message):
+    idx = KdPointIndex.from_points(3, 16, LEAFY)
+    assert idx.validate() == []
+    corrupt(idx)
+    assert message in idx.validate(), idx.validate()

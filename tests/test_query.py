@@ -239,7 +239,9 @@ def test_growing_window_never_loses_points(pts, xr, yr, pad):
 
 def recursive_query(idx, w, st_):
     """The window query one group at a time: ``level_candidates`` on a
-    group, then a recursive call through each candidate's cross link."""
+    group, then a recursive call through each candidate's cross link.  A
+    leaf's cross cell, its point, is passed down as the group and comes
+    back as its own candidate."""
     cands = st_.per_level_candidates
     cands.extend([0] * (idx.k - len(cands)))
     out = []
@@ -249,11 +251,13 @@ def recursive_query(idx, w, st_):
         cands[level] += len(hs)
         tree = idx.trees[level]
         for h in hs:
+            if type(h) is tuple:
+                assert h is first
             if level == idx.k - 1:
-                out.append(tree.key[h])
+                out.append(h if type(h) is tuple else tree.key[h])
             else:
                 st_.cross_links_followed += 1
-                walk(level + 1, tree.cross[h])
+                walk(level + 1, h if type(h) is tuple else tree.cross[h])
 
     if len(idx):
         walk(0, idx.above[0].cross[HEAD])
@@ -360,7 +364,11 @@ def reference_members(idx, level, first, lo, hi, st_):
     """One group's members in [lo, hi], stepped with ``tree.in_succ`` and
     looked up with the trie's ``succ_geq``; a group that keeps a count is
     searched member by member, one trie node and at most ``T`` threads per
-    read, as the index documents it."""
+    read, as the index documents it.  A point passed down from a leaf
+    is tested alone, one visit."""
+    if type(first) is tuple:
+        st_.tree_nodes_visited += 1
+        return [first] if lo <= first[level] <= hi else []
     tree = idx.trees[level]
     key, marker = tree.key, tree.trie[first]
     if key[first][level] > hi:
@@ -402,10 +410,11 @@ def reference_query(idx, w, st_):
         hs = [h for first in groups
               for h in reference_members(idx, level, first, lo, hi, st_)]
         cands[level] += len(hs)
+        tree = idx.trees[level]
         if level == idx.k - 1:
-            return [idx.trees[level].key[h] for h in hs]
+            return [h if type(h) is tuple else tree.key[h] for h in hs]
         st_.cross_links_followed += len(hs)
-        groups = [idx.trees[level].cross[h] for h in hs]
+        groups = [h if type(h) is tuple else tree.cross[h] for h in hs]
 
 
 def assert_same_as_reference(idx, rng, windows=30):
@@ -415,12 +424,14 @@ def assert_same_as_reference(idx, rng, windows=30):
         got, st_ = window_query(idx, w)
         assert got == reference_query(idx, w, ref)
         assert dataclasses.asdict(st_) == dataclasses.asdict(ref)
-    # every group of every level, alone, through level_candidates
+    # every group of every level, alone, through level_candidates; a
+    # leaf's cross cell, its point, heads no group
     firsts = [[idx.above[0].cross[HEAD]]] if len(idx) else []
     for level in range(idx.k - 1):
         if firsts:
             above = idx.trees[level]
-            firsts.append(sorted({above.cross[h] for h in above.inorder()}))
+            firsts.append(sorted({above.cross[h] for h in above.inorder()
+                                  if type(above.cross[h]) is int}))
     for level, groups in enumerate(firsts):
         for first in groups:
             a, b = sorted(rng.randrange(idx.bound) for _ in range(2))

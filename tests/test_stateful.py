@@ -7,11 +7,20 @@ must agree with the oracle and pass validate(); a failure shrinks to a
 minimal operation sequence.  Each run starts from a bulk-loaded point
 set, so every update also runs on a tree that ``from_points`` built.
 
+At k = 3 the machine counts the updates that expand a leaf (an insert
+under the prefix of a point alone on level 1) and that fold a group back
+into a leaf (a delete that leaves one point under a level-1 prefix), and
+``test_index_machine_rules_reach_expansion_and_fold`` runs the same
+rules from a seeded generator and checks that most runs make both.
+
 No group in that universe grows past ``T``, so a second machine,
 ``GroupTrieMachine``, keeps groups crossing ``T`` both ways: its updates
 build, split, fold and drop the group tries, and after each one the
 index must equal a bulk load of the same points.
 """
+
+import random
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -27,6 +36,10 @@ coord = st.integers(0, BOUND - 1)
 triple = st.tuples(coord, coord, coord)
 
 
+# per k = 3 example: whether it expanded a leaf, and whether it folded one
+REACH: Counter = Counter()
+
+
 class IndexMachine(RuleBasedStateMachine):
     """Random insert/delete/contains/window sequences after a bulk load;
     k and the initial points are drawn once."""
@@ -37,26 +50,55 @@ class IndexMachine(RuleBasedStateMachine):
         pts = [p[:k] for p in pts]
         self.idx = KdPointIndex.from_points(k, BOUND, pts, radix=2)
         self.oracle: set[tuple] = set(pts)
+        self.reached: set[str] = set()
+
+    def leaves(self):
+        # level 1's leaves; an index with k < 3 has none
+        return sum(type(c) is tuple for c in self.idx.trees[1].cross) \
+            if self.k == 3 else 0
+
+    def update(self, op, p):
+        """``op`` on the index and the oracle, with its answer checked; at
+        k = 3 an insert that turns a leaf into a prefix is an expansion,
+        and a delete of a last-level point that makes a leaf a fold."""
+        before = self.leaves()
+        assert getattr(self.idx, op)(p) == ((p not in self.oracle)
+                                            == (op == "insert"))
+        getattr(self.oracle, "add" if op == "insert" else "discard")(p)
+        after = self.leaves()
+        if after < before and op == "insert":
+            self.reached.add("expanded")
+        if after > before and op == "delete":
+            self.reached.add("folded")
 
     @rule(p=triple)
     def insert(self, p):
-        p = p[:self.k]
-        assert self.idx.insert(p) == (p not in self.oracle)
-        self.oracle.add(p)
+        self.update("insert", p[:self.k])
+
+    @precondition(lambda self: self.oracle)
+    @rule(i=st.integers(0, 255), c=coord)
+    def pair_or_part(self, i, c):
+        # a stored point alone under its (k-1)-prefix gets a second point
+        # there, and one of two under it goes: at k = 3 an expansion and a
+        # fold, where the other rules make them by chance
+        stored = sorted(self.oracle)
+        p = stored[i % len(stored)]
+        twins = [q for q in stored if q[:-1] == p[:-1]]
+        if len(twins) == 1:
+            q = p[:-1] + ((p[-1] + 1 + c % (BOUND - 1)) % BOUND,)
+            self.update("insert", q)
+        else:
+            self.update("delete", p)
 
     @rule(p=triple)
     def delete(self, p):
-        p = p[:self.k]
-        assert self.idx.delete(p) == (p in self.oracle)
-        self.oracle.discard(p)
+        self.update("delete", p[:self.k])
 
     @precondition(lambda self: self.oracle)
     @rule(i=st.integers(0, 255))
     def delete_stored(self, i):
         stored = sorted(self.oracle)
-        p = stored[i % len(stored)]
-        assert self.idx.delete(p)
-        self.oracle.remove(p)
+        self.update("delete", stored[i % len(stored)])
 
     @rule(p=triple)
     def contains(self, p):
@@ -78,10 +120,45 @@ class IndexMachine(RuleBasedStateMachine):
         assert list(self.idx.points()) == sorted(self.oracle)
 
 
+    def teardown(self):
+        if self.k == 3:
+            REACH["examples"] += 1
+            REACH.update(self.reached)
+            if len(self.reached) == 2:
+                REACH["both"] += 1
+
+
 IndexMachine.TestCase.settings = settings(max_examples=150,
                                           stateful_step_count=60,
                                           deadline=None)
 test_index_machine = IndexMachine.TestCase
+
+
+def test_index_machine_rules_reach_expansion_and_fold():
+    # IndexMachine's rules at k = 3, drawn from a seeded generator instead
+    # of by hypothesis, so the reach is the same on every run: 20 runs of
+    # 60 steps, each checked as the machine checks them
+    rng = random.Random(3)
+    REACH.clear()
+    for _ in range(20):
+        m = IndexMachine()
+        m.start(3, [tuple(rng.randrange(BOUND) for _ in range(3))
+                    for _ in range(rng.randrange(41))])
+        for _ in range(60):
+            r = rng.randrange(4)
+            p = tuple(rng.randrange(BOUND) for _ in range(3))
+            if r == 0 or not m.oracle:
+                m.insert(p)
+            elif r == 1:
+                m.delete(p)
+            elif r == 2:
+                m.delete_stored(rng.randrange(256))
+            else:
+                m.pair_or_part(rng.randrange(256), rng.randrange(BOUND))
+            m.consistent()
+        m.teardown()
+    assert REACH["examples"] == 20
+    assert REACH["both"] == 20, dict(REACH)
 
 
 # -- group tries ----------------------------------------------------------
