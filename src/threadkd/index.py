@@ -67,7 +67,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import heapq
-import math
 from collections import Counter
 from itertools import chain, compress
 from operator import getitem
@@ -131,19 +130,6 @@ def _leaf_points(tree: ThreadedAvlTree) -> Iterator[tuple]:
     # the points of an inner level's leaves, in key order
     key, cross = tree.key, tree.cross
     return (key[h] for h in tree.inorder() if type(cross[h]) is tuple)
-
-
-def _height(tree: ThreadedAvlTree) -> int:
-    # the nodes on a longest root-to-leaf path: down the side a node's
-    # balance leans to, the left on a tie
-    h, n = tree.root, 0
-    while h != DUMMY:
-        n += 1
-        d = 1 if tree.balance[h] > 0 else 0
-        if tree.thread[d][h]:
-            break
-        h = tree.link[d][h]
-    return n
 
 
 def _lex_order(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,14 +253,14 @@ class KdPointIndex:
         builds the longer ones' tries together.  Level i's g-th group
         hangs under level i-1's g-th key that is not a leaf or, for level
         0's one group, under the header's ``HEAD``; a leaf's cross cell
-        is its point.  No level is made before its points are sorted, so
-        a non-empty load makes no empty tree.  The trees come out
-        perfectly balanced, so the counters of later updates that depend
-        on a tree's shape (``threads_followed``, ``rotations`` and
-        ``tree_nodes_visited``) can differ from an index built by
-        ``insert``; points, markers, cross links, query results and every
-        query counter are the same, since a query's successor steps read
-        the ``succ`` column, one thread each.
+        is its point, so a level from 2 on stays empty when every key
+        one level up is a leaf.  The trees come out perfectly balanced,
+        so the counters of later updates that depend on a tree's shape
+        (``threads_followed``, ``rotations`` and ``tree_nodes_visited``)
+        can differ from an index built by ``insert``; points, markers,
+        cross links, query results and every query counter are the same,
+        since a query's successor steps read the ``succ`` column, one
+        thread each.
 
         The garbage collector is paused for the whole call, process-wide:
         the build makes many container objects and no reference cycle, so
@@ -408,9 +394,9 @@ class KdPointIndex:
     def describe(self) -> dict:
         """The index's shape, level by level: its nodes, leaves and
         groups, how many groups have each size, how many keep a trie, and
-        the tree's height beside the AVL bound 1.45 log2(n + 2).  Groups
-        are read from their markers; ``validate`` checks that the markers
-        count the groups' members."""
+        the tree's height beside its AVL bound.  Groups are read from
+        their markers; ``validate`` checks that the markers count the
+        groups' members."""
         levels = []
         for i, tree in enumerate(self.trees):
             sizes: Counter = Counter()
@@ -425,8 +411,8 @@ class KdPointIndex:
                 "level": i, "nodes": tree.size, "leaves": leaves,
                 "groups": sum(sizes.values()),
                 "group_sizes": dict(sorted(sizes.items())), "tries": tries,
-                "height": _height(tree),
-                "height_bound": round(1.45 * math.log2(tree.size + 2), 2)})
+                "height": tree.height(),
+                "height_bound": round(tree.height_bound(), 2)})
         return {"k": self.k, "points": len(self), "levels": levels}
 
 

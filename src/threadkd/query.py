@@ -50,7 +50,7 @@ walking the groups one recursive call at a time would.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .index import HEAD, KdPointIndex
 from .stats import VisitStats
@@ -96,9 +96,10 @@ def check_window(index: KdPointIndex,
     return w
 
 
-def level_candidates(index: KdPointIndex, level: int, group_first: int,
-                     lo: int, hi: int,
-                     stats: Optional[VisitStats] = None) -> list[int]:
+def level_candidates(index: KdPointIndex, level: int,
+                     group_first: Union[int, tuple], lo: int, hi: int,
+                     stats: Optional[VisitStats] = None
+                     ) -> list[Union[int, tuple]]:
     """Handles in group_first's group whose level coordinate is in [lo, hi].
 
     The range follows the window rule for one range, ``check_window``'s:

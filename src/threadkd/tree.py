@@ -42,7 +42,7 @@ tree from sorted keys, linking one depth at a time on numpy arrays.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,7 +122,8 @@ class ThreadedAvlTree:
         self.succ: list[int] = succ
         if payload is None:
             payload = [None] * len(key), [None] * len(key), [None] * len(key)
-        self.cross: list[Optional[int]] = payload[0]
+        # a handle, or on an inner level of the index a leaf's point
+        self.cross: list[Union[int, tuple, None]] = payload[0]
         self.trie: list = payload[1]
         self.coord: list[Optional[int]] = payload[2]
         self.free: list[int] = []
@@ -489,6 +490,22 @@ class ThreadedAvlTree:
 
     # -- verification ----------------------------------------------------
 
+    def height(self) -> int:
+        """The nodes on a longest root-to-leaf path: down the side each
+        node's balance leans to, the left on a tie."""
+        h, n = self.root, 0
+        while h != DUMMY:
+            n += 1
+            d = 1 if self.balance[h] > 0 else 0
+            if self.thread[d][h]:
+                break
+            h = self.link[d][h]
+        return n
+
+    def height_bound(self) -> float:
+        """The AVL bound on ``height()``: 1.45 log2(n + 2) for n nodes."""
+        return 1.45 * math.log2(self.size + 2)
+
     def validate(self) -> list[str]:
         """Check every structural invariant; returns a list of violations."""
         out: list[str] = []
@@ -581,7 +598,7 @@ class ThreadedAvlTree:
                                f"expected {expect}")
         out += succ_faults(order)
 
-        bound = 1.45 * math.log2(self.size + 2)
+        bound = self.height_bound()
         if total_height > bound:
             out.append(f"height {total_height} exceeds balance bound {bound:.2f}")
         return out

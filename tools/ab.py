@@ -10,9 +10,10 @@ tree's ``src/`` is imported as ``threadkd_head``.  Both sides get the
 same seeded inputs, made by ``perfbench/run.py``'s generators, and each
 builds its own index with ``from_points``.
 
-The operations run in slices of ``--slice`` calls: window queries cycling
-the workload's windows, or on ``churn`` the seeded operation stream, which
-each side applies to its own index from its start.  A pass builds a fresh
+The operations run in slices of ``SLICE`` calls, 2000 on churn and 500
+else: window queries cycling the workload's windows, or on ``churn`` the
+seeded operation stream, which each side applies to its own index from
+its start.  A pass builds a fresh
 pair of indexes and runs four slices in the order base, head, head, base,
 so a drift in the machine's speed weighs on both sides alike, and both
 sides have run the same calls when it ends.  Every result is compared
@@ -49,6 +50,8 @@ from time import perf_counter_ns
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+# calls per slice: 2000 of churn's cheap updates, 500 window queries else
+SLICE = {"churn": 2000}
 
 
 def load_package(name: str, src: str):
@@ -173,14 +176,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1009)
     ap.add_argument("--passes", type=int, default=20,
                     help="pass pairs, one per build order")
-    ap.add_argument("--slice", type=int, default=None,
-                    help="calls per slice (default 2000 on churn, 500 else)")
     args = ap.parse_args(argv)
 
     run = load_inputs()
     wl = run.WORKLOADS[args.workload]
     inp = run.Inputs(wl, args.seed)
-    size = args.slice or (2000 if wl.windows is None else 500)
+    size = SLICE.get(wl.name, 500)
     with tempfile.TemporaryDirectory() as tmp:
         base_pkg = load_package("threadkd_base", archive_src(args.base, tmp))
         head_pkg = load_package("threadkd_head", os.path.join(ROOT, "src"))
