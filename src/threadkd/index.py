@@ -50,14 +50,15 @@ grows past ``T`` gets its trie built from its members, and one that
 falls back to ``T`` trades it for its count, so the marker depends only
 on the group's size.
 
-The tries and walks replace key search on every path but one:
-membership looks up at most k groups, insertion derives its position hint
-from group successors and neighbouring groups' cross links, so the
-per-level structural work does not grow with the number of stored
-points.  The one search by key is an expansion's: each level it opens
-takes its position from one root-to-leaf descent of that level's tree
-(``ThreadedAvlTree.last_below``), O(log m), since the nodes before the
-new group may hang under leaves one level up, which link to no group.
+The tries and walks replace key search on every path but those beside
+a leaf: membership looks up at most k groups, insertion derives its
+position hint from group successors and neighbouring groups' cross
+links, so the per-level structural work does not grow with the number
+of stored points.  The one search by key, a root-to-leaf descent of one
+level's tree (``ThreadedAvlTree.last_below``), O(log m), places a node
+whose neighbours one level up may be leaves, which link to no group:
+each level an expansion opens, and an insert past the end of a group
+whose next node one level up is a leaf.
 Deletion walks bottom-up, pruning prefix nodes whose group emptied and
 re-aiming cross links and markers when a group minimum goes away.
 """
@@ -440,15 +441,20 @@ class KdPointIndex:
     # The first node's marker, trees[i].trie[first], is the group's member
     # count (an int) or its trie.
 
-    def _group_last(self, i: int, path: list[int],
+    def _group_last(self, i: int, path: list[int], p: tuple,
                     stats: Optional[VisitStats]) -> int:
         """Last level-i node before the group after p[:i]'s, or DUMMY
-        when level i is empty."""
+        when level i is empty.  That group hangs under the next node one
+        level up, unless that node is a leaf, which has none: then the
+        position is found by key (``last_below``), as for an expansion."""
         above, tree = self.above[i], self.trees[i]
         s = above.in_succ(path[i], stats)
         if s == DUMMY:
             return tree.last(stats)
-        return tree.in_pred(above.cross[s], stats)
+        g = above.cross[s]
+        if type(g) is tuple:
+            return tree.last_below(p[:i + 1], stats)
+        return tree.in_pred(g, stats)
 
     def _set_group_first(self, i: int, path: list[int],
                          old: int, new: int) -> None:
@@ -538,9 +544,9 @@ class KdPointIndex:
         path, prev, s = self._prefix_path(p, stats)
         if len(path) > self.k or s == p:
             return False
-        self.size += 1
         if type(s) is tuple:
             self._expand(len(path) - 2, path[-1], s, p, stats)
+            self.size += 1
             return True
         k = self.k
         for i in range(len(path) - 1, k):
@@ -557,7 +563,7 @@ class KdPointIndex:
             else:
                 # at the end of the group or, opening one, after the
                 # groups before it
-                pos = self._group_last(i, path, stats)
+                pos = self._group_last(i, path, p, stats)
             h = tree.insert_after(pos, p if i else p[:1], stats)
             tree.coord[h] = p[i]
             if 0 < i < k - 1:
@@ -575,6 +581,7 @@ class KdPointIndex:
                 break
             path.append(h)
             prev = s = None
+        self.size += 1
         return True
 
     def _expand(self, i: int, h: int, q: tuple, p: tuple,

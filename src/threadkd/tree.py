@@ -1,33 +1,36 @@
-"""Height-balanced binary search tree with two-way inorder threads.
+"""Height-balanced binary search tree with inorder threads.
 
 Nodes live in an arena and are addressed by integer handles; handle 0 is
 a permanent dummy node that bounds the inorder sequence on both sides.
-Empty child slots hold threads: the left slot of a node threads to its
-inorder predecessor, the right slot to its successor, so pred steps need
-no parent search and the first/last nodes thread to the dummy.  The
-``succ`` column holds each node's inorder successor outright (DUMMY after
-the last node; ``succ[DUMMY]`` is the first node), so a successor step is
-one read.  The tree keeps it itself: an insert reads the position's cell
-and writes two, a delete writes the predecessor's.
+Empty child slots hold threads.  A left thread targets the node's
+inorder predecessor, so pred steps need no parent search and the first
+node threads to the dummy.  The ``succ`` column holds each node's
+inorder successor outright (DUMMY after the last node; ``succ[DUMMY]``
+is the first node), so a successor step is one read.  The tree keeps it
+itself: an insert reads the position's cell and writes two, a delete
+writes the predecessor's.  A right thread is a flag alone, as in a tree
+threaded on one side (Knuth, TAOCP vol. 1, 2.3.1): the side-generic
+copies in ``_detach`` and in a delete's relocation may leave a stale
+handle in a right-thread cell, and no routine reads one.
 
 Storage is flat: one list (or bytearray) per field, indexed by handle,
 and no object per node.  ``link[d]`` and ``thread[d]`` are the child
 slot and its thread flag on side ``d`` (0 = left, 1 = right), so every
 structural routine is written once for a side ``d`` and its mirror
-``1 - d``: ``_step`` takes one inorder step by the threads toward either
-side, for ``in_pred``, for a delete's relocation and for ``validate``'s
-walks; ``in_succ`` reads ``succ`` instead.  Counting rule: each slot a
-``_step`` reads counts one thread followed, and so does each ``succ``
-read.  ``balance`` is height(right) - height(left), so a subtree growing
-on side ``d`` moves it by ``2*d - 1`` and one shrinking there by
-``1 - 2*d``; ``_retrace`` walks either change up from the node that took
-it, after an insert or a delete alike.  A node's child ``c`` is on side
-0 exactly when ``link[0]`` holds ``c``: a thread never targets the
-node's own child, only an ancestor or the dummy.  ``cross``,
-``trie`` and ``coord`` are payload columns owned by the multi-level
-index; the tree keeps one cell of each per handle, empty (None) on a
-new or freed cell, and never reads them.  Callers that look at a node
-read its cells in the columns.
+``1 - d``: ``_step`` takes one inorder step toward either side, for
+``in_pred`` and for a delete's relocation; ``in_succ`` reads ``succ``
+instead.  Counting rule: each slot a ``_step`` reads counts one thread
+followed, and so does each ``succ`` read.  ``balance`` is height(right)
+- height(left), so a subtree growing on side ``d`` moves it by
+``2*d - 1`` and one shrinking there by ``1 - 2*d``; ``_retrace`` walks
+either change up from the node that took it, after an insert or a
+delete alike.  A node's child ``c`` is on side 0 exactly when
+``link[0]`` holds ``c``: a left thread never targets the node's own
+child, only an ancestor or the dummy.  ``cross``, ``trie`` and
+``coord`` are payload columns owned by the multi-level index; the tree
+keeps one cell of each per handle, empty (None) on a new or freed cell,
+and never reads them.  Callers that look at a node read its cells in
+the columns.
 
 Insertion takes a position hint (the would-be predecessor) instead of
 searching by key; callers locate positions through external structures,
@@ -102,8 +105,9 @@ class ThreadedAvlTree:
 
     def __init__(self):
         # Dummy arrangement: left slot is the root link (thread to self when
-        # empty), right slot is a child link to itself so that succ/pred of
-        # the dummy resolve to the first/last real node.
+        # empty), right slot is a child link to itself, so that an insert
+        # at the front hangs below the first node and pred of the dummy
+        # resolves to the last real node.
         self._columns([None], ([DUMMY], [DUMMY]),
                       (bytearray(b"\x01"), bytearray(1)), [DUMMY], [0],
                       [DUMMY], 0)
@@ -128,7 +132,6 @@ class ThreadedAvlTree:
         self.coord: list[Optional[int]] = payload[2]
         self.free: list[int] = []
         self.size = size
-        self.rotations = 0
         # bumped by every insert and delete, so an inorder walk can tell
         # that the tree changed under it
         self.mutations = 0
@@ -239,7 +242,8 @@ class ThreadedAvlTree:
         successor for d = 1, the predecessor for d = 0, DUMMY past either
         end.  One slot on side ``d``, then, below a child link, the far
         side's links down to a thread; each slot read counts as one thread
-        followed."""
+        followed.  A right thread's target may be stale, so d = 1 is
+        taken only below a right child, as a delete's relocation does."""
         q = self.link[d][h]
         n = 1
         if not self.thread[d][h]:
@@ -334,7 +338,6 @@ class ThreadedAvlTree:
             stats.tree_nodes_visited += 2
         link = self.link
         link[0][h] = pos
-        link[1][h] = succ
         # the new node hangs in pos's free right slot (d = 1) or, when pos
         # has a right subtree (or is the dummy), in succ's free left slot
         # (d = 0); succ is the dummy itself when the tree is empty
@@ -377,13 +380,11 @@ class ThreadedAvlTree:
                 flags[s] = flags[h]
                 if not flags[h]:
                     parent[c] = s
-                    # h's neighbour on side d, below c, threaded to h;
-                    # on side 0 it is h's predecessor, whose successor s
-                    # becomes
+                    # h's neighbour on side d, below c, led to h: the
+                    # successor's left thread, or the predecessor's succ
+                    # cell, whose right thread is a flag alone
                     q = self._step(h, d, stats)
-                    link[1 - d][q] = s
-                    if not d:
-                        self.succ[q] = s
+                    (link[0] if d else self.succ)[q] = s
             self.balance[s] = self.balance[h]
             parent[s] = parent[h]
             self._replace_child(parent[h], h, s)
@@ -472,7 +473,6 @@ class ThreadedAvlTree:
         near, inner = self.link[d], self.link[e]
         parent = self.parent
         z = near[x]
-        self.rotations += 1
         if self.thread[e][z]:
             # z had no inner child: x's slot keeps z, now as a thread
             self.thread[d][x] = 1
@@ -568,34 +568,12 @@ class ThreadedAvlTree:
         if len(order) != self.size:
             out.append(f"size {self.size} but structure holds {len(order)} nodes")
 
-        # strict key ordering along the recursive inorder
-        for a, b in zip(order, order[1:]):
-            if not key[a] < key[b]:
-                out.append(f"ordering: key {key[a]!r} !< {key[b]!r}")
-
-        # the successor and predecessor walks must reproduce the recursive
-        # inorder node for node, forward and backward
-        limit = self.size + 1
-        for d, expect, name in ((1, order, "successor"),
-                                (0, order[::-1], "predecessor")):
-            got = []
-            h = self._step(DUMMY, d)
-            while h != DUMMY and len(got) <= limit:
-                got.append(h)
-                h = self._step(h, d)
-            if got != expect:
-                out.append(f"threads: {name} walk disagrees with recursive "
-                           f"inorder")
-
-        # a thread on side d targets the inorder neighbour at offset 2*d - 1,
-        # DUMMY past either end
-        padded = [DUMMY, *order, DUMMY]
-        for i, h in enumerate(order, 1):
-            for d, side in enumerate(("left", "right")):
-                target, expect = self.link[d][h], padded[i + 2 * d - 1]
-                if self.thread[d][h] and target != expect:
-                    out.append(f"node {h}: {side} thread -> {target}, "
-                               f"expected {expect}")
+        # a left thread targets the inorder predecessor, DUMMY before the
+        # first node; the succ column stands for the successor
+        for h, expect in zip(order, [DUMMY, *order]):
+            if lthread[h] and left[h] != expect:
+                out.append(f"node {h}: left thread -> {left[h]}, "
+                           f"expected {expect}")
         out += succ_faults(order)
 
         bound = self.height_bound()

@@ -489,18 +489,6 @@ class ThreadedTrie:
             stats.trie_nodes_visited += visited
         return None if ref is None else self.value[~ref]
 
-    def min_entry(self, stats: Optional[VisitStats] = None):
-        if self.size == 0:
-            return None
-        # follow smallest valid slots down from the root; a node's slot 0
-        # holds its smallest valid ref or threads to it
-        s, slots, ref = self.radix + 1, self.slots, 0
-        while ref >= 0:
-            if stats is not None:
-                stats.trie_nodes_visited += 1
-            ref = slots[ref * s]
-        return self.value[~ref]
-
     def items(self) -> Iterator[tuple[int, Any]]:
         """All (key, value) pairs in increasing key order.
 
@@ -524,10 +512,6 @@ class ThreadedTrie:
             yield item
             if self.mutations != stamp:
                 raise RuntimeError("trie changed during iteration")
-
-    def keys(self) -> Iterator[int]:
-        for k, _ in self.items():
-            yield k
 
     # -- updates ---------------------------------------------------------
 

@@ -3,9 +3,10 @@
 A fixed, seeded trace of inserts, deletes (down to empty), membership
 tests and window queries runs for k = 1, 2, 3 on an index built by
 ``insert`` and on one built by ``from_points``.  The digest covers every
-result, every ``VisitStats`` field, each level's rotation count and, at
-checkpoints, the full per-handle layout of every level: links, thread
-flags, parent, balance and cross link.  A refactor that keeps the
+result, every ``VisitStats`` field and, at checkpoints, the full
+per-handle layout of every level: links, thread flags, parent, balance
+and cross link, with a right thread's target masked, since a right
+thread is a flag alone.  A refactor that keeps the
 algorithm keeps the digest; any change to handle numbering, tree shape
 or a counter changes it.  When a change alters behaviour on purpose,
 record the new digest together with the reason.
@@ -72,7 +73,15 @@ from threadkd.tree import DUMMY
 # trie_nodes_visited 60,880 -> 59,966, threads_followed 110,023 ->
 # 108,782 and trie_lookups 19,297 -> 18,383; cross_links_followed stayed
 # 30,423.
-DIGEST = "1ef3f034309bb1768006e9462cbe1aa6aa134f0c256c3723c4f845e88b3b7376"
+#
+# Re-recorded when right threads became flags: no routine reads a right
+# thread's target, inserts stop writing it and a delete's relocation
+# writes the predecessor's succ cell in its place, so such a cell may
+# hold a stale handle.  The layout now masks that target, and the trace
+# no longer reads each level's lifetime rotation count, which went from
+# the tree (every record's VisitStats.rotations stays).  This trace, the
+# masked one, hashes 1d20342e... before the change and after it.
+DIGEST = "1d20342ea07a2ec8f5ca9680ac9ad7966266f7aa9dc40a14ecaeb4065f2495ee"
 
 # (k, bound, radix): small universes, so groups open, shrink and vanish
 CONFIGS = [(1, 300, 4), (2, 24, 2), (2, 64, 16), (3, 10, 3)]
@@ -80,7 +89,8 @@ CONFIGS = [(1, 300, 4), (2, 24, 2), (2, 64, 16), (3, 10, 3)]
 
 def layout(idx):
     """Per-level arena dump: every live cell's key, links, thread flags,
-    parent, balance and cross link; dead cells show only as dead."""
+    parent, balance and cross link; dead cells show only as dead, and a
+    right thread shows no target."""
     out = []
     for tree in idx.trees:
         cells = []
@@ -90,10 +100,11 @@ def layout(idx):
             if h != DUMMY and key[h] is None:
                 cells.append(None)
                 continue
-            cells.append((key[h], left[h], right[h], bool(lthread[h]),
+            cells.append((key[h], left[h],
+                          None if rthread[h] else right[h], bool(lthread[h]),
                           bool(rthread[h]), tree.parent[h], tree.balance[h],
                           tree.cross[h]))
-        out.append((tree.size, tree.rotations, cells))
+        out.append((tree.size, cells))
     return out
 
 
@@ -107,8 +118,7 @@ def trace(idx, rng, bound, steps):
         return tuple(rng.randrange(bound) for _ in range(k))
 
     def record(op, arg, result, st):
-        return (op, arg, result, dataclasses.astuple(st),
-                tuple(t.rotations for t in idx.trees))
+        return (op, arg, result, dataclasses.astuple(st))
 
     for step in range(steps):
         grow = 0.45 if step < steps // 2 else 0.25

@@ -44,7 +44,8 @@ def assert_marker(tree, first, coords):
     them."""
     m = tree.trie[first]
     if len(coords) > T:
-        assert isinstance(m, ThreadedTrie) and list(m.keys()) == coords
+        assert isinstance(m, ThreadedTrie)
+        assert [c for c, _ in m.items()] == coords
     else:
         assert type(m) is int and m == len(coords)
 
@@ -409,7 +410,8 @@ def test_updates_look_each_level_up_once(monkeypatch):
     assert isinstance(trie, ThreadedTrie)
     nodes = lookup_nodes(level0, 1) + lookup_nodes(trie, 5)
     copy = ThreadedTrie.from_columns(idx.radix, idx.width,
-                                     list(trie.keys()), [0] * trie.size)
+                                     [c for c, _ in trie.items()],
+                                     [0] * trie.size)
     ins = VisitStats()
     copy.insert(5, 0, ins)
     calls.update(dict.fromkeys(calls, 0))
@@ -547,7 +549,7 @@ def one_int_per_value(idx):
         for h in tree.inorder():
             coords = list(tree.key[h])
             if isinstance(tree.trie[h], ThreadedTrie):
-                coords += tree.trie[h].keys()
+                coords += (c for c, _ in tree.trie[h].items())
             if any(ints.setdefault(c, c) is not c for c in coords):
                 return False
     return True
@@ -1114,3 +1116,22 @@ def test_validate_reports_each_leaf_corruption(corrupt, message):
     assert idx.validate() == []
     corrupt(idx)
     assert message in idx.validate(), idx.validate()
+
+
+@pytest.mark.parametrize("build", ["bulk", "inserts"])
+def test_insert_past_a_trie_group_beside_a_leaf(build):
+    # (0, 0) keeps a trie group of 17 members on level 2, and the next
+    # level-1 node, the leaf (0, 1, 5), links to no group: an insert past
+    # the group's last member finds its position by key
+    pts = [(0, 0, c) for c in range(T + 1)] + [(0, 1, 5)]
+    if build == "bulk":
+        idx = KdPointIndex.from_points(3, 128, pts)
+    else:
+        idx = insert_built(3, 128, pts)
+    t1 = idx.trees[1]
+    assert isinstance(idx.trees[2].trie[t1.cross[t1.first()]], ThreadedTrie)
+    assert t1.cross[t1.last()] == (0, 1, 5)
+    assert idx.insert((0, 0, 100))
+    assert idx.validate() == []
+    assert list(idx.points()) == sorted(pts + [(0, 0, 100)])
+    assert len(idx) == len(pts) + 1

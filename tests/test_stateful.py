@@ -16,20 +16,26 @@ rules from a seeded generator and checks that most runs make both.
 No group in that universe grows past ``T``, so a second machine,
 ``GroupTrieMachine``, keeps groups crossing ``T`` both ways: its updates
 build, split, fold and drop the group tries, and after each one the
-index must equal a bulk load of the same points.
+index must equal a bulk load of the same points.  Neither puts a group
+with a trie on level 2 or below next to a leaf one level up, so
+``test_updates_beside_leaves_match_a_bulk_load`` runs seeded updates at
+k = 3 and 4 that do, and counts the inserts that land past such a
+group's end.
 """
 
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from test_index import SHAPE_FREE, snapshot
+from test_index import SHAPE_FREE, insert_built, snapshot
 from threadkd.index import T, KdPointIndex
 from threadkd.query import window_query
+from threadkd.tree import ThreadedAvlTree
 
 BOUND = 6
 coord = st.integers(0, BOUND - 1)
@@ -249,3 +255,87 @@ GroupTrieMachine.TestCase.settings = settings(max_examples=100,
                                               stateful_step_count=50,
                                               deadline=None)
 test_group_trie_machine = GroupTrieMachine.TestCase
+
+
+# -- trie groups beside leaves ---------------------------------------------
+
+DENSE_BOUND = 32
+
+
+def dense_point(rng, k, dense):
+    """A point under one of the ``dense`` prefixes, a lone point beside
+    one (the prefix's last coordinate moved up by one or two), or any
+    point."""
+    r = rng.random()
+    pre = rng.choice(dense)
+    if r < 0.8:
+        if r >= 0.5:
+            last = min(DENSE_BOUND - 1, pre[-1] + rng.randrange(1, 3))
+            pre = pre[:-1] + (last,)
+    else:
+        pre = ()
+    return pre + tuple(rng.randrange(DENSE_BOUND) for _ in range(k - len(pre)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_updates_beside_leaves_match_a_bulk_load(monkeypatch, k):
+    """Seeded updates at k = 3 and 4 on prefixes of length 2 to k - 1 that
+    keep more than ``T`` members, so their groups on level 2 or below
+    keep tries, among lone points that are leaves beside them.  An insert
+    past such a group's last member whose next node one level up is a
+    leaf finds its position by key; the run counts those inserts, and at
+    least 5 of its 20 seeds make some (8 at k = 3, 6 at k = 4).  After
+    each update both indexes, one bulk-loaded and one built by inserts,
+    must validate, and at the end each must equal a bulk load of the
+    oracle's points."""
+    searches = Counter()
+    group_last = KdPointIndex._group_last
+    last_below = ThreadedAvlTree.last_below
+
+    def counted_group_last(self, *args):
+        before = searches["last_below"]
+        h = group_last(self, *args)
+        searches["fallback"] += searches["last_below"] > before
+        return h
+
+    def counted_last_below(tree, *args):
+        searches["last_below"] += 1
+        return last_below(tree, *args)
+
+    monkeypatch.setattr(KdPointIndex, "_group_last", counted_group_last)
+    monkeypatch.setattr(ThreadedAvlTree, "last_below", counted_last_below)
+    seeds_reached = 0
+    for seed in range(20):
+        rng = random.Random(f"beside-leaves:{k}:{seed}")
+        dense = [tuple(rng.randrange(DENSE_BOUND)
+                       for _ in range(rng.randrange(2, k)))
+                 for _ in range(rng.randrange(1, 4))]
+        pts = {pre + (c,) + tuple(rng.randrange(DENSE_BOUND)
+                                  for _ in range(k - len(pre) - 1))
+               for pre in dense
+               # a quarter of the updates under a prefix land past its
+               # group's last member
+               for c in rng.sample(range(DENSE_BOUND * 3 // 4),
+                                   T + 1 + rng.randrange(4))}
+        pts |= {dense_point(rng, k, dense)
+                for _ in range(rng.randrange(5, 20))}
+        indexes = (KdPointIndex.from_points(k, DENSE_BOUND, pts),
+                   insert_built(k, DENSE_BOUND,
+                                rng.sample(sorted(pts), len(pts))))
+        before = searches["fallback"]
+        for _ in range(120):
+            if pts and rng.random() < 0.3:
+                p = rng.choice(sorted(pts))
+            else:
+                p = dense_point(rng, k, dense)
+            op = "delete" if p in pts else "insert"
+            for idx in indexes:
+                assert getattr(idx, op)(p)
+                assert idx.validate() == []
+            getattr(pts, "discard" if op == "delete" else "add")(p)
+        seeds_reached += searches["fallback"] > before
+        bulk = snapshot(KdPointIndex.from_points(k, DENSE_BOUND, pts))
+        for idx in indexes:
+            assert list(idx.points()) == sorted(pts) and len(idx) == len(pts)
+            assert snapshot(idx) == bulk
+    assert seeds_reached >= 5, (seeds_reached, dict(searches))

@@ -40,7 +40,6 @@ def test_empty():
     assert len(t) == 0
     assert t.succ_geq(0) is None
     assert t.find(5) is None
-    assert t.min_entry() is None
     assert list(t.items()) == []
     assert t.validate() == []
 
@@ -208,12 +207,13 @@ def test_reinsert_after_empty():
 
 
 def test_min_entry():
+    # succ_geq(0) answers with the smallest stored key's value
     t = ThreadedTrie(16, 4)
     for k in [5000, 300, 40000]:
         t.insert(k, k)
-    assert t.min_entry() == 300
+    assert t.succ_geq(0) == 300
     t.delete(300)
-    assert t.min_entry() == 5000
+    assert t.succ_geq(0) == 5000
 
 
 def test_items_sorted():
@@ -221,8 +221,7 @@ def test_items_sorted():
     ks = random.Random(3).sample(range(16 ** 4), 500)
     for k in ks:
         t.insert(k, -k)
-    assert list(t.keys()) == sorted(ks)
-    assert all(v == -k for k, v in t.items())
+    assert list(t.items()) == [(k, -k) for k in sorted(ks)]
 
 
 @pytest.mark.parametrize("radix,width", [(10, 2), (16, 4), (2, 12)])
@@ -249,7 +248,7 @@ def test_fuzz_against_sorted_set(radix, width):
         if step % 151 == 0:
             assert t.validate() == [], f"step {step}"
     assert t.validate() == []
-    assert list(t.keys()) == keys
+    assert [k for k, _ in t.items()] == keys
 
 
 @pytest.mark.parametrize("radix,width", [(10, 2), (16, 4), (2, 12)])
@@ -299,23 +298,22 @@ def test_items_raise_when_the_trie_changes():
     t = ThreadedTrie(16, 2)
     t.insert(0x11, 0x11)
     t.insert(0x31, 0x31)
-    for walk in (t.keys(), t.items()):
-        first = next(walk)
-        assert first in (0x11, (0x11, 0x11))
-        t.delete(0x11)
-        t.insert(0x0F, 0x0F)
-        with pytest.raises(RuntimeError):
-            next(walk)
-        t.delete(0x0F)
-        t.insert(0x11, 0x11)
+    walk = t.items()
+    assert next(walk) == (0x11, 0x11)
+    t.delete(0x11)
+    t.insert(0x0F, 0x0F)
+    with pytest.raises(RuntimeError):
+        next(walk)
+    t.delete(0x0F)
+    t.insert(0x11, 0x11)
     # failed updates change nothing, so a walk goes on
-    walk = t.keys()
-    assert next(walk) == 0x11
+    walk = t.items()
+    assert next(walk) == (0x11, 0x11)
     with pytest.raises(ValueError):
         t.insert(0x31, 0x31)
     with pytest.raises(KeyError):
         t.delete(0x20)
-    assert list(walk) == [0x31]
+    assert list(walk) == [(0x31, 0x31)]
 
 
 def same_slots(a, b):
@@ -381,7 +379,8 @@ def test_from_sorted_trie_takes_updates():
     for key in range(0, 64, 6):
         t.delete(key)
     assert t.validate() == []
-    assert list(t.keys()) == sorted([*range(3, 64, 6), *range(1, 64, 6)])
+    assert [k for k, _ in t.items()] == sorted([*range(3, 64, 6),
+                                               *range(1, 64, 6)])
 
 
 def test_from_sorted_rejects_out_of_range_keys():
@@ -502,12 +501,12 @@ def test_int_like_keys_and_shape_are_stored_as_ints():
     assert type(t.radix) is int and type(t.width) is int
     assert type(t.capacity) is int and t.capacity == 256
     t.insert(np.int64(5), "x")
-    assert [type(k) for k in t.keys()] == [int] and t.validate() == []
+    assert [type(k) for k, _ in t.items()] == [int] and t.validate() == []
     assert t.find(np.int64(5)) == "x"
     assert t.succ_geq(np.int64(4)) == "x"
     assert t.delete(np.int64(5)) == "x" and len(t) == 0
     built = ThreadedTrie.from_sorted(16, 2, [(np.int64(3), "a"), (7, "b")])
-    assert [type(k) for k in built.keys()] == [int, int]
+    assert [type(k) for k, _ in built.items()] == [int, int]
     assert built.validate() == []
 
 
