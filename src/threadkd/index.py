@@ -441,19 +441,21 @@ class KdPointIndex:
     # The first node's marker, trees[i].trie[first], is the group's member
     # count (an int) or its trie.
 
-    def _group_last(self, i: int, path: list[int], p: tuple,
+    def _group_last(self, i: int, path: list[int],
                     stats: Optional[VisitStats]) -> int:
         """Last level-i node before the group after p[:i]'s, or DUMMY
         when level i is empty.  That group hangs under the next node one
         level up, unless that node is a leaf, which has none: then the
-        position is found by key (``last_below``), as for an expansion."""
+        position is the last node below the leaf's point, found by key
+        (``last_below``) as for an expansion, since no level-i key lies
+        between p[:i]'s group and that point."""
         above, tree = self.above[i], self.trees[i]
         s = above.in_succ(path[i], stats)
         if s == DUMMY:
             return tree.last(stats)
         g = above.cross[s]
         if type(g) is tuple:
-            return tree.last_below(p[:i + 1], stats)
+            return tree.last_below(g, stats)
         return tree.in_pred(g, stats)
 
     def _set_group_first(self, i: int, path: list[int],
@@ -563,7 +565,7 @@ class KdPointIndex:
             else:
                 # at the end of the group or, opening one, after the
                 # groups before it
-                pos = self._group_last(i, path, p, stats)
+                pos = self._group_last(i, path, stats)
             h = tree.insert_after(pos, p if i else p[:1], stats)
             tree.coord[h] = p[i]
             if 0 < i < k - 1:
