@@ -38,7 +38,9 @@ coordinate without touching its tuple.
 Every group-first node carries a marker in its ``trie`` column; no other
 node does.  A group of more than ``T`` members keeps a successor-threaded
 trie mapping the members' level coordinate to their tree handles, a
-``ThreadedTrie``, whose lookups answer with the handle itself.  A
+``ThreadedTrie``, whose slots hold the handles themselves and whose
+lookups answer with them; it reads a handle's key from the level's
+``coord`` column, so the coordinate is stored once.  A
 smaller group keeps its member count, a positive int, and its successor
 lookup walks at most ``T`` inorder threads from the first member instead
 (adaptive node sizing, as in Leis, Kemper and Neumann, "The Adaptive
@@ -245,7 +247,7 @@ class KdPointIndex:
         coordinate value, so a walk in key order reads points that lie in
         that order in memory.  The last level and the leaves hold them,
         each inner level slices them, and each level's ``coord`` column
-        is cut from the same column lists and becomes the tries' keys, so
+        is cut from the same column lists and is the tries' key map, so
         the whole load shares one int per value.  Each level's tree is
         linked as ``ThreadedAvlTree.from_sorted`` links it and takes its
         payload columns, each made once with its final contents.  Its
@@ -365,9 +367,9 @@ class KdPointIndex:
             # temporaries are gone
             long = sizes > T
             if long.any():
-                # the keys and values are sliced from these lists, so the
-                # tries share the points' coordinate ints and the handles;
-                # the numpy column has a cell for the dummy too
+                # the tries hold the handles and read their keys from
+                # the coord column; the numpy column has a cell for the
+                # dummy too
                 tries = ThreadedTrie.level_tries(
                     self.radix, self.width, np.insert(rows[mask, i], 0, 0),
                     coord, handles, firsts[long], (firsts + sizes)[long])
@@ -394,24 +396,29 @@ class KdPointIndex:
 
     def describe(self) -> dict:
         """The index's shape, level by level: its nodes, leaves and
-        groups, how many groups have each size, how many keep a trie, and
-        the tree's height beside its AVL bound.  Groups are read from
-        their markers; ``validate`` checks that the markers count the
-        groups' members."""
+        groups, how many groups have each size, how many keep a trie and
+        how many live nodes those tries hold, roots included, and the
+        tree's height beside its AVL bound.  Groups are read from their
+        markers; ``validate`` checks that the markers count the groups'
+        members."""
         levels = []
         for i, tree in enumerate(self.trees):
             sizes: Counter = Counter()
-            leaves = tries = 0
+            leaves = tries = trie_nodes = 0
             for h in tree.inorder():
                 leaves += type(tree.cross[h]) is tuple
                 marker = tree.trie[h]
-                if marker is not None:
-                    tries += type(marker) is not int
-                    sizes[marker if type(marker) is int else marker.size] += 1
+                if type(marker) is int:
+                    sizes[marker] += 1
+                elif marker is not None:
+                    tries += 1
+                    trie_nodes += marker.nodes()
+                    sizes[marker.size] += 1
             levels.append({
                 "level": i, "nodes": tree.size, "leaves": leaves,
                 "groups": sum(sizes.values()),
                 "group_sizes": dict(sorted(sizes.items())), "tries": tries,
+                "trie_nodes": trie_nodes,
                 "height": tree.height(),
                 "height_bound": round(tree.height_bound(), 2)})
         return {"k": self.k, "points": len(self), "levels": levels}
@@ -469,22 +476,22 @@ class KdPointIndex:
 
     def _group_trie(self, i: int, first: int, n: int,
                     stats: Optional[VisitStats]) -> ThreadedTrie:
-        """A trie over the ``n`` members of the level-i group from ``first``.
+        """A trie over the ``n`` members of the level-i group from ``first``,
+        reading their keys from the level's ``coord`` column.
 
-        Its columns are made at their final length, so the trie holds no
-        spare list capacity.  The walk steps by the tree's ``succ``
+        The walk lists the handles, and steps by the tree's ``succ``
         column in this frame, each step one ``threads_followed``, as
         ``in_succ`` counts it."""
         tree = self.trees[i]
-        coord, succ = tree.coord, tree.succ
-        coords, handles = [coord[first]] * n, [first] * n
+        succ = tree.succ
+        handles = [first] * n
         h = first
         for a in range(1, n):
             h = handles[a] = succ[h]
-            coords[a] = coord[h]
         if stats is not None:
             stats.threads_followed += n - 1
-        return ThreadedTrie.from_columns(self.radix, self.width, coords, handles)
+        return ThreadedTrie.from_columns(self.radix, self.width, handles,
+                                         tree.coord)
 
     def _prefix_path(self, p: tuple, stats: Optional[VisitStats] = None
                      ) -> tuple[list[int], Optional[int], object]:
@@ -772,6 +779,10 @@ class KdPointIndex:
                 out += [f"{where} trie: {v}" for v in faults]
                 if marker.size <= T:
                     out.append(f"{where} keeps a trie (T = {T})")
+                if marker.key_of is not tree.coord:
+                    # the query walk settles a member by its coord cell
+                    out.append(f"{where} trie reads its keys from another "
+                               f"map than the level's coord column")
                 if faults:
                     # items() walks only a sound trie
                     continue

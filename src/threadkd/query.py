@@ -17,12 +17,13 @@ place its group would take, so it reaches the answer in order.
 The walk makes no call per member and none per group.  It takes each
 inorder step itself, as ``in_succ`` does, by one read of the tree's
 ``succ`` column.  It resolves each successor in its own frame too: a
-trie's with ``succ_geq``'s descent over the trie's columns, on lo's
-digits taken once per level, and a count group's with ``_small_succ``'s
-walk.  It reads a node's level coordinate from the tree's ``coord``
-column, not from the node's key tuple.  It keeps what the caller uses: a
-member's cross link on an inner level, its key on the last one, so no
-level builds a second list.
+trie's with ``succ_geq``'s descent over the trie's slots, on lo's
+digits taken once per level, settling a member met on the way by its
+``coord`` cell as the trie reads its keys, and a count group's with
+``_small_succ``'s walk.  It reads a node's level coordinate from the
+tree's ``coord`` column, not from the node's key tuple.  It keeps what
+the caller uses: a member's cross link on an inner level, its key on
+the last one, so no level builds a second list.
 
 They come out in lexicographic order: a level's groups are walked in
 the order of the members above that chose them, each group's members in
@@ -135,18 +136,17 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
     in range itself, group after group, with 0 <= lo <= hi < bound.
 
     No call is made per group or per member.  A trie group's successor
-    of lo is ``succ_geq``'s descent over the trie's columns, on lo's
-    digits taken once; a count group's is ``_small_succ``'s walk over at
-    most the count.  Inorder steps are taken inline, one read of the
-    tree's ``succ`` column each, and a node's level coordinate is read
-    from its ``coord`` cell.  The counts are summed in locals, as
-    ``succ_geq``, ``_small_succ`` and ``in_succ`` count them, and added
-    to ``stats`` once.
+    of lo is ``succ_geq``'s descent over the trie's slots, on lo's
+    digits taken once, which answers with the member's handle; a count
+    group's is ``_small_succ``'s walk over at most the count.  Inorder
+    steps are taken inline, one read of the tree's ``succ`` column each,
+    and a node's level coordinate is read from its ``coord`` cell.  The
+    counts are summed in locals, as ``succ_geq``, ``_small_succ`` and
+    ``in_succ`` count them, and added to ``stats`` once.
     """
     tree = index.trees[level]
     coord, tries, succ = tree.coord, tree.trie, tree.succ
     r = index.radix
-    s = r + 1   # cells in a trie row
     # lo's digits, most significant first; a loop, not a comprehension,
     # which costs a call of its own on CPython 3.11
     digits = []
@@ -196,21 +196,22 @@ def _level_members(index: KdPointIndex, level: int, groups: list[int],
                 ref = 0
                 for d in digits:
                     nodes += 1
-                    i = ref * s + d
+                    i = d - ref
                     ref = slots[i]
                     if ref == slots[i + 1]:
                         break
-                    if ref < 0:
-                        if marker.key[~ref] < lo:
+                    if ref >= 0:
+                        # a member, whose key is its coord cell
+                        if coord[ref] < lo:
                             ref = slots[i + 1]
                         break
                 if ref is None:
                     # past the group maximum
                     continue
-                while ref >= 0:
+                while ref < 0:
                     nodes += 1
-                    ref = slots[ref * s]
-                start = marker.value[~ref]
+                    ref = slots[-ref]
+                start = ref
         h = start
         while h:    # DUMMY, 0, ends the level
             if coord[h] > hi or (tries[h] is not None and h != start):

@@ -4,66 +4,70 @@ Keys are integers written as ``width`` digits in base ``radix``, most
 significant first, short keys zero-padded.  Each node owns ``radix``
 slots and stands for one digit prefix; the root stands for the empty
 one.  A non-root node exists only for a prefix that at least two stored
-keys share.  A slot whose subtree holds one key holds that key's entry
+keys share.  A slot whose subtree holds one key holds that key's value
 directly, at any depth (lazy expansion, as in Leis, Kemper and Neumann,
 "The Adaptive Radix Tree", ICDE 2013); a slot whose subtree holds more
 holds the next node.  Either way the slot is valid.  Every other slot
-holds a thread: a direct reference to the next valid node or entry in
+holds a thread: a direct reference to the next valid node or value in
 key order (the next valid ref inside the same node, or the node's
 ``up`` target when nothing follows locally).  ``up`` is the next valid
 ref after the node's whole subtree, so it is the thread one slot past
 the last.  The shape depends only on the stored keys, never on the
 order they came in.
 
-Threads make ``succ_geq`` a single root-to-entry descent: the first
+Threads make ``succ_geq`` a single root-to-value descent: the first
 invalid slot on the search path jumps straight to the subtree holding
 the answer, which is then resolved by following smallest valid slots
-down to an entry.  An entry met on the way is the only key under its
-prefix, so one compare settles it: the entry is the answer if its key
+down to a value.  A value met on the way is the only key under its
+prefix, so one compare settles it: the value is the answer if its key
 is at least the probe, and otherwise the ref after its slot is.  No
 walk ever backs up, so a lookup touches at most two root-to-bottom
-paths of nodes.  ``find`` stops at the first entry with the same
+paths of nodes.  ``find`` stops at the first value with the same
 compare.
 
 Inserts and deletes repair the threads with one routine, ``_rethread``:
 the empty slots left of the changed slot, and the chain of largest-valid
 slots under the first valid one, all end right before the change, so
 each gets the new next reference.  An insert into an empty slot writes
-its entry there.  One that meets another key's entry *splits* it: the
+its value there.  One that meets another key's value *splits* it: the
 nodes for the digits the two keys still share, and one node holding
-both, replace the entry in its slot.  A delete clears the entry's slot,
+both, replace the value in its slot.  A delete clears the value's slot,
 unless that leaves a non-root node with one key: then the node *folds*,
 together with each one-slot node above it, and the highest slot that
-survives takes the remaining entry.  Cost is bounded by radix * width
-slot writes.  ``from_columns`` builds the same trie from sorted key and
-value columns, each node once, ``from_sorted`` from sorted pairs, and
+survives takes the remaining value.  Cost is bounded by radix * width
+slot writes.  ``from_columns`` builds the same trie from values in key
+order, each node once, ``from_sorted`` from sorted pairs, and
 ``level_tries`` many tries at once, a depth at a time on numpy arrays.
 
-Storage is flat: each trie owns one column per field and there is no
+Storage is flat: a trie owns one column, ``slots``, and there is no
 object per node or entry.  Node ``n`` is the row of ``radix + 1`` cells
-from ``n * (radix + 1)`` in ``slots``: its slots, then its ``up`` in
-cell ``radix``, so the ref after any slot is the next cell.  No flag
+from ``n * (radix + 1)``: its slots, then its ``up`` in cell ``radix``,
+so the ref after any slot is the next cell.  A cell holds one of three
+things, told apart by sign, as the Adaptive Radix Tree's combined
+pointer/value slots are by a tag: a stored value, which is a
+non-negative int; node ``n`` as the negative ref ``-n * (radix + 1)``,
+minus its first cell, so a descent reads cell ``d - ref``; or None
+where nothing follows.  The root is node 0 and is in no cell.  No flag
 is stored: a slot is valid exactly when its ref differs from the next
 cell's, as a thread repeats the ref after it and no ref is in two
-slots.  The root is node 0, and entry ``e`` maps
-``key[e]`` to ``value[e]``.  A cell holds a node id (>= 0), entry ``e``
-encoded as ``~e`` (-e - 1, so always < 0), or None where nothing
-follows.  Every trie takes its ``~e`` from one shared list, so an entry
-reference is not an int object of its own.  A delete puts the cells it
-drops on free lists, reused before a column grows: freed nodes chain
-through their up cell from ``free_node``, freed entries through ``key``
-from ``free_entry``, each chain ending in None.
+slots.  A stored value's key is read through ``key_of``, a value-to-key
+map the trie is given: in the index, a group trie's values are its
+members' tree handles and its map is the level's ``coord`` column, so
+a key is stored once, in the tree.  A trie given no map keeps a dict of
+its own, which its inserts and deletes keep.  A delete puts the nodes it
+drops on a free list, reused before the column grows: freed nodes chain
+through their up cell from ``free_node``, the chain ending in None.
 
-Lookups and updates answer with the stored value, or None for no
-answer, so no call makes an object and None is never a stored value.
-Callers that look at the structure read the columns.
+Values are distinct non-negative ints.  Lookups and updates answer with
+the stored value, or None for no answer, so no call makes an object.
+Callers that look at the structure read the column.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +93,16 @@ def as_coordinate(c, what: str = "coordinate",
     return c
 
 
+def _as_value(v) -> int:
+    """``v`` as a storable value, a plain non-negative int under the
+    coordinate rule; ValueError for None, a bool, a non-integer or a
+    negative int."""
+    v = as_coordinate(v, "value")
+    if v < 0:
+        raise ValueError(f"value {v} is negative; values are ints >= 0")
+    return v
+
+
 def _trie_shape(radix, width) -> tuple[int, int]:
     """``radix`` and ``width`` as plain ints under ``as_coordinate``;
     ValueError unless radix >= 2 and width >= 1."""
@@ -107,19 +121,6 @@ def _shape(radix: int, width: int) -> tuple[int, tuple[int, ...]]:
     return radix ** width, tuple(radix ** (width - 1 - i) for i in range(width))
 
 
-# _REFS[e] == ~e, the slot reference of entry e.  Every trie takes its
-# references from here, so each is one int object however many slots and
-# tries hold it (the interpreter shares only the ints from -5 to 256).
-_REFS: list[int] = []
-
-
-def _entry_refs(n: int) -> list[int]:
-    """``_REFS``, grown to hold the references of entries 0 to n - 1."""
-    if len(_REFS) < n:
-        _REFS.extend(range(~len(_REFS), ~n, -1))
-    return _REFS
-
-
 # Tries whose slot lists ``level_tries`` makes with one fancy
 # index and one ``tolist`` each, before each trie slices its own.  On
 # lead-narrow's build (4,097 tries), 16 to 1,024 build alike and 7 to 15%
@@ -128,12 +129,13 @@ def _entry_refs(n: int) -> list[int]:
 _BATCH = 256
 
 
-def _level_codes(r: int, powers: tuple, column: np.ndarray,
+def _level_codes(r: int, powers: tuple, column: np.ndarray, values: list,
                  starts: np.ndarray, sizes: np.ndarray) -> tuple:
     """The numpy half of ``ThreadedTrie.level_tries``: for the groups of
     ``sizes[g]`` keys from ``column[starts[g]]``, the object table and,
     trie after trie in node order, every node's row of ``r + 1`` codes,
-    ``up`` last, with ``first_node[g]``, the row of group g's root.
+    ``up`` last, with ``first_node[g]``, the row of group g's root, each
+    row's group's ``starts[g]`` and m, the largest group.
 
     A group's node at depth d >= 1 is a maximal run of neighbour pairs
     that share at least d leading digits, and a key sits alone in a slot
@@ -144,10 +146,14 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     rows are filled a depth at a time: one pass over the columns from the
     right, ``up`` standing as the last column, points every empty slot of
     every node's row at the next valid one, and a child's ``up`` is its
-    parent's filled cell at the child's digit + 1.  A code is entry e's
-    ``e``, node n's ``m + n`` or None's ``m + most_nodes``, where m is the
-    largest group, and the table maps it to ``_REFS``' own int, n or None.
-    Its temporaries end with the call, before the lists are made.
+    parent's filled cell at the child's digit + 1.  A code is the e-th
+    value of its group's ``e``, node n's ``m + n`` or None's
+    ``m + most_nodes``, in the smallest dtype that holds them.  The
+    table, indexed by a code rebased as ``level_tries`` rebases it, the
+    value's column position a or the code + v - m, where v is
+    ``len(column)``, maps it to ``values[a]`` itself, n's ref
+    ``-n * (r + 1)`` or None.  Its temporaries end with the call, before
+    the lists are made.
     """
     w = len(powers)
     # the groups' keys side by side: group g holds positions
@@ -198,14 +204,16 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
     local = rank - first_node[group_all]
 
     m, most_nodes = int(sizes.max()), int(per_group.max())
-    table = np.empty(m + most_nodes + 1, object)
-    table[:m] = _entry_refs(m)[:m]
-    table[m:-1] = range(most_nodes)
+    v = len(column)
+    table = np.empty(v + most_nodes + 1, object)
+    table[:v] = values[:v]
+    table[v:-1] = range(0, -most_nodes * (r + 1), -(r + 1))
     table[-1] = None
     none = m + most_nodes
-    entry_code = (np.arange(total) - first[group_of]).astype(
-        np.min_scalar_type(m))
     code = np.min_scalar_type(none)
+    value_code = (np.arange(total) - first[group_of]).astype(code)
+    # each row's group's first column position, which a value code adds
+    row_start = np.repeat(starts, per_group)
     slot_codes = np.empty((len(rank), r + 1), code)
     up = np.full(counts[0], none, code)
     at = 0
@@ -216,10 +224,10 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         row = np.empty((n_d, r + 1), code, order="F")
         valid = np.zeros((n_d, r), bool, order="F")
         row[:, r] = up
-        # the entries at this depth, each in its node's row
+        # the values at this depth, each in its node's row
         keys_here = np.flatnonzero(depth_of == d)
         where = np.searchsorted(lo, keys_here, "right") - 1
-        row[where, digits[keys_here, d]] = entry_code[keys_here]
+        row[where, digits[keys_here, d]] = value_code[keys_here]
         valid[where, digits[keys_here, d]] = True
         # the nodes one deeper, each in its parent's row
         if d + 1 < w:
@@ -237,146 +245,153 @@ def _level_codes(r: int, powers: tuple, column: np.ndarray,
         if d + 1 < w:
             up = row[parent, child_digit + 1]
         at += n_d
-    return table, slot_codes, first_node
+    return table, slot_codes, first_node, row_start, m
 
 
 class ThreadedTrie:
     """Successor-threaded radix trie mapping ints in [0, radix**width) to
-    payloads other than None.  Lookups and updates answer with the stored
-    value, or None.
+    distinct non-negative ints.  Lookups and updates answer with the
+    stored value, or None.
 
-    ``radix``, ``width`` and the keys follow ``as_coordinate``: int-likes
-    are stored as plain ints, bools and non-integers raise ValueError."""
+    ``key_of`` maps each stored value to its key; a trie given none keeps
+    a dict of its own.  ``radix``, ``width``, the keys and the values
+    follow ``as_coordinate``: int-likes are stored as plain ints, bools
+    and non-integers raise ValueError, and so do None and a negative
+    value."""
 
     __slots__ = ("radix", "width", "capacity", "size", "_pow", "slots",
-                 "key", "value", "free_node", "free_entry", "mutations")
+                 "key_of", "own_map", "free_node", "mutations")
 
-    def __init__(self, radix: int, width: int):
+    def __init__(self, radix: int, width: int, key_of=None):
         radix, width = _trie_shape(radix, width)
         # the root, empty: every slot threads to what follows, nothing
-        self._columns(radix, width, [None] * (radix + 1), [], [])
+        self._columns(radix, width, [None] * (radix + 1), key_of, 0)
 
-    def _columns(self, radix: int, width: int, slots: list, key: list,
-                 value: list) -> None:
-        """Set every field: the shape, the given columns, one entry per
-        key, no free cell and the counter zeroed."""
+    def _columns(self, radix: int, width: int, slots: list, key_of,
+                 size: int) -> None:
+        """Set every field: the shape, the slot column, the map (a dict of
+        the trie's own for None), the size, no free node and the counter
+        zeroed."""
         self.radix = radix
         self.width = width
         self.capacity, self._pow = _shape(radix, width)
-        self.size = len(key)
+        self.size = size
         self.slots = slots
-        self.key = key
-        self.value = value
+        self.own_map = key_of is None
+        self.key_of = {} if key_of is None else key_of
         self.free_node: Optional[int] = None
-        self.free_entry: Optional[int] = None
         # bumped by every insert and delete, so items() can tell that the
         # trie changed under it
         self.mutations = 0
 
     @classmethod
     def from_sorted(cls, radix: int, width: int,
-                    items: Sequence[tuple[int, Any]]) -> "ThreadedTrie":
+                    items: Sequence[tuple[int, int]]) -> "ThreadedTrie":
         """Trie holding ``items``, (key, value) pairs in strictly increasing
-        key order; slot for slot what inserting them one by one builds.
-        ValueError for a None value.  See ``from_columns``."""
-        if not items:
-            return cls(radix, width)
-        keys, values = map(list, zip(*items))
-        keys = [as_coordinate(k, "key") for k in keys]
-        if any(v is None for v in values):
-            raise ValueError("None is not a storable value")
-        return cls.from_columns(radix, width, keys, values)
+        key order, with a map of its own; slot for slot what inserting
+        them one by one builds.  ValueError for a value that is not a
+        non-negative int, or one given twice.  See ``from_columns``."""
+        own = {}
+        for key, value in items:
+            own[_as_value(value)] = as_coordinate(key, "key")
+        if len(own) < len(items):
+            raise ValueError("a value is given twice")
+        trie = cls.from_columns(radix, width, list(own), own)
+        trie.own_map = True
+        return trie
 
     @classmethod
-    def from_columns(cls, radix: int, width: int, keys: list[int],
-                     values: list) -> "ThreadedTrie":
-        """Trie mapping ``keys[a]`` to ``values[a]``, keys in strictly
-        increasing order; the two lists, of equal length, become its
-        ``key`` and ``value`` columns as they are, not copied.
+    def from_columns(cls, radix: int, width: int, values: list,
+                     key_of) -> "ThreadedTrie":
+        """Trie holding ``values``, whose keys ``key_of[v]`` strictly
+        increase, and reading its keys through ``key_of``, which it
+        keeps as it is, not copied, and never writes.
 
         Each node is created once and its slots are filled run by run:
         the keys sharing a digit at a node form one run, and runs are
         taken right to left, so every thread and ``up`` target already
-        exists when it is written.  Key ``a`` becomes entry ``a``, and a
-        run of one key puts it in the run's slot.  The first and last
-        keys are checked against the capacity; key order and the other
-        keys' type are not checked here, ``validate()`` reports a
-        violation.  Values are never None, not checked here.
+        exists when it is written.  A run of one key puts its value in
+        the run's slot.  The first and last keys are checked against the
+        capacity; key order, the other keys' type and the values are not
+        checked here, ``validate()`` reports a violation.
         """
-        trie = cls(radix, width)
-        if keys:
-            as_coordinate(keys[0], "key", trie.capacity)
-            as_coordinate(keys[-1], "key", trie.capacity)
-            trie._columns(trie.radix, trie.width, trie.slots, keys, values)
-            trie._fill(0, keys, _entry_refs(len(keys)), 0, len(keys), 0)
+        trie = cls(radix, width, key_of)
+        if values:
+            as_coordinate(key_of[values[0]], "key", trie.capacity)
+            as_coordinate(key_of[values[-1]], "key", trie.capacity)
+            trie.size = len(values)
+            trie._fill(0, values, 0, len(values), 0)
         return trie
 
     @classmethod
     def level_tries(cls, radix: int, width: int, column: np.ndarray,
-                    keys: list, values: list, starts: Sequence[int],
+                    key_of, values: list, starts: Sequence[int],
                     ends: Sequence[int]) -> list:
-        """One trie per group ``keys[s:e]`` for ``s, e`` in ``starts``,
+        """One trie per group ``values[s:e]`` for ``s, e`` in ``starts``,
         ``ends``, column for column the trie ``from_columns(radix, width,
-        keys[s:e], values[s:e])`` builds, from ``width`` numpy passes.
+        values[s:e], key_of)`` builds, from ``width`` numpy passes.
 
-        ``column`` is ``keys`` as a numpy array, ``int64`` or ``object``
-        (ints past 2**63); each group holds distinct keys in increasing
-        order, all in [0, radix**width), and no value is None, which is
-        not checked here.
-        ``_level_codes`` computes every cell as a code; one object table
-        turns its rows, ``up`` cells included, into a slot list, so an
-        entry reference is ``_REFS``' own int and no cell makes an object.
-        The lists are made for ``_BATCH`` tries at a time, and each trie
-        takes exact-size slices of its batch's, so at most one batch's
-        lists are held beside the tries' own.
+        ``column[a]`` is ``key_of[values[a]]`` as a numpy array, ``int64``
+        or ``object`` (ints past 2**63), for every position a group takes;
+        each group holds distinct keys in increasing order, all in
+        [0, radix**width), and distinct non-negative values, which is not
+        checked here.  ``_level_codes`` computes every cell as a small
+        code; rebased a batch at a time, one object table turns its rows,
+        ``up`` cells included, into a slot list, so a cell holds the
+        caller's own value int and no cell makes an object.  The lists are
+        made for ``_BATCH`` tries at a time, and each trie takes
+        exact-size slices of its batch's, so at most one batch's lists are
+        held beside the tries' own.
         """
         r, w = _trie_shape(radix, width)
         starts = np.asarray(starts, np.int64)
         sizes = np.asarray(ends, np.int64) - starts
         if not len(sizes):
             return []
-        table, slot_codes, first_node = _level_codes(
-            r, _shape(r, w)[1], column, starts, sizes)
-        ends = (starts + sizes).tolist()
-        starts, first_node = starts.tolist(), first_node.tolist()
+        table, slot_codes, first_node, row_start, m = _level_codes(
+            r, _shape(r, w)[1], column, values, starts, sizes)
+        v = len(column)
+        sizes, first_node = sizes.tolist(), first_node.tolist()
         out = []
-        for g0 in range(0, len(starts), _BATCH):
-            g1 = min(g0 + _BATCH, len(starts))
+        for g0 in range(0, len(sizes), _BATCH):
+            g1 = min(g0 + _BATCH, len(sizes))
             lo, hi = first_node[g0], first_node[g1]
-            slots = table[slot_codes[lo:hi]].ravel().tolist()
+            # a value's code, its place in its group, becomes its column
+            # position, and a node's or None's moves past the values
+            codes = slot_codes[lo:hi].astype(np.intp)
+            codes += np.where(codes < m, row_start[lo:hi, None], v - m)
+            slots = table[codes].ravel().tolist()
             for g in range(g0, g1):
                 a = (first_node[g] - lo) * (r + 1)
                 b = (first_node[g + 1] - lo) * (r + 1)
-                s, e = starts[g], ends[g]
                 trie = cls.__new__(cls)
-                trie._columns(r, w, slots[a:b], keys[s:e], values[s:e])
+                trie._columns(r, w, slots[a:b], key_of, sizes[g])
                 out.append(trie)
         return out
 
-    def _fill(self, n: int, keys: Sequence[int], refs: Sequence[int],
-              lo: int, hi: int, depth: int,
-              stats: Optional[VisitStats] = None) -> None:
-        # node n's subtree holds keys[lo:hi], whose entry references are
-        # refs[lo:hi], and its up is set; each run of one digit becomes a
-        # valid slot, the empty slots before a run thread to its subtree
-        # and those after the last run to the up
+    def _fill(self, n: int, values: Sequence[int], lo: int, hi: int,
+              depth: int, stats: Optional[VisitStats] = None) -> None:
+        # the subtree of node ref n holds values[lo:hi] and its up is set;
+        # each run of one digit becomes a valid slot, the empty slots
+        # before a run thread to its subtree and those after the last
+        # run to the up
         r = self.radix
         p = self._pow[depth]
-        slots = self.slots
-        base = n * (r + 1)
+        slots, key_of = self.slots, self.key_of
+        base = -n
         nxt, end, b = slots[base + r], r, hi
         while b > lo:
-            d = keys[b - 1] // p % r
+            d = key_of[values[b - 1]] // p % r
             a = b - 1
-            while a > lo and keys[a - 1] // p % r == d:
+            while a > lo and key_of[values[a - 1]] // p % r == d:
                 a -= 1
             if a == b - 1:
-                ref = refs[a]
+                ref = values[a]
             else:
                 ref = self._new_node(nxt)
                 if stats is not None:
                     stats.trie_nodes_visited += 1
-                self._fill(ref, keys, refs, a, b, depth + 1, stats)
+                self._fill(ref, values, a, b, depth + 1, stats)
             slots[base + d + 1:base + end] = [nxt] * (end - d - 1)
             slots[base + d] = ref
             nxt, end, b = ref, d, a
@@ -385,44 +400,34 @@ class ThreadedTrie:
     def __len__(self) -> int:
         return self.size
 
+    def nodes(self) -> int:
+        """Live nodes, the root included: the rows of ``slots`` less those
+        on the free list."""
+        n, free = len(self.slots) // (self.radix + 1), self.free_node
+        while free is not None:
+            n, free = n - 1, self.slots[self.radix - free]
+        return n
+
     # -- cells -----------------------------------------------------------
 
     def _new_node(self, up) -> int:
-        """A node with no valid slot, every slot threaded to ``up``."""
+        """The ref of a node with no valid slot, every slot threaded to
+        ``up``."""
         s = self.radix + 1
-        n = self.free_node
-        if n is None:
-            n = len(self.slots) // s
+        ref = self.free_node
+        if ref is None:
+            ref = -len(self.slots)
             self.slots += [up] * s
         else:
-            b = n * s
+            b = -ref
             self.free_node = self.slots[b + s - 1]
             self.slots[b:b + s] = [up] * s
-        return n
-
-    def _new_entry(self, key: int, value: Any) -> int:
-        """The slot reference, ~e, of a new entry e."""
-        e = self.free_entry
-        if e is None:
-            e = len(self.key)
-            self.key.append(key)
-            self.value.append(value)
-        else:
-            self.free_entry = self.key[e]
-            self.key[e] = key
-            self.value[e] = value
-        return _REFS[e] if e < len(_REFS) else _entry_refs(e + 1)[e]
+        return ref
 
     def _free(self, ref: int) -> None:
-        """Put the node or entry ``ref`` on its free list."""
-        if ref >= 0:
-            self.slots[ref * (self.radix + 1) + self.radix] = self.free_node
-            self.free_node = ref
-        else:
-            e = ~ref
-            self.key[e] = self.free_entry
-            self.value[e] = None
-            self.free_entry = e
+        """Put the node ``ref`` on the free list."""
+        self.slots[self.radix - ref] = self.free_node
+        self.free_node = ref
 
     # -- lookups ---------------------------------------------------------
 
@@ -434,21 +439,21 @@ class ThreadedTrie:
         for p in self._pow:
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            i = node * (r + 1) + key // p % r
+            i = key // p % r - node
             node = slots[i]
             if node == slots[i + 1]:
                 # a thread: no key has this prefix
                 return None
-            if node < 0:
+            if node >= 0:
                 # the only key under this prefix
-                return self.value[~node] if self.key[~node] == key else None
+                return node if self.key_of[node] == key else None
 
     def succ_geq(self, key: int, stats: Optional[VisitStats] = None):
         """Value of the smallest stored key >= ``key``, or None.
 
         Descends the search path until the first invalid slot, whose
         thread lands on the subtree holding the answer, or the first
-        entry, which answers itself if its key is large enough and
+        value, which answers itself if its key is large enough and
         otherwise leaves the answer to the ref after its slot.  What
         the descent lands on is resolved by smallest valid slots, in the
         same frame.  Keys past the capacity have no successor; negative
@@ -464,48 +469,47 @@ class ThreadedTrie:
             if key < 0:
                 key = 0
             r, slots = self.radix, self.slots
-            s = r + 1
             ref = 0
             for p in self._pow:
                 visited += 1
-                i = ref * s + key // p % r
+                i = key // p % r - ref
                 ref = slots[i]
                 if ref == slots[i + 1]:
                     # a thread, to the subtree holding the answer
                     break
-                if ref < 0:
+                if ref >= 0:
                     # the only key under this prefix
-                    if self.key[~ref] < key:
+                    if self.key_of[ref] < key:
                         ref = slots[i + 1]
                     break
-            # the bottom level holds only entries, so the loop broke;
+            # the bottom level holds only values, so the loop broke;
             # a node's slot 0 holds its smallest valid ref or threads to it
             if ref is not None:
-                while ref >= 0:
+                while ref < 0:
                     visited += 1
-                    ref = slots[ref * s]
+                    ref = slots[-ref]
         if stats is not None:
             stats.trie_lookups += 1
             stats.trie_nodes_visited += visited
-        return None if ref is None else self.value[~ref]
+        return ref
 
-    def items(self) -> Iterator[tuple[int, Any]]:
+    def items(self) -> Iterator[tuple[int, int]]:
         """All (key, value) pairs in increasing key order.
 
         Raises RuntimeError on the next step after an insert or delete,
         as iterating a dict does after a change.
         """
         r = self.radix
-        slots, key, value = self.slots, self.key, self.value
+        slots, key_of = self.slots, self.key_of
 
-        def walk(n):
-            for i in range(n * (r + 1), n * (r + 1) + r):
+        def walk(b):
+            for i in range(b, b + r):
                 ref = slots[i]
                 if ref != slots[i + 1]:
-                    if ref < 0:
-                        yield key[~ref], value[~ref]
+                    if ref >= 0:
+                        yield key_of[ref], ref
                     else:
-                        yield from walk(ref)
+                        yield from walk(-ref)
 
         stamp = self.mutations
         for item in walk(0):
@@ -515,49 +519,54 @@ class ThreadedTrie:
 
     # -- updates ---------------------------------------------------------
 
-    def insert(self, key: int, value: Any,
-               stats: Optional[VisitStats] = None):
+    def insert(self, key: int, value: int,
+               stats: Optional[VisitStats] = None) -> int:
         """Store ``key`` -> ``value`` and return ``value``; ValueError on
-        a duplicate key or a None value."""
+        a duplicate key, a value that is not a non-negative int, or one
+        the map gives another key: with a map of the trie's own, a value
+        stored already, and with a given map, one whose key is not set."""
         if type(key) is not int or not 0 <= key < self.capacity:
             key = as_coordinate(key, "key", self.capacity)
-        if value is None:
-            raise ValueError("None is not a storable value")
-        r, slots, key_of = self.radix, self.slots, self.key
+        if type(value) is not int or value < 0:
+            value = _as_value(value)
+        r, slots, key_of = self.radix, self.slots, self.key_of
         node = 0
         for depth, p in enumerate(self._pow):
             d = key // p % r
-            i = node * (r + 1) + d
+            i = d - node
             if stats is not None:
                 stats.trie_nodes_visited += 1
             other = slots[i]
-            if other == slots[i + 1]:
-                # the thread's slot takes the entry
-                ref = self._new_entry(key, value)
-            elif other >= 0:
-                node = other
-                continue
-            else:
-                # split: the two keys' nodes replace the other's entry
-                g = key_of[~other]
-                if g == key:
-                    raise ValueError(f"duplicate key {key}")
-                entry = self._new_entry(key, value)
-                keys, refs = (((g, key), (other, entry)) if g < key
-                              else ((key, g), (entry, other)))
-                ref = self._new_node(slots[i + 1])
-                if stats is not None:
-                    stats.trie_nodes_visited += 1
-                self._fill(ref, keys, refs, 0, 2, depth + 1, stats)
-            # the slot takes the new ref, and so do the threads before it,
-            # which led where the slot did
-            self._rethread(node, d, other, ref, stats)
-            break
+            # a thread or a value ends the descent; the bottom level
+            # holds no node
+            if other == slots[i + 1] or other >= 0:
+                break
+            node = other
+        split = other != slots[i + 1]
+        if split and key_of[other] == key:
+            raise ValueError(f"duplicate key {key}")
+        if self.own_map:
+            key_of.setdefault(value, key)
+        if key_of[value] != key:
+            raise ValueError(f"value {value} has key {key_of[value]!r} in "
+                             f"the map, not {key}")
+        # the thread's slot takes the value, or on a split the two keys'
+        # nodes replace the other's value
+        ref = value
+        if split:
+            pair = (other, value) if key_of[other] < key else (value, other)
+            ref = self._new_node(slots[i + 1])
+            if stats is not None:
+                stats.trie_nodes_visited += 1
+            self._fill(ref, pair, 0, 2, depth + 1, stats)
+        # the slot takes the new ref, and so do the threads before it,
+        # which led where the slot did
+        self._rethread(node, d, other, ref, stats)
         self.size += 1
         self.mutations += 1
         return value
 
-    def delete(self, key: int, stats: Optional[VisitStats] = None):
+    def delete(self, key: int, stats: Optional[VisitStats] = None) -> int:
         """Remove ``key``; returns its value.  Raises KeyError if absent."""
         if type(key) is not int or not 0 <= key < self.capacity:
             key = as_coordinate(key, "key", self.capacity)
@@ -567,23 +576,22 @@ class ThreadedTrie:
             d = key // p % r
             if stats is not None:
                 stats.trie_nodes_visited += 1
-            b = node * (r + 1)
+            b = -node
             i = b + d
             ref = slots[i]
             if ref == slots[i + 1]:
                 raise KeyError(key)
-            if ref < 0:
+            if ref >= 0:
                 break
-            # the fold would stop here: the deepest node above the entry
+            # the fold would stop here: the deepest node above the value
             # that is the root or keeps another slot; a slot is alone in
             # its node only if the threads on both sides reach past it:
             # slot 0 to it, the cell after it to up
             if node == 0 or slots[b] != ref or slots[i + 1] != slots[b + r]:
                 cut, cut_d, cut_i = node, d, i
             node = ref
-        if self.key[~ref] != key:
+        if self.key_of[ref] != key:
             raise KeyError(key)
-        value = self.value[~ref]
         other = None
         if node:
             # two valid slots: the row is three runs, theirs and the up's,
@@ -594,29 +602,30 @@ class ThreadedTrie:
             a = slots.index(slots[u - 1], b)
             if a > b and slots[a - 1] == slots[b]:
                 other = slots[i + 1] if slots[b] == ref else slots[b]
-        if other is not None and other < 0:
+        if other is not None and other >= 0:
             # fold: the node and the one-slot nodes above it go, and the
-            # cut's slot takes the other entry
+            # cut's slot takes the other value
             dropped = slots[cut_i]
             self._rethread(cut, cut_d, dropped, other, stats)
             while dropped != node:
-                below = slots[dropped * (r + 1)]
+                below = slots[-dropped]
                 self._free(dropped)
                 dropped = below
             self._free(node)
         else:
             # slot d becomes a thread to the ref after it
             self._rethread(node, d, ref, slots[i + 1], stats)
-        self._free(ref)
+        if self.own_map:
+            del self.key_of[ref]
         self.size -= 1
         self.mutations += 1
-        return value
+        return ref
 
     def _rethread(self, node: int, j: int, old, target,
                   stats: Optional[VisitStats]) -> None:
-        """Write ``target`` over the run of ``node``'s cells holding
-        ``old`` that ends at cell ``j``: a slot, with the threads before
-        it that led where it did.
+        """Write ``target`` over the run of node ref ``node``'s cells
+        holding ``old`` that ends at cell ``j``: a slot, with the threads
+        before it that led where it did.
 
         The valid slot left of the run holds the subtree that ended right
         before ``old`` and now ends right before ``target``, and so does
@@ -627,13 +636,13 @@ class ThreadedTrie:
         while True:
             # the cells holding one ref are contiguous in a row, so the
             # run starts at its first
-            b = node * (r + 1)
+            b = -node
             a = slots.index(old, b, b + j + 1)
             slots[a:b + j + 1] = [target] * (b + j + 1 - a)
             if a == b:
                 return
             node = slots[a - 1]
-            if node < 0:
+            if node >= 0:
                 return
             if stats is not None:
                 stats.trie_nodes_visited += 1
@@ -642,20 +651,25 @@ class ThreadedTrie:
     # -- verification ----------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check structure, key placement, every up and the free lists;
-        list violations.  A thread that does not repeat the cell after
-        it reads as a valid slot, reported as no node or entry or as a
-        ref reached twice."""
+        """Check structure, key placement, every up, the free list and a
+        map of the trie's own; list violations.  An entry is a slot
+        holding a value, named by that value.  A thread that does not
+        repeat the cell after it reads as a valid slot, reported as no
+        node or value or as a ref reached twice."""
         out: list[str] = []
         R, W, pw = self.radix, self.width, self._pow
         S = R + 1
-        slots, key = self.slots, self.key
-        nodes, entries = len(slots) // S, len(key)
-        if len(slots) != nodes * S or len(self.value) != entries:
-            return [f"columns disagree: {len(slots)} slots in rows of {S}, "
-                    f"{entries} keys and {len(self.value)} values"]
-        up = slots[R::S]
-        live_nodes, live_entries = {0}, set()
+        slots, key_of = self.slots, self.key_of
+        nodes = len(slots) // S
+        if len(slots) != nodes * S:
+            return [f"columns disagree: {len(slots)} slots in rows of {S}"]
+
+        def node_of(ref) -> Optional[int]:
+            # the node a ref names, the root 0 included, or None
+            ok = type(ref) is int and -len(slots) < ref <= 0 and not ref % S
+            return -ref // S if ok else None
+
+        live_nodes, live_values = {0}, set()
 
         def walk(n: int, depth: int, prefix: int) -> int:
             # the number of keys under node n, whose digits so far are prefix
@@ -665,26 +679,29 @@ class ThreadedTrie:
                 if ref == slots[n * S + d + 1]:
                     continue
                 at = prefix * R + d
-                if type(ref) is int and -entries <= ref < 0:
-                    if ~ref in live_entries:
-                        out.append(f"entry {~ref} reached twice")
+                if type(ref) is int and ref >= 0:
+                    if ref in live_values:
+                        out.append(f"entry {ref} reached twice")
                         continue
-                    live_entries.add(~ref)
-                    k = key[~ref]
+                    live_values.add(ref)
                     held += 1
+                    try:
+                        k = key_of[ref]
+                    except LookupError:
+                        k = None    # the map gives the value no key
                     if not (type(k) is int and k // pw[depth] == at):
                         out.append(f"entry key {k!r} in the slot for prefix "
                                    f"{at} at depth {depth}")
                 elif depth == W - 1:
                     out.append(f"bottom slot {at}: not an entry")
-                elif not (type(ref) is int and 0 < ref < nodes):
+                elif (child := node_of(ref)) is None:
                     out.append(f"slot for prefix {at} at depth {depth}: "
                                f"not a node or an entry")
-                elif ref in live_nodes:
-                    out.append(f"node {ref} reached twice")
+                elif child in live_nodes:
+                    out.append(f"node {child} reached twice")
                 else:
-                    live_nodes.add(ref)
-                    held += walk(ref, depth + 1, at)
+                    live_nodes.add(child)
+                    held += walk(child, depth + 1, at)
             if held < 2 and n != 0:
                 out.append(f"node {n} at depth {depth} holds {held} "
                            f"key{'' if held == 1 else 's'}; only the root "
@@ -692,37 +709,41 @@ class ThreadedTrie:
             return held
 
         walk(0, 0, 0)
-        if len(live_entries) != self.size:
-            out.append(f"size {self.size} but {len(live_entries)} entries reachable")
+        if len(live_values) != self.size:
+            out.append(f"size {self.size} but {len(live_values)} entries "
+                       f"reachable")
+        if self.own_map and len(key_of) != len(live_values):
+            out.append(f"the trie's map holds {len(key_of)} values but "
+                       f"{len(live_values)} entries are reachable")
 
-        # every cell is either reachable from the root or on its free list
-        for what, head, link, live, total in (
-                ("node", self.free_node, up, live_nodes, nodes),
-                ("entry", self.free_entry, key, live_entries, entries)):
-            free: set[int] = set()
-            while head is not None:
-                if not (type(head) is int and 0 <= head < total) or head in free:
-                    out.append(f"free {what} list broken at {head!r}")
-                    break
-                if head in live:
-                    out.append(f"{what} {head} is on the free list but "
-                               f"reachable from the root")
-                free.add(head)
-                head = link[head]
-            lost = total - len(live | free)
-            if lost:
-                out.append(f"{lost} {what} cells neither reachable nor on "
-                           f"the free list")
+        # every node is either reachable from the root or on the free list
+        free: set[int] = set()
+        head = self.free_node
+        while head is not None:
+            n = node_of(head)
+            if n is None or n in free:
+                out.append(f"free node list broken at {head!r}")
+                break
+            if n in live_nodes:
+                out.append(f"node {n} is on the free list but reachable "
+                           f"from the root")
+            free.add(n)
+            head = slots[n * S + R]
+        lost = nodes - len(live_nodes | free)
+        if lost:
+            out.append(f"{lost} node cells neither reachable nor on the "
+                       f"free list")
         if out:
             return out
 
         def check_threads(n: int, up_expect) -> None:
             # a child's up is the cell after its slot
-            if up[n] != up_expect:
-                out.append(f"node {n}: up is {up[n]!r}, expected {up_expect!r}")
+            if slots[n * S + R] != up_expect:
+                out.append(f"node {n}: up is {slots[n * S + R]!r}, "
+                           f"expected {up_expect!r}")
             for i in range(n * S, n * S + R):
-                if slots[i] != slots[i + 1] and slots[i] >= 0:
-                    check_threads(slots[i], slots[i + 1])
+                if slots[i] != slots[i + 1] and slots[i] < 0:
+                    check_threads(-slots[i] // S, slots[i + 1])
 
         check_threads(0, None)
         return out

@@ -293,9 +293,20 @@ def test_validate_catches_stale_trie_entry():
     t1 = idx.trees[1]
     trie = t1.trie[t1.first()]
     assert isinstance(trie, ThreadedTrie)
+    # a trie reads its keys from the coord column, whose cells match the
+    # keys, so a stale trie is one that lost a member
     trie.delete(T)
-    trie.insert(2 * T - 1, t1.first())
     assert any("trie maps" in v for v in idx.validate())
+    # an exact trie that keeps its own keys, not the coord column the
+    # query walk reads
+    idx = KdPointIndex.from_points(2, 2 * T, big)
+    t1 = idx.trees[1]
+    own = ThreadedTrie.from_sorted(idx.radix, idx.width,
+                                   list(t1.trie[t1.first()].items()))
+    t1.trie[t1.first()] = own
+    assert idx.validate() == [
+        f"level 1: group (0,) of {T + 1} trie reads its keys from another "
+        f"map than the level's coord column"]
     # a count that is not the group size, or one above T
     idx = KdPointIndex.from_points(2, 16, FIVE)
     t1 = idx.trees[1]
@@ -409,11 +420,9 @@ def test_updates_look_each_level_up_once(monkeypatch):
     trie = group(1)
     assert isinstance(trie, ThreadedTrie)
     nodes = lookup_nodes(level0, 1) + lookup_nodes(trie, 5)
-    copy = ThreadedTrie.from_columns(idx.radix, idx.width,
-                                     [c for c, _ in trie.items()],
-                                     [0] * trie.size)
+    copy = ThreadedTrie.from_sorted(idx.radix, idx.width, list(trie.items()))
     ins = VisitStats()
-    copy.insert(5, 0, ins)
+    copy.insert(5, len(t1.key), ins)
     calls.update(dict.fromkeys(calls, 0))
     st_ = VisitStats()
     assert idx.insert((1, 5), st_)
@@ -764,29 +773,32 @@ def test_bulk_load_makes_no_tree_it_throws_away(monkeypatch):
 
 
 def test_group_trie_columns_have_no_spare_capacity():
-    # a trie built when a group passes T holds its key and value columns
-    # at their exact size, as a bulk-loaded group's slices are
+    # a trie built when a group passes T keeps no key or value column:
+    # its slots hold the members' handles, whose keys it reads from the
+    # level's coord column
     idx = KdPointIndex(2, 64, radix=4)
     for y in range(T + 1):
         idx.insert((5, 3 * y))
     t0, t1 = idx.trees
     trie = t1.trie[t0.cross[t0.first()]]
-    assert isinstance(trie, ThreadedTrie) and len(trie.key) == T + 1
-    exact = sys.getsizeof([0] * len(trie.key))
-    assert sys.getsizeof(trie.key) == exact
-    assert sys.getsizeof(trie.value) == exact
+    assert isinstance(trie, ThreadedTrie) and trie.size == T + 1
+    assert trie.key_of is t1.coord and not trie.own_map
+    assert [h for _, h in trie.items()] == list(t1.inorder())
+    assert ThreadedTrie.__slots__.count("slots") == 1
+    assert not {"key", "value"} & set(ThreadedTrie.__slots__)
 
 
 def test_bulk_loaded_trie_columns_have_no_spare_capacity():
-    # groups of T + 1 to 40 members, each with a trie
+    # groups of T + 1 to 40 members, each with a trie whose one column,
+    # its slots, is at its exact size, and whose keys are the coord column
     pts = [(x, y) for x in range(32) for y in range(T + 1 + x)]
     idx = KdPointIndex.from_points(2, 64, pts)
-    tries = [m for m in idx.trees[1].trie if isinstance(m, ThreadedTrie)]
+    t1 = idx.trees[1]
+    tries = [m for m in t1.trie if isinstance(m, ThreadedTrie)]
     assert len(tries) == 32
     for trie in tries:
-        exact = sys.getsizeof([0] * len(trie.key))
-        assert sys.getsizeof(trie.key) == exact
-        assert sys.getsizeof(trie.value) == exact
+        assert sys.getsizeof(trie.slots) == sys.getsizeof([0] * len(trie.slots))
+        assert trie.key_of is t1.coord and not trie.own_map
 
 
 def level_one_size(idx):
@@ -1078,6 +1090,35 @@ def test_describe_counts_the_shape():
         assert lv["group_sizes"] == dict(sorted(sizes.items()))
         assert lv["groups"] == len(groups) and lv["nodes"] == tree.size
         assert 0 < lv["height"] <= lv["height_bound"]
+        # the tries' nodes the root reaches, roots included: the deletes
+        # left freed rows, which are not counted
+        tries = [m for m in tree.trie if isinstance(m, ThreadedTrie)]
+        assert lv["trie_nodes"] == sum(map(reachable_trie_nodes, tries))
+        assert lv["trie_nodes"] >= lv["tries"]
+    assert levels[1]["trie_nodes"] > levels[1]["tries"]
+    # a delete that folds a trie node frees its row, no longer counted:
+    # 0xF0 and 0xF1 share a node below the root
+    idx = KdPointIndex.from_points(
+        2, 256, [(0, y) for y in [*range(T + 1), 0xF0, 0xF1]])
+    trie = idx.trees[1].trie[idx.trees[1].first()]
+    rows = len(trie.slots) // 17
+    assert idx.describe()["levels"][1]["trie_nodes"] == rows
+    idx.delete((0, 0xF1))
+    assert trie.free_node is not None and len(trie.slots) == rows * 17
+    assert idx.describe()["levels"][1]["trie_nodes"] == rows - 1
+    assert reachable_trie_nodes(trie) == rows - 1
+
+
+def reachable_trie_nodes(trie):
+    """The nodes a walk from the root reaches, the root included."""
+    s = trie.radix + 1
+    stack, n = [0], 0
+    while stack:
+        ref = stack.pop()
+        n += 1
+        row = trie.slots[-ref:-ref + s]
+        stack += [a for a, b in zip(row, row[1:]) if a != b and a < 0]
+    return n
 
 
 def leaf_with_company(idx):

@@ -1,7 +1,8 @@
 """``ThreadedTrie.level_tries``, the bulk load's builder of every long group's
 trie on a level, against ``ThreadedTrie.from_columns``, which builds one trie
-node by node: the two give the same columns, entry references from the
-shared ``_REFS`` list, and the same tries after an insert and a delete."""
+node by node: the two give the same slots, holding the caller's own value
+ints, read their keys from the caller's map, and give the same tries after
+an insert and a delete."""
 
 import random
 import sys
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 from threadkd.index import T
-from threadkd.trie import _BATCH, _REFS, ThreadedTrie
+from threadkd.trie import _BATCH, ThreadedTrie
 
-COLUMNS = ("size", "slots", "key", "value", "free_node", "free_entry",
-           "mutations", "capacity", "_pow")
+COLUMNS = ("size", "slots", "key_of", "own_map", "free_node", "mutations",
+           "capacity", "_pow")
+# values[a] is OFFSET + a, a handle into the key map past a few cells
+# that no value names
+OFFSET = 3
 
 
 def same_columns(got, want):
@@ -39,37 +43,46 @@ def groups_for(rng, radix, width):
 
 
 def build_both(radix, width, groups, dtype=np.int64):
+    """The level builder's tries and ``from_columns``' over one key map,
+    ``key_of``, and the value list, which the checks read too."""
     keys = [key for g in groups for key in g]
-    values = [1000 + a for a in range(len(keys))]
+    key_of = [None] * OFFSET + keys
+    values = list(range(OFFSET, OFFSET + len(keys)))
     ends = np.cumsum([len(g) for g in groups])
     starts = ends - [len(g) for g in groups]
     column = np.array(keys, dtype)
-    got = ThreadedTrie.level_tries(radix, width, column, keys, values,
+    got = ThreadedTrie.level_tries(radix, width, column, key_of, values,
                                    starts, ends)
-    want = [ThreadedTrie.from_columns(radix, width, keys[s:e], values[s:e])
+    want = [ThreadedTrie.from_columns(radix, width, values[s:e], key_of)
             for s, e in zip(starts, ends)]
-    return got, want
+    return got, want, values
 
 
-def check(got, want, rng):
+def check(got, want, values, rng):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert type(g) is ThreadedTrie
         same_columns(g, w)
         assert g.validate() == []
+        key_of = g.key_of
+        assert key_of is w.key_of
         for ref in g.slots:
-            if ref is not None and ref < 0:
-                assert ref is _REFS[~ref]
+            if ref is not None and ref >= 0:
+                assert ref is values[ref - OFFSET]
         # the same trie after an insert and a delete as its twin's
-        # (a full-universe group only takes the delete)
+        # (a full-universe group only takes the delete); the new value's
+        # key goes into the map first, as the index sets a coord cell
+        keys = [k for k, _ in g.items()]
         free = g.size < g.capacity
         fresh = rng.randrange(g.capacity)
-        while free and fresh in g.key:
+        while free and fresh in keys:
             fresh = rng.randrange(g.capacity)
-        gone = rng.choice(g.key)
+        gone = rng.choice(keys)
+        if free:
+            key_of.append(fresh)
         for t in (g, w):
             if free:
-                t.insert(fresh, -1)
+                t.insert(fresh, len(key_of) - 1)
             t.delete(gone)
         same_columns(g, w)
         assert g.validate() == []
@@ -80,8 +93,7 @@ def check(got, want, rng):
     (256, 1), (256, 2), (256, 3)])
 def test_level_tries_equal_from_columns(radix, width):
     rng = random.Random(radix * 100 + width)
-    got, want = build_both(radix, width, groups_for(rng, radix, width))
-    check(got, want, rng)
+    check(*build_both(radix, width, groups_for(rng, radix, width)), rng)
 
 
 def test_level_tries_past_int64_take_digits_from_objects():
@@ -92,29 +104,34 @@ def test_level_tries_past_int64_take_digits_from_objects():
     mixed = [0, 5, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 + 1, bound - 1]
     near = [2 ** 64 + 16 * 7 + d for d in range(16)]
     for radix, width in ((2, 70), (16, 18), (256, 9)):
-        got, want = build_both(radix, width, [high, mixed, near], object)
-        check(got, want, rng)
+        check(*build_both(radix, width, [high, mixed, near], object), rng)
 
 
 def test_level_tries_with_no_group():
     assert ThreadedTrie.level_tries(16, 3, np.array([1, 2], np.int64),
-                                    [1, 2], ["a", "b"], [], []) == []
+                                    [1, 2], [0, 1], [], []) == []
 
 
 def test_level_tries_share_the_callers_keys_and_values():
+    # the slots hold the caller's value ints themselves, and the trie
+    # reads its keys from the caller's map, not from a copy
     keys = list(range(300, 340))
-    values = [object() for _ in keys]
-    (trie,) = ThreadedTrie.level_tries(16, 3, np.array(keys), keys, values,
-                                       [3], [30])
-    assert all(a is b for a, b in zip(trie.key, keys[3:30]))
-    assert all(a is b for a, b in zip(trie.value, values[3:30]))
+    values = [10 ** 9 + a for a in range(40)]
+    key_of = dict(zip(values, keys))
+    (trie,) = ThreadedTrie.level_tries(16, 3, np.array(keys), key_of,
+                                       values, [3], [30])
+    assert trie.key_of is key_of and not trie.own_map
+    # a value's thread cells repeat the same int
+    held = {id(ref) for ref in trie.slots if ref is not None and ref >= 0}
+    assert held == set(map(id, values[3:30]))
     assert trie.find(310) is values[10]
+    assert list(trie.items()) == list(zip(keys[3:30], values[3:30]))
 
 
 def test_level_tries_set_every_field_as_from_columns():
     rng = random.Random(19)
     for radix, width in ((2, 9), (16, 3), (256, 2)):
-        got, want = build_both(radix, width, groups_for(rng, radix, width))
+        got, want, _ = build_both(radix, width, groups_for(rng, radix, width))
         for g, w in zip(got, want):
             for name in ThreadedTrie.__slots__:
                 assert getattr(g, name) == getattr(w, name), name
@@ -131,11 +148,10 @@ def test_level_tries_across_batches_equal_from_columns(radix, width):
     groups = [sorted(rng.sample(range(radix ** width), rng.randint(T + 1, 40)))
               for _ in range(700)]
     assert len(groups) > 2 * _BATCH
-    got, want = build_both(radix, width, groups)
+    got, want, values = build_both(radix, width, groups)
     assert len(got) == len(want) == 700
     for g, w in zip(got, want):
         for name in ThreadedTrie.__slots__:
             assert getattr(g, name) == getattr(w, name), name
-        for column in (g.slots, g.key, g.value):
-            assert sys.getsizeof(column) == sys.getsizeof([None] * len(column))
-    check(got[::97], want[::97], rng)
+        assert sys.getsizeof(g.slots) == sys.getsizeof([None] * len(g.slots))
+    check(got[::97], want[::97], values, rng)

@@ -16,23 +16,23 @@ def oracle_succ(keys_sorted, q):
     return keys_sorted[i] if i < len(keys_sorted) else None
 
 
-def row(t, n=0):
-    """Node ``n``'s row of ``radix + 1`` cells: its slots, then its up."""
-    s = t.radix + 1
-    return t.slots[n * s:(n + 1) * s]
+def row(t, ref=0):
+    """The row of ``radix + 1`` cells of the node ``ref`` names, the root
+    for 0: its slots, then its up."""
+    return t.slots[-ref:-ref + t.radix + 1]
 
 
-def valid(t, n=0):
-    """Node ``n``'s valid flags: a slot whose ref differs from the next
+def valid(t, ref=0):
+    """Node ``ref``'s valid flags: a slot whose ref differs from the next
     cell's."""
-    cells = row(t, n)
+    cells = row(t, ref)
     return [a != b for a, b in zip(cells, cells[1:])]
 
 
 def entry(t, ref):
-    """(key, value) of the entry a cell refers to; None for a node or
+    """(key, value) of the value a cell holds; None for a node or
     nothing."""
-    return None if ref is None or ref >= 0 else (t.key[~ref], t.value[~ref])
+    return None if ref is None or ref < 0 else (t.key_of[ref], ref)
 
 
 def test_empty():
@@ -49,11 +49,11 @@ def test_two_keys_structure():
     alone under its first digit and sits in the root as an entry; every
     empty slot must jump straight to whatever comes next in key order."""
     t = ThreadedTrie(10, 2)
-    assert t.insert(8, "a") == "a"
-    assert t.insert(42, "b") == "b"
+    assert t.insert(8, 1) == 1
+    assert t.insert(42, 2) == 2
     root, v = row(t), valid(t)
-    assert v[0] and entry(t, root[0]) == (8, "a")      # 8 as digits 0,8
-    assert v[4] and entry(t, root[4]) == (42, "b")
+    assert v[0] and entry(t, root[0]) == (8, 1)      # 8 as digits 0,8
+    assert v[4] and entry(t, root[4]) == (42, 2)
     # gaps between the two entries jump to the higher one
     for d in (1, 2, 3):
         assert not v[d]
@@ -81,10 +81,10 @@ def test_succ_crosses_branches():
 
 def test_succ_returns_payload():
     t = ThreadedTrie(16, 3)
-    t.insert(100, "x")
-    t.insert(200, "y")
-    assert t.succ_geq(150) == "y"
-    assert t.find(100) == "x"
+    t.insert(100, 7)
+    t.insert(200, 9)
+    assert t.succ_geq(150) == 9
+    assert t.find(100) == 7
 
 
 def test_key_bounds():
@@ -136,12 +136,12 @@ def test_delete_folds_a_two_key_node():
     4; deleting 47 leaves that node one key, and it folds back into the
     slot as the entry of 42 and goes on the free list."""
     t = ThreadedTrie(10, 2)
-    t.insert(42, "a")
+    t.insert(42, 1)
     e42 = row(t)[4]
-    assert entry(t, e42) == (42, "a")
-    t.insert(47, "b")
+    assert entry(t, e42) == (42, 1)
+    t.insert(47, 2)
     node = row(t)[4]
-    assert node >= 0
+    assert node < 0
     assert [valid(t, node)[d] for d in (2, 7)] == [1, 1]
     t.delete(47)
     root = row(t)
@@ -163,9 +163,9 @@ def test_delete_folds_a_chain_into_the_highest_surviving_slot():
     t.delete(421)
     assert row(t)[4] == e420
     assert [len(t.slots), t.validate()] == [3 * 11, []]
-    up = t.slots[10::11]       # each node's up cell
-    free = [t.free_node, up[t.free_node]]
-    assert sorted(free) == [1, 2] and up[free[1]] is None
+    # nodes 1 and 2, refs -11 and -22, chained through their up cells
+    free = [t.free_node, t.slots[10 - t.free_node]]
+    assert sorted(free) == [-22, -11] and t.slots[10 - free[1]] is None
     # with 400 beside them, the node for 4 keeps two keys and takes 420
     t.insert(400, 400)
     t.insert(421, 421)
@@ -186,7 +186,7 @@ def test_split_retargets_threads_to_the_new_node():
     t.insert(470, 470)
     root = row(t)
     node = root[4]
-    assert node >= 0
+    assert node < 0
     assert all(root[d] == node for d in (1, 2, 3))
     assert t.succ_geq(9) == 420
     assert t.succ_geq(421) == 470
@@ -220,8 +220,8 @@ def test_items_sorted():
     t = ThreadedTrie(16, 4)
     ks = random.Random(3).sample(range(16 ** 4), 500)
     for k in ks:
-        t.insert(k, -k)
-    assert list(t.items()) == [(k, -k) for k in sorted(ks)]
+        t.insert(k, 3 * k + 1)
+    assert list(t.items()) == [(k, 3 * k + 1) for k in sorted(ks)]
 
 
 @pytest.mark.parametrize("radix,width", [(10, 2), (16, 4), (2, 12)])
@@ -321,20 +321,23 @@ def same_slots(a, b):
     entries (key and payload), with node refs matched by position."""
     pairs: dict[int, int] = {}
 
+    def same_row(x, y):
+        return (valid(a, x) == valid(b, y)
+                and all(eq(p, q) for p, q in zip(row(a, x), row(b, y))))
+
     def eq(x, y):
         if x is None or y is None:
             return x is None and y is None
-        if x >= 0:
-            if y < 0:
+        if x < 0:
+            if y >= 0:
                 return False
             if x in pairs:
                 return pairs[x] == y
             pairs[x] = y
-            return (valid(a, x) == valid(b, y)
-                    and all(eq(p, q) for p, q in zip(row(a, x), row(b, y))))
-        return y < 0 and entry(a, x) == entry(b, y)
+            return same_row(x, y)
+        return y >= 0 and entry(a, x) == entry(b, y)
 
-    return a.size == b.size and eq(0, 0)
+    return a.size == b.size and same_row(0, 0)
 
 
 @pytest.mark.parametrize("radix,width", [(2, 6), (4, 3), (16, 2)])
@@ -343,7 +346,7 @@ def test_from_sorted_matches_inserts(radix, width):
     cap = radix ** width
     for n in [0, 1, 2, 3, 5, 17, cap // 2, cap]:
         keys = sorted(rng.sample(range(cap), n))
-        items = [(key, -key) for key in keys]
+        items = [(key, 3 * key + 1) for key in keys]
         bulk = ThreadedTrie.from_sorted(radix, width, items)
         built = ThreadedTrie(radix, width)
         for key, v in rng.sample(items, n):
@@ -364,7 +367,7 @@ def test_shape_depends_only_on_the_keys(shape, data):
     for k in data.draw(st.lists(st.integers(0, radix ** width - 1),
                                 max_size=60)):
         if t.find(k) is None:
-            t.insert(k, -k)
+            t.insert(k, 3 * k + 1)
         else:
             t.delete(k)
         assert same_slots(t, ThreadedTrie.from_sorted(radix, width,
@@ -387,32 +390,70 @@ def test_from_sorted_rejects_out_of_range_keys():
     with pytest.raises(ValueError):
         ThreadedTrie.from_sorted(4, 2, [(3, 3), (16, 16)])
     with pytest.raises(ValueError):
-        ThreadedTrie.from_sorted(4, 2, [(-1, -1), (3, 3)])
+        ThreadedTrie.from_sorted(4, 2, [(-1, 1), (3, 3)])
 
 
 def test_none_is_not_a_storable_value():
     # None is the answer for no key, so no key may map to it
     t = ThreadedTrie(16, 2)
-    t.insert(3, "a")
+    t.insert(3, 1)
     with pytest.raises(ValueError, match="None"):
         t.insert(5, None)
     with pytest.raises(ValueError, match="None"):
-        ThreadedTrie.from_sorted(16, 2, [(3, "a"), (5, None)])
+        ThreadedTrie.from_sorted(16, 2, [(3, 1), (5, None)])
     assert t.find(5) is None and t.succ_geq(4) is None
-    assert t.validate() == [] and list(t.items()) == [(3, "a")]
+    assert t.validate() == [] and list(t.items()) == [(3, 1)]
+
+
+@pytest.mark.parametrize("bad", [None, True, False, -1, -2 ** 70, 1.5, "5"])
+def test_bad_values_raise_value_error_and_are_not_stored(bad):
+    # a stored value is a non-negative int: a cell tells it from a node,
+    # a negative ref, by its sign
+    t = ThreadedTrie(16, 2)
+    t.insert(3, 1)
+    s = VisitStats()
+    with pytest.raises(ValueError):
+        t.insert(5, bad, s)
+    with pytest.raises(ValueError):
+        ThreadedTrie.from_sorted(16, 2, [(3, 1), (5, bad)])
+    assert s == VisitStats() and t.mutations == 1
+    assert t.find(5) is None and t.succ_geq(4) is None
+    assert t.validate() == [] and list(t.items()) == [(3, 1)]
+    assert t.key_of == {1: 3}
+
+
+def test_a_value_is_stored_once():
+    # values are distinct: one already stored, under another key, is
+    # rejected and nothing changes; with a given map, the value's key
+    # must be the map's
+    t = ThreadedTrie(16, 2)
+    t.insert(3, 1)
+    with pytest.raises(ValueError, match="value 1 has key 3 in the map"):
+        t.insert(5, 1)
+    with pytest.raises(ValueError, match="given twice"):
+        ThreadedTrie.from_sorted(16, 2, [(3, 1), (5, 1)])
+    assert t.validate() == [] and list(t.items()) == [(3, 1)]
+    assert t.key_of == {1: 3} and t.mutations == 1
+    keys = [None, 40, 50, 60]
+    g = ThreadedTrie.from_columns(16, 2, [1, 3], keys)
+    with pytest.raises(ValueError, match="has key 50 in the map, not 55"):
+        g.insert(55, 2)
+    assert g.insert(50, 2) == 2 and g.delete(40) == 1
+    assert list(g.items()) == [(50, 2), (60, 3)] and g.validate() == []
+    assert g.key_of is keys and keys == [None, 40, 50, 60]
 
 
 @pytest.mark.parametrize("bad", [True, 1.5, None, "5"])
 def test_bad_keys_raise_value_error_and_are_not_stored(bad):
     t = ThreadedTrie(16, 2)
-    t.insert(3, "a")
-    for call in (lambda: t.insert(bad, "x"), lambda: t.find(bad),
+    t.insert(3, 1)
+    for call in (lambda: t.insert(bad, 2), lambda: t.find(bad),
                  lambda: t.delete(bad)):
         with pytest.raises(ValueError):
             call()
     with pytest.raises(ValueError):
         t.succ_geq(bad)
-    assert t.validate() == [] and list(t.items()) == [(3, "a")]
+    assert t.validate() == [] and list(t.items()) == [(3, 1)]
 
 
 @pytest.mark.parametrize("bad", [True, False])
@@ -430,7 +471,7 @@ def test_succ_geq_rejects_a_bool_probe(bad):
 
 def holding_three():
     t = ThreadedTrie(16, 2)
-    t.insert(3, "a")
+    t.insert(3, 1)
     return t
 
 
@@ -460,15 +501,15 @@ def test_negative_probe_must_be_an_integer(bad):
     with pytest.raises(ValueError):
         t.succ_geq(bad)
     s = VisitStats()
-    assert t.succ_geq(-5, s) == "a" and t.succ_geq(np.int64(-1)) == "a"
+    assert t.succ_geq(-5, s) == 1 and t.succ_geq(np.int64(-1)) == 1
     assert s.trie_lookups == 1
-    assert t.validate() == [] and list(t.items()) == [(3, "a")]
+    assert t.validate() == [] and list(t.items()) == [(3, 1)]
 
 
 def test_fraction_probe_is_rejected_as_find_rejects_it():
     # Fraction's // and % give ints, so a descent alone would answer it
     t = holding_three()
-    t.insert(5, "b")
+    t.insert(5, 2)
     s = VisitStats()
     for lookup in (t.find, t.succ_geq):
         with pytest.raises(ValueError, match="not an integer"):
@@ -488,25 +529,27 @@ class IndexOnly:
 
 def test_index_only_probe_gets_the_plain_int_answer():
     t = holding_three()
-    t.insert(5, "b")
+    t.insert(5, 2)
     for probe in (-7, 0, 3, 4, 5, 6, 255, 256, 10 ** 30):
         got, want = VisitStats(), VisitStats()
         a, b = t.succ_geq(IndexOnly(probe), got), t.succ_geq(probe, want)
         assert a == b and got == want
-    assert t.find(IndexOnly(5)) == "b"
+    assert t.find(IndexOnly(5)) == 2
 
 
 def test_int_like_keys_and_shape_are_stored_as_ints():
     t = ThreadedTrie(np.int64(16), np.int64(2))
     assert type(t.radix) is int and type(t.width) is int
     assert type(t.capacity) is int and t.capacity == 256
-    t.insert(np.int64(5), "x")
-    assert [type(k) for k, _ in t.items()] == [int] and t.validate() == []
-    assert t.find(np.int64(5)) == "x"
-    assert t.succ_geq(np.int64(4)) == "x"
-    assert t.delete(np.int64(5)) == "x" and len(t) == 0
-    built = ThreadedTrie.from_sorted(16, 2, [(np.int64(3), "a"), (7, "b")])
-    assert [type(k) for k, _ in built.items()] == [int, int]
+    t.insert(np.int64(5), np.int64(8))
+    assert [(type(k), type(v)) for k, v in t.items()] == [(int, int)]
+    assert t.validate() == []
+    assert t.find(np.int64(5)) == 8
+    assert t.succ_geq(np.int64(4)) == 8
+    assert t.delete(np.int64(5)) == 8 and len(t) == 0
+    built = ThreadedTrie.from_sorted(16, 2, [(np.int64(3), np.int64(1)),
+                                             (7, 2)])
+    assert [(type(k), type(v)) for k, v in built.items()] == [(int, int)] * 2
     assert built.validate() == []
 
 

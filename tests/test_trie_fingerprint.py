@@ -41,26 +41,26 @@ SHAPES = [(2, 12), (10, 2), (16, 5)]
 def layout(trie):
     """Every node in preorder: valid flags, slots and ``up``, with nodes
     named by preorder number and entries by key.  Each node is its row of
-    ``slots``, and a slot is valid when its ref differs from the next
-    cell's."""
+    ``slots``, from minus its ref (0 for the root), and a slot is valid
+    when its ref differs from the next cell's."""
     s = trie.radix + 1
     order: dict[int, int] = {}
     rows = []
 
-    def number(n):
-        order[n] = len(rows)
-        cells = trie.slots[n * s:(n + 1) * s]
+    def number(ref):
+        order[ref] = len(rows)
+        cells = trie.slots[-ref:-ref + s]
         rows.append(cells)
         for a, b in zip(cells, cells[1:]):
-            if a != b and a >= 0:
+            if a != b and a < 0:
                 number(a)
 
     def name(ref):
         if ref is None:
             return None
-        if ref >= 0:
+        if ref < 0:
             return ("n", order[ref])
-        return ("e", trie.key[~ref], trie.value[~ref])
+        return ("e", trie.key_of[ref], -ref)
 
     number(0)
     return [(bytes(a != b for a, b in zip(cells, cells[1:])),
@@ -69,8 +69,9 @@ def layout(trie):
 
 
 def entry(v):
-    # every traced value is -key, so an answer names its key too
-    return None if v is None else (-v, v)
+    # every traced value is its key, recorded with -key, the value the
+    # trace stored when values could be negative
+    return None if v is None else (v, -v)
 
 
 def trace(trie, rng, steps):
@@ -97,7 +98,7 @@ def trace(trie, rng, steps):
         r = rng.random()
         if r < grow:
             k = key()
-            yield call("insert", k, lambda a, st: trie.insert(a, -a, st))
+            yield call("insert", k, lambda a, st: trie.insert(a, a, st))
             if k not in live:
                 live.append(k)
                 live.sort()
@@ -131,7 +132,7 @@ def fingerprint() -> str:
         seed_keys = sorted(rng.sample(range(cap), min(cap // 2, 300)))
         for trie in (ThreadedTrie(radix, width),
                      ThreadedTrie.from_sorted(radix, width,
-                                              [(k, -k) for k in seed_keys])):
+                                              [(k, k) for k in seed_keys])):
             h.update(repr(layout(trie)).encode())
             for rec in trace(trie, rng, 1500):
                 h.update(repr(rec).encode())

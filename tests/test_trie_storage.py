@@ -1,6 +1,6 @@
-"""The flat storage behind ``ThreadedTrie``: freed cells are reused before
-the columns grow, ``validate()`` checks the free lists against what the
-root reaches, and a trie built from key and value columns is the one
+"""The flat storage behind ``ThreadedTrie``: freed nodes are reused before
+the slot column grows, ``validate()`` checks the free list against what
+the root reaches, and a trie built from values and a key map is the one
 built from pairs."""
 
 import bisect
@@ -25,9 +25,10 @@ def node_count(trie):
     return len(trie.slots) // (trie.radix + 1)
 
 
-def up_cell(trie, n):
-    """Where node ``n``'s up is: the cell after its last slot."""
-    return n * (trie.radix + 1) + trie.radix
+def up_cell(trie, ref):
+    """Where node ``ref``'s up is: the cell after its last slot, the row
+    starting at -ref."""
+    return trie.radix - ref
 
 
 def live_nodes(trie):
@@ -42,57 +43,57 @@ def check_succ(trie, keys, rng, probes=8):
         q = rng.randrange(-2, trie.capacity + 2)
         i = bisect.bisect_left(keys, max(q, 0))
         want = keys[i] if i < len(keys) and q < trie.capacity else None
-        # every value is -key
-        assert trie.succ_geq(q) == (None if want is None else -want)
+        # every value is 3 * key + 1
+        assert trie.succ_geq(q) == (None if want is None else 3 * want + 1)
 
 
 def test_churn_reuses_freed_cells():
     rng = random.Random(16003)
     t = ThreadedTrie(16, 3)
     keys: list[int] = []
-    peak_nodes, peak_keys, peak_entries = 1, [], 0
+    peak_nodes, peak_keys = 1, []
     for step in range(10_000):
         if keys and rng.random() < (0.55 if len(keys) > 48 else 0.3):
             k = keys.pop(rng.randrange(len(keys)))
-            assert t.delete(k) == -k
+            assert t.delete(k) == 3 * k + 1
         else:
             k = rng.randrange(t.capacity)
             while k in keys:
                 k = rng.randrange(t.capacity)
-            t.insert(k, -k)
+            t.insert(k, 3 * k + 1)
             bisect.insort(keys, k)
         n = nodes_needed(t, keys)
         if n > peak_nodes:
             peak_nodes, peak_keys = n, list(keys)
-        peak_entries = max(peak_entries, len(keys))
         if step % 100 == 0:
             check_succ(t, keys, rng)
         if step % 1000 == 0:
             assert t.validate() == [], f"step {step}"
-            assert live_nodes(t) == n
+            assert live_nodes(t) == t.nodes() == n
+        # a value takes no cell: the trie's own map holds the live ones
+        assert len(t.key_of) == len(keys)
     assert node_count(t) <= peak_nodes
-    assert len(t.key) <= peak_entries
 
-    # down to empty: every cell but the root goes back on a free list
+    # down to empty: every node but the root goes back on the free list
     for k in rng.sample(keys, len(keys)):
         t.delete(k)
     assert len(t) == 0 and t.validate() == []
-    columns = node_count(t), len(t.key)
+    assert t.nodes() == 1 and t.key_of == {}
+    columns = node_count(t)
 
-    # refilled with the keys of the node peak, the columns stay as they are
+    # refilled with the keys of the node peak, the column stays as it is
     for k in rng.sample(peak_keys, len(peak_keys)):
-        t.insert(k, -k)
-    assert (node_count(t), len(t.key)) == columns
+        t.insert(k, 3 * k + 1)
+    assert node_count(t) == columns
     assert node_count(t) <= peak_nodes
     assert t.validate() == []
-    assert list(t.items()) == [(k, -k) for k in peak_keys]
+    assert list(t.items()) == [(k, 3 * k + 1) for k in peak_keys]
     check_succ(t, peak_keys, rng, probes=200)
 
 
 def built():
     """A radix-4, width-3 trie that has freed the branches of keys 40
-    (digits 2, 2, 0) and 57 (3, 2, 1): three nodes and two entries on the
-    free lists."""
+    (digits 2, 2, 0) and 57 (3, 2, 1): three nodes on the free list."""
     t = ThreadedTrie(4, 3)
     for k in (5, 6, 40, 57, 63):
         t.insert(k, k)
@@ -104,14 +105,8 @@ def built():
 
 def push_live_node(t):
     # a reachable node is put on the free list
-    n = next(s for s in t.slots[:t.radix] if s is not None and s >= 0)
+    n = next(s for s in t.slots[:t.radix] if s is not None and s < 0)
     t.slots[up_cell(t, n)], t.free_node = t.free_node, n
-
-
-def push_live_entry(t):
-    # so is a reachable entry
-    e = next(i for i, k in enumerate(t.key) if k == 5)
-    t.key[e], t.free_entry = t.free_entry, e
 
 
 def reach_freed_node(t):
@@ -136,9 +131,9 @@ def test_validate_catches_a_node_with_one_key():
     t = ThreadedTrie(10, 2)
     t.insert(8, 8)
     e = t.slots[0]
-    assert e < 0
+    assert e == 8
     t.slots += [e] * 9 + [None, None]
-    t.slots[0] = 1
+    t.slots[0] = -11
     assert t.validate() == [
         "node 1 at depth 1 holds 1 key; only the root may hold fewer than two"]
     # every slot of node 1 threads to None: the entry's slot is gone
@@ -148,7 +143,6 @@ def test_validate_catches_a_node_with_one_key():
 
 @pytest.mark.parametrize("corrupt,message", [
     (push_live_node, "is on the free list but reachable from the root"),
-    (push_live_entry, "is on the free list but reachable from the root"),
     (reach_freed_node, "is on the free list but reachable from the root"),
     (drop_free_head, "node cells neither reachable nor on the free list"),
     (loop_free_list, "free node list broken"),
@@ -159,7 +153,7 @@ def test_validate_catches_free_list_corruption(corrupt, message):
     assert any(message in v for v in t.validate()), t.validate()
 
 
-COLUMNS = ("size", "slots", "key", "value", "free_node", "free_entry")
+COLUMNS = ("size", "slots", "key_of", "free_node")
 
 
 @pytest.mark.parametrize("radix,width", [(2, 12), (10, 4), (16, 3)])
@@ -174,30 +168,34 @@ def test_column_build_matches_pair_build(radix, width):
                    *(rng.randrange(cap) for _ in range(3))})
     for ks in (keys, keys[:1], []):
         values = [k * 7 + 1 for k in ks]
-        col = ThreadedTrie.from_columns(radix, width, list(ks), list(values))
+        key_of = dict(zip(values, ks))
+        col = ThreadedTrie.from_columns(radix, width, list(values), key_of)
         pairs = ThreadedTrie.from_sorted(radix, width, list(zip(ks, values)))
         assert col.validate() == []
         for name in COLUMNS:
             assert getattr(col, name) == getattr(pairs, name), name
+        # the given map is read, not copied; from_sorted's is its own
+        assert col.key_of is key_of and not col.own_map and pairs.own_map
         for k, v in zip(ks, values):
             assert col.find(k) == v
 
 
 def two_keys():
-    """A radix-10, width-2 trie holding 11 and 12: root slot 1 holds node
-    1, whose slots 1 and 2 hold the entries; root slots 2 to 9 thread to
-    None.  Node 1's cells are 11 to 21, its up cell last."""
+    """A radix-10, width-2 trie holding 11 and 12, with values 1 and 2:
+    root slot 1 holds node 1, ref -11, whose slots 1 and 2 hold the
+    values; root slots 2 to 9 thread to None.  Node 1's cells are 11 to
+    21, its up cell last."""
     t = ThreadedTrie(10, 2)
-    t.insert(11, "a")
-    t.insert(12, "b")
-    assert t.validate() == [] and t.slots[1] == 1
+    t.insert(11, 1)
+    t.insert(12, 2)
+    assert t.validate() == [] and t.slots[1] == -11
     return t
 
 
 def one_key(t):
-    # root slot 0 holds key 5's entry and every other cell None: a ref
+    # root slot 0 holds key 5's value 0 and every other cell None: a ref
     # the caller writes into slot 1 or 2 reads as a valid slot
-    t.insert(5, "x")
+    t.insert(5, 0)
     assert t.slots[1:] == [None] * t.radix
     return t
 
@@ -208,23 +206,35 @@ def extra_flag(t):
 
 
 def node_in_bottom_slot(t):
-    t.slots[13] = 1
+    t.slots[13] = -11
 
 
 def bad_ref(t):
+    # negative, so no value, and no row starts at cell 7
     one_key(t)
-    t.slots[1] = 7
+    t.slots[1] = -7
 
 
 def entry_twice(t):
-    # key 5's entry in root slot 2 as well; written into slot 1, it
+    # key 5's value in root slot 2 as well; written into slot 1, it
     # would make slot 0 read as a thread to it
     one_key(t)
     t.slots[2] = t.slots[0]
 
 
+def value_without_key(t):
+    # value 7, which the trie's map does not hold, in root slot 1
+    one_key(t)
+    t.slots[1] = 7
+
+
+def map_holds_more(t):
+    # the trie's own map holds a value that no slot holds
+    t.key_of[9] = 50
+
+
 def wrong_up(t):
-    # node 1's trailing threads and its up lead to node 0, so they still
+    # node 1's trailing threads and its up lead to value 0, so they still
     # repeat one another and only the up is wrong
     t.slots[14:22] = [0] * 8
 
@@ -233,18 +243,18 @@ def wrong_thread(t):
     # root slot 5 threads to node 1 for None: the None before it no
     # longer repeats the cell after it, so slot 4 reads as a slot that
     # holds no node or entry
-    t.slots[5] = 1
+    t.slots[5] = -11
 
 
 def node_twice(t):
     # root slot 3 holds node 1 as well as slot 1 does; slot 2, which
     # keeps the two apart, reads as a slot holding None
-    t.slots[3] = 1
+    t.slots[3] = -11
 
 
 def misplaced_key(t):
-    # the entry in prefix 11's slot claims key 21
-    t.key[0] = 21
+    # the map gives the value in prefix 11's slot the key 21
+    t.key_of[1] = 21
 
 
 def size_plus_one(t):
@@ -263,6 +273,10 @@ def size_plus_one(t):
     (two_keys, node_twice, "node 1 reached twice"),
     (two_keys, misplaced_key, "entry key 21 in the slot for prefix 11 at depth 1"),
     (two_keys, size_plus_one, "size 3 but 2 entries reachable"),
+    (lambda: ThreadedTrie(10, 2), value_without_key,
+     "entry key None in the slot for prefix 1 at depth 0"),
+    (two_keys, map_holds_more,
+     "the trie's map holds 3 values but 2 entries are reachable"),
 ])
 def test_validate_reports_each_corruption(make, corrupt, message):
     t = make()
@@ -272,8 +286,8 @@ def test_validate_reports_each_corruption(make, corrupt, message):
 
 def freed_tries():
     """Tries of radix 2, 4, 10 and 16, each built by inserts and one
-    delete that folds a node, so that each holds a freed node and a
-    freed entry beside at least three live nodes."""
+    delete that folds a node, so that each holds a freed node beside at
+    least three live nodes."""
     for radix, width, keys, gone in [
             (2, 6, (3, 9, 10, 11, 40, 41, 63), 41),
             (4, 3, (5, 6, 7, 20, 40, 41, 57, 63), 41),
@@ -290,27 +304,28 @@ def freed_tries():
 @pytest.mark.parametrize("t", freed_tries(), ids=lambda t: f"radix{t.radix}")
 def test_validate_reports_every_overwrite_of_a_live_cell(t):
     # each cell of each live row, up cell included, takes in turn None,
-    # node 0, another live node, a live entry and a node id past the
-    # last; validate() reports every one of them and raises on none
+    # 0 (the root's ref, and a value no key maps to), another live node,
+    # a live value and the ref of a node past the last; validate()
+    # reports every one of them and raises on none
     s = t.radix + 1
     free, n = set(), t.free_node
     while n is not None:
         free.add(n)
         n = t.slots[up_cell(t, n)]
-    live = [n for n in range(node_count(t)) if n not in free]
-    assert len(live) >= 3
-    entry = min(ref for n in live for ref in t.slots[n * s:(n + 1) * s]
-                if ref is not None and ref < 0)
+    live = [-n * s for n in range(node_count(t)) if -n * s not in free]
+    assert len(live) >= 3 and t.nodes() == len(live)
+    entry = min(ref for n in live for ref in t.slots[-n:-n + s]
+                if ref is not None and ref >= 0)
     checked = 0
     for n in live:
-        other = max(set(live) - {0, n})
-        for i in range(n * s, (n + 1) * s):
+        other = min(set(live) - {0, n})
+        for i in range(-n, -n + s):
             old = t.slots[i]
-            for ref in (None, 0, other, entry, node_count(t)):
+            for ref in (None, 0, other, entry, -node_count(t) * s):
                 if ref == old:
                     continue
                 t.slots[i] = ref
-                assert t.validate(), (n, i - n * s, ref)
+                assert t.validate(), (n, i + n, ref)
                 checked += 1
             t.slots[i] = old
     assert t.validate() == [] and checked >= 5 * len(live)

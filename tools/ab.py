@@ -26,9 +26,12 @@ figure ``op_p50_us`` gates, and each pair of passes, one per build order,
 gives their geometric mean.  The report gives the median of those
 ``--passes`` ratios, a distribution-free 95% interval of that median
 (order statistics), the quartiles, and the ratios under 1, the passes the
-head won, with the last line one JSON object.  An A/A run, ``--base
-HEAD`` on a clean tree, reads how far apart two copies of the same code
-time on this machine.
+head won, with the last line one JSON object.  On ``churn`` the same
+figures follow for two of perfbench's per-kind ones, taken from each
+pass's slices in the same way: the p99 of the inserts and the p50 of the
+``contains`` calls, under ``by_kind`` in the JSON.  An A/A run,
+``--base HEAD`` on a clean tree, reads how far apart two copies of the
+same code time on this machine.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 # calls per slice: 2000 of churn's cheap updates, 500 window queries else
 SLICE = {"churn": 2000}
+# churn's per-kind figures beside op p50: name, operation, percentile
+BY_KIND = (("insert p99", "insert", 99), ("contains p50", "contains", 50))
 
 
 def load_package(name: str, src: str):
@@ -110,24 +115,34 @@ class Side:
         return out, ns
 
     def ops(self, run, n):
-        """The next ``n`` stream operations' results and call times."""
+        """The next ``n`` stream operations' results and call times, and
+        the call times of each kind, by the kind's method name."""
         idx = self.idx
         fns = {run.INSERT: idx.insert, run.DELETE: idx.delete,
                run.CONTAINS: idx.contains}
         out, ns = [], []
+        kinds = {fn.__name__: [] for fn in fns.values()}
         for _ in range(n):
             kind, p = self.stream.next()
             fn = fns[kind]
             t0 = perf_counter_ns()
             got = fn(p)
-            ns.append(perf_counter_ns() - t0)
+            t = perf_counter_ns() - t0
+            ns.append(t)
+            kinds[fn.__name__].append(t)
             out.append(got)
-        return out, ns
+        return out, ns, kinds
 
 
-def passes(run, wl, inp, seed, pkgs, count, size) -> list[float]:
+def percentile(xs: list[int], q: int) -> float:
+    """The q-th percentile of ``xs``, q in 1..99; the median for 50."""
+    return statistics.quantiles(xs, n=100, method="inclusive")[q - 1]
+
+
+def passes(run, wl, inp, seed, pkgs, count, size) -> dict[str, list[float]]:
     """``count`` ABBA passes of ``size``-call slices, each on a fresh
-    pair of indexes; the head's median call time over the base's in each.
+    pair of indexes; the head's median call time over the base's in each,
+    under "op p50", and on churn each ``BY_KIND`` figure's ratio too.
 
     The pair is built base first on even passes and head first on odd
     ones: in A/A runs the index built second ran up to 7% faster,
@@ -136,9 +151,14 @@ def passes(run, wl, inp, seed, pkgs, count, size) -> list[float]:
     def slice_of(side):
         if wl.windows is None:
             return side.ops(run, size)
-        return side.queries(inp.windows, size)
+        return (*side.queries(inp.windows, size), None)
 
-    ratios = []
+    def kind_ratio(kind, q, head, base):
+        # the kind's percentile over both slices of each side
+        return (percentile([t for k in head for t in k[kind]], q)
+                / percentile([t for k in base for t in k[kind]], q))
+
+    ratios: dict[str, list[float]] = {"op p50": []}
     for p in range(count):
         base = head = built = None
         gc.collect()
@@ -146,14 +166,18 @@ def passes(run, wl, inp, seed, pkgs, count, size) -> list[float]:
                  for pkg in (pkgs if p % 2 == 0 else pkgs[::-1])}
         base, head = built[pkgs[0]], built[pkgs[1]]
         gc.collect()
-        a1, ta1 = slice_of(base)
-        b1, tb1 = slice_of(head)
-        b2, tb2 = slice_of(head)
-        a2, ta2 = slice_of(base)
+        a1, ta1, ka1 = slice_of(base)
+        b1, tb1, kb1 = slice_of(head)
+        b2, tb2, kb2 = slice_of(head)
+        a2, ta2, ka2 = slice_of(base)
         if a1 != b1 or a2 != b2:
             sys.exit(f"ab: results differ on {wl.name} in pass {p + 1}")
-        ratios.append(statistics.median(tb1 + tb2)
-                      / statistics.median(ta1 + ta2))
+        ratios["op p50"].append(statistics.median(tb1 + tb2)
+                                / statistics.median(ta1 + ta2))
+        if ka1 is not None:
+            for name, kind, q in BY_KIND:
+                ratios.setdefault(name, []).append(
+                    kind_ratio(kind, q, (kb1, kb2), (ka1, ka2)))
     return ratios
 
 
@@ -166,6 +190,19 @@ def median_interval(xs: list[float]) -> tuple[float, float]:
     lo = max(0, math.floor(n / 2 - half))
     hi = min(n - 1, math.ceil(n / 2 + half) - 1)
     return s[lo], s[hi]
+
+
+def summary(ratios: list[float]) -> dict:
+    """The report of one figure's per-pass ratios: one per pass pair, one
+    build order each, their geometric mean; the median, its 95% interval,
+    the quartiles and the pairs the head won."""
+    ratios = [math.sqrt(a * b) for a, b in zip(ratios[::2], ratios[1::2])]
+    lo, hi = median_interval(ratios)
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
+    return {"ratio_median": round(med, 4),
+            "interval_95": [round(lo, 4), round(hi, 4)],
+            "quartiles": [round(q1, 4), round(q3, 4)],
+            "head_won": sum(r < 1 for r in ratios), "passes": len(ratios)}
 
 
 def main(argv=None) -> int:
@@ -187,20 +224,18 @@ def main(argv=None) -> int:
         head_pkg = load_package("threadkd_head", os.path.join(ROOT, "src"))
         ratios = passes(run, wl, inp, args.seed, (base_pkg, head_pkg),
                         2 * args.passes, size)
-    # one figure per pass pair, one build order each: their geometric mean
-    ratios = [math.sqrt(a * b) for a, b in zip(ratios[::2], ratios[1::2])]
-    lo, hi = median_interval(ratios)
-    q1, med, q3 = statistics.quantiles(ratios, n=4)
-    won = sum(r < 1 for r in ratios)
-    print(f"{args.workload} seed {args.seed}: head/base op p50 "
-          f"{med:.3f} (95% interval {lo:.3f}-{hi:.3f}, quartiles "
-          f"{q1:.3f}-{q3:.3f}); head won {won} of {len(ratios)} passes")
+    report = {name: summary(rs) for name, rs in ratios.items()}
+    for name, r in report.items():
+        (lo, hi), (q1, q3) = r["interval_95"], r["quartiles"]
+        print(f"{args.workload} seed {args.seed}: head/base {name} "
+              f"{r['ratio_median']:.3f} (95% interval {lo:.3f}-{hi:.3f}, "
+              f"quartiles {q1:.3f}-{q3:.3f}); head won {r['head_won']} of "
+              f"{r['passes']} passes")
+    by_kind = {name.replace(" ", "_"): report.pop(name)
+               for name, _, _ in BY_KIND if name in report}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "base": args.base, "passes": len(ratios),
-                      "slice": size, "ratio_median": round(med, 4),
-                      "interval_95": [round(lo, 4), round(hi, 4)],
-                      "quartiles": [round(q1, 4), round(q3, 4)],
-                      "head_won": won}))
+                      "base": args.base, "slice": size, **report["op p50"],
+                      **({"by_kind": by_kind} if by_kind else {})}))
     return 0
 
 
